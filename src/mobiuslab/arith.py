@@ -34,6 +34,18 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(~composite).astype(np.int64)
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; meant for the small prime pairs of kbsz runs."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 @dataclass(frozen=True)
 class WeightTable:
     """Tabulated completely multiplicative-ish weight; values[0] is unused."""

@@ -32,6 +32,7 @@ from . import spectral as _spectral
 from . import subst as _subst
 from .arith import DigitPattern, pattern_parities, weight_table
 from .errors import CapacityError, UndefinedPointError
+from .experiment import _format_number
 from .permgrp import FiniteGroup, cyclic_group, symmetric_group
 from .specfile import (
     MorseDecl,
@@ -106,12 +107,26 @@ def _symbols(word: str) -> tuple:
     return tuple(int(c, 36) for c in word)
 
 
-def build_system(doc: SpecDocument, name: str) -> BoundSystem:
+def _morse_spec(decl: MorseDecl, systems: dict):
+    """(group, MorseSpec) of a morse declaration; cover systems inherit their block."""
+    group, cover = build_group(decl.group, systems)
+    if cover is not None:
+        return group, cover.morse_spec()
+    return group, _morse.MorseSpec(group, tuple(_symbols(b) for b in decl.blocks), _symbols(decl.tail))
+
+
+def _get_decl(doc: SpecDocument, name: str):
     systems = doc.systems()
     decl = systems.get(name)
     if decl is None:
         known = ", ".join(sorted(systems)) or "none declared"
         raise BindingError("unknown system %r (have: %s)" % (name, known))
+    return decl
+
+
+def build_system(doc: SpecDocument, name: str) -> BoundSystem:
+    systems = doc.systems()
+    decl = _get_decl(doc, name)
     if isinstance(decl, SubstitutionDecl):
         sub = build_substitution(decl)
         return BoundSystem(
@@ -123,11 +138,7 @@ def build_system(doc: SpecDocument, name: str) -> BoundSystem:
             substitution=sub,
         )
     if isinstance(decl, MorseDecl):
-        group, cover = build_group(decl.group, systems)
-        if cover is not None:
-            spec = cover.morse_spec()
-        else:
-            spec = _morse.MorseSpec(group, tuple(_symbols(b) for b in decl.blocks), _symbols(decl.tail))
+        group, spec = _morse_spec(decl, systems)
         stream = _morse.morse_stream(spec, name=name)
         return BoundSystem(name, "morse", stream, group.order, group=group)
     if isinstance(decl, RsDecl):
@@ -216,14 +227,6 @@ def _cmd_hat(args) -> int:
     return 0
 
 
-def _get_decl(doc: SpecDocument, name: str):
-    decl = doc.systems().get(name)
-    if decl is None:
-        known = ", ".join(sorted(doc.systems())) or "none declared"
-        raise BindingError("unknown system %r (have: %s)" % (name, known))
-    return decl
-
-
 def _cmd_cover(args) -> int:
     doc = load_document(args.spec)
     name = _pick_system(doc, args)
@@ -247,7 +250,6 @@ def _cmd_blocks(args) -> int:
     doc = load_document(args.spec)
     name = _pick_system(doc, args)
     decl = _get_decl(doc, name)
-    systems = doc.systems()
     if isinstance(decl, SubstitutionDecl):
         sub = build_substitution(decl)
         word = np.array([sub.seed], dtype=np.int32)
@@ -258,10 +260,7 @@ def _cmd_blocks(args) -> int:
             print("t=%d |word|=%d %s" % (t, len(word), sub.word_string(word)))
         return 0
     if isinstance(decl, MorseDecl):
-        group, cover = build_group(decl.group, systems)
-        spec = cover.morse_spec() if cover is not None else _morse.MorseSpec(
-            group, tuple(_symbols(b) for b in decl.blocks), _symbols(decl.tail)
-        )
+        _, spec = _morse_spec(decl, doc.systems())
         for t in range(1, args.t + 1):
             stage = _morse.toeplitz_stage(spec, t)
             values = "".join(_BASE36[v] for v in stage.values)
@@ -277,7 +276,7 @@ def _cmd_corr(args) -> int:
     est = _spectral.autocorrelation(bound.stream, obs, args.n, args.lags)
     lines = ["lag,real,imag"]
     for lag, v in enumerate(est.values):
-        lines.append("%d,%s,%s" % (lag, _fmt(v.real), _fmt(v.imag)))
+        lines.append("%d,%s,%s" % (lag, _format_number(v.real), _format_number(v.imag)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -290,7 +289,7 @@ def _cmd_spectrum(args) -> int:
     spec = _spectral.periodogram(est, args.grid)
     lines = ["k,value"]
     for k, v in enumerate(spec):
-        lines.append("%d,%s" % (k, _fmt(float(v))))
+        lines.append("%d,%s" % (k, _format_number(float(v))))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -319,13 +318,12 @@ def _series_config(args, kbsz=None) -> "_experiment.ExperimentConfig":
         weight=weight,
         checkpoints=_parse_checkpoints(args.checkpoints),
         kbsz=kbsz,
-        workers=args.workers,
     )
 
 
 def _report_out(report, args) -> int:
     final = report.final
-    print("final = %s + %si at N = %d" % (_fmt(final.real), _fmt(final.imag), report.checkpoints[-1]))
+    print("final = %s + %si at N = %d" % (_format_number(final.real), _format_number(final.imag), report.checkpoints[-1]))
     if args.out:
         data = _experiment.report_csv(report) if args.format == "csv" else _experiment.report_json(report)
         with open(args.out, "wb") as fh:
@@ -370,19 +368,14 @@ def _cmd_run(args) -> int:
             weight=weight,
             checkpoints=None if decl.checkpoints == "pow2" else decl.checkpoints,
             kbsz=decl.kbsz,
-            workers=args.workers,
         )
         report, paths = _experiment.run_experiment(config, args.out, formats=tuple(args.format.split(",")))
         final = report.final
         print(
             "experiment %s: final = %s + %si -> %s"
-            % (decl.name, _fmt(final.real), _fmt(final.imag), ", ".join(str(p) for p in paths))
+            % (decl.name, _format_number(final.real), _format_number(final.imag), ", ".join(str(p) for p in paths))
         )
     return 0
-
-
-def _fmt(v: float) -> str:
-    return format(v + 0.0, ".12g")
 
 
 def _emit(text: str, out: str | None):
@@ -408,6 +401,9 @@ def _add_spec_args(p, observable=False):
     p.add_argument("--system", help="system name (optional when the file has exactly one)")
     if observable:
         p.add_argument("--observable", required=True, help="observable name from the spec file")
+
+
+_WORKERS_HELP = "accepted for compatibility; has no effect (sums run on one thread)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--name", default="")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
         if cmd == "sarnak":
             p.add_argument("--weight", choices=("moebius", "liouville", "none"), default="moebius")
         else:
@@ -473,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="spec file path")
     p.add_argument("--out", default=".")
     p.add_argument("--format", default="csv,json", help="comma list of csv,json")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_run)
     return parser
 

@@ -8,26 +8,25 @@ and the bilinear test sums compare two prime dilations of the same orbit,
 
     C_M = (1/M) sum_{n=1..M} v(r n) conj(v(s n)).
 
-Partial sums are evaluated at ascending checkpoints.  Summation follows a
-fixed reduction tree over chunks of 4096 products; worker threads only
-compute chunk sums, never change the combination order, so results are
-bit-identical for every worker count and rerun.
+Partial sums are evaluated at ascending checkpoints with one reduction:
+np.add.reduceat sums the products between consecutive checkpoints and a
+cumulative sum over those segment sums gives each partial sum.  The order
+is fixed, so reports are bit-identical on every rerun, and sums of
+integer-valued products (below 2^53) are exact.  Everything runs on one
+thread; the CLI's --workers flag is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import WeightTable
+from .arith import WeightTable, is_prime
 from .spectral import Observable
 from .streams import SymbolStream
-
-CHUNK = 4096
 
 
 def pow2_checkpoints(limit: int) -> tuple:
@@ -55,41 +54,15 @@ def _validate_checkpoints(checkpoints) -> tuple:
     return points
 
 
-def _tree_combine(parts):
-    """Fixed-shape pairwise combination; order never depends on worker count."""
-    parts = list(parts)
-    if not parts:
-        return 0.0 + 0.0j
-    while len(parts) > 1:
-        combined = []
-        for i in range(0, len(parts) - 1, 2):
-            combined.append(parts[i] + parts[i + 1])
-        if len(parts) % 2:
-            combined.append(parts[-1])
-        parts = combined
-    return parts[0]
+def _partial_sums(products: np.ndarray, checkpoints):
+    """Sums of products[0:M] at each checkpoint M; len(products) is the last one.
 
-
-def _chunk_sums(products: np.ndarray, workers: int = 1):
-    """Sum of each fixed 4096-wide chunk, optionally computed in threads."""
-    edges = range(0, len(products), CHUNK)
-    if workers <= 1 or len(products) <= CHUNK:
-        return [np.add.reduce(products[i : i + CHUNK]) for i in edges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: np.add.reduce(products[i : i + CHUNK]), edges))
-
-
-def _partial_sums(products: np.ndarray, checkpoints, workers: int = 1):
-    """Exact partial sums over products[0:M], tree-combined per checkpoint."""
-    sums = _chunk_sums(products, workers)
-    out = []
-    for m in checkpoints:
-        full, rest = divmod(m, CHUNK)
-        parts = sums[:full]
-        if rest:
-            parts = parts + [np.add.reduce(products[full * CHUNK : full * CHUNK + rest])]
-        out.append(complex(_tree_combine(parts)))
-    return out
+    reduceat sums each segment between consecutive checkpoints, and the
+    running sum over those few segment sums gives the partial sums, so no
+    N-long temporary is allocated.
+    """
+    segments = np.add.reduceat(products, (0,) + checkpoints[:-1])
+    return [complex(v) for v in np.cumsum(segments)]
 
 
 @dataclass(frozen=True)
@@ -115,7 +88,6 @@ def sarnak_series(
     obs: Observable,
     weights: WeightTable | None,
     checkpoints,
-    workers: int = 1,
 ) -> ConvergenceReport:
     """Weighted averages S_M at each checkpoint; orbit positions start at 1."""
     checkpoints = _validate_checkpoints(checkpoints)
@@ -127,7 +99,7 @@ def sarnak_series(
         products = v
     else:
         products = v * weights.values[1 : limit + 1]
-    partials = _partial_sums(products, checkpoints, workers)
+    partials = _partial_sums(products, checkpoints)
     return ConvergenceReport(
         checkpoints=checkpoints,
         values=tuple(s / m for s, m in zip(partials, checkpoints)),
@@ -144,7 +116,6 @@ def kbsz_series(
     r: int,
     s: int,
     checkpoints,
-    workers: int = 1,
 ) -> ConvergenceReport:
     """Bilinear averages C_M = (1/M) sum v(rn) conj(v(sn)) at each checkpoint."""
     r, s = int(r), int(s)
@@ -154,7 +125,7 @@ def kbsz_series(
     limit = checkpoints[-1]
     idx = np.arange(1, limit + 1, dtype=np.int64)
     products = obs.evaluate_at(stream, r * idx) * np.conj(obs.evaluate_at(stream, s * idx))
-    partials = _partial_sums(products, checkpoints, workers)
+    partials = _partial_sums(products, checkpoints)
     return ConvergenceReport(
         checkpoints=checkpoints,
         values=tuple(c / m for c, m in zip(partials, checkpoints)),
@@ -172,7 +143,6 @@ def block_sweep(
     weights: WeightTable | None,
     checkpoints,
     alphabet_size: int | None = None,
-    workers: int = 1,
 ):
     """One Sarnak report per length-k block appearing in the scanned prefix.
 
@@ -195,19 +165,8 @@ def block_sweep(
     reports = {}
     for block in blocks:
         obs = make_block_indicator(block, 0, alphabet_size)
-        reports[block] = sarnak_series(stream, obs, weights, checkpoints, workers)
+        reports[block] = sarnak_series(stream, obs, weights, checkpoints)
     return reports
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -225,12 +184,11 @@ class ExperimentConfig:
     weight: WeightTable | None = None
     checkpoints: tuple | None = None  # None means powers of two
     kbsz: tuple | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.kbsz is not None:
             r, s = (int(p) for p in self.kbsz)
-            if r == s or not (_is_prime(r) and _is_prime(s)):
+            if r == s or not (is_prime(r) and is_prime(s)):
                 raise ValueError("kbsz needs two distinct primes, got (%d, %d)" % (r, s))
             object.__setattr__(self, "kbsz", (r, s))
 
@@ -247,8 +205,8 @@ def run_config(config: ExperimentConfig) -> ConvergenceReport:
     checkpoints = config.resolved_checkpoints()
     if config.kbsz is not None:
         r, s = config.kbsz
-        return kbsz_series(config.stream, config.observable, r, s, checkpoints, config.workers)
-    return sarnak_series(config.stream, config.observable, config.weight, checkpoints, config.workers)
+        return kbsz_series(config.stream, config.observable, r, s, checkpoints)
+    return sarnak_series(config.stream, config.observable, config.weight, checkpoints)
 
 
 def _format_number(v: float) -> str:
@@ -282,7 +240,7 @@ def run_experiment(config: ExperimentConfig, out_dir, formats=("csv", "json")):
     """Run one config and write its report files.
 
     Returns (report, list of paths).  Identical configs produce byte
-    identical files regardless of worker count.
+    identical files on every rerun.
     """
     report = run_config(config)
     out_dir = pathlib.Path(out_dir)

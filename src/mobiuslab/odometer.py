@@ -291,33 +291,25 @@ def rs_extension_stages(choices, max_level: int, tail_choice: int = 0):
     def choice(s):
         return choices[s - 1] if s - 1 < len(choices) else tail_choice
 
-    def build_table(levels):
+    def tables(levels):
+        """(t, table, newly filled levels) for t = 1..levels, one doubling per stage."""
         table = -np.ones(2, dtype=np.int8)
+        yield 1, table, ()
         for t in range(2, levels + 1):
             table = np.tile(table, 2)
-            first, second = (0, 1) if choice(t - 1) == 0 else (1, 0)
-            table[(1 << (t - 2)) - 1] = first
-            table[(1 << (t - 1)) + (1 << (t - 2)) - 1] = second
-        return table
+            lo = (1 << (t - 2)) - 1
+            hi = (1 << (t - 1)) + (1 << (t - 2)) - 1
+            table[lo], table[hi] = (0, 1) if choice(t - 1) == 0 else (1, 0)
+            yield t, table, (lo, hi)
 
-    stages = []
-    table = -np.ones(2, dtype=np.int8)
-    stages.append(ExtensionStage(1, tuple(int(v) for v in table), ()))
-    for t in range(2, max_level + 1):
-        table = np.tile(table, 2)
-        first, second = (0, 1) if choice(t - 1) == 0 else (1, 0)
-        lo = (1 << (t - 2)) - 1
-        hi = (1 << (t - 1)) + (1 << (t - 2)) - 1
-        table[lo] = first
-        table[hi] = second
-        stages.append(ExtensionStage(t, tuple(int(v) for v in table), (lo, hi)))
+    stages = [ExtensionStage(t, tuple(int(v) for v in table), filled) for t, table, filled in tables(max_level)]
 
     def build(count):
         if count == 0:
             return np.zeros(0, dtype=np.int32)
-        levels = max(int(count - 1).bit_length() + 2, 2)
-        full = build_table(levels)
-        out = full[:count].astype(np.int32)
+        for _, table, _ in tables(max(int(count - 1).bit_length() + 2, 2)):
+            pass
+        out = table[:count].astype(np.int32)
         if np.any(out < 0):
             raise UndefinedPointError("undefined level inside the requested prefix")
         return out

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .arith import is_prime
+
 DECL_KEYWORDS = ("substitution", "morse", "rs", "veech", "observable", "experiment")
 WEIGHT_NAMES = ("moebius", "liouville", "none")
 _PUNCT = set("{}[](),;:=")
@@ -552,17 +554,6 @@ class _Parser:
         raise AssertionError(key)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _symbol_value(ch: str) -> int:
     """Block symbols are base-36 digits of the element index."""
     try:
@@ -745,7 +736,7 @@ class _Validator:
                 self.error("checkpoint %d is beyond N = %d" % (points[-1], decl.sample_size), decl.span)
         if decl.kbsz is not None:
             r, s = decl.kbsz
-            if r == s or not (_is_prime(r) and _is_prime(s)):
+            if r == s or not (is_prime(r) and is_prime(s)):
                 self.error("kbsz needs two distinct primes, got (%d, %d)" % (r, s), decl.span)
         if system is not None and obs is not None:
             self.check_binding(decl, system, obs)

@@ -163,25 +163,33 @@ def test_config_requires_distinct_primes():
     assert ok.kbsz == (3, 5)
 
 
-def test_worker_count_does_not_change_bytes():
-    # float products make the summation order visible; the fixed tree hides it
+def test_float_products_rerun_to_same_bytes():
+    # float products make the summation order visible; the order is fixed
     obs = make_symbol_table({0: 0.1, 1: -0.7})
     mu = weight_table("moebius", 1 << 15)
-    outputs = []
-    for workers in (1, 4):
-        config = ExperimentConfig(
-            name="float_run",
-            stream=TM,
-            observable=obs,
-            sample_size=1 << 15,
-            weight=mu,
-            workers=workers,
-        )
-        outputs.append(report_csv(run_config(config)))
-    assert outputs[0] == outputs[1]
+    config = ExperimentConfig(
+        name="float_run",
+        stream=TM,
+        observable=obs,
+        sample_size=1 << 15,
+        weight=mu,
+    )
+    assert report_csv(run_config(config)) == report_csv(run_config(config))
 
-    kb = [
-        report_csv(kbsz_series(TM, obs, 3, 5, pow2_checkpoints(1 << 15), workers=w))
-        for w in (1, 4)
-    ]
+    kb = [report_csv(kbsz_series(TM, obs, 3, 5, pow2_checkpoints(1 << 15))) for _ in range(2)]
     assert kb[0] == kb[1]
+
+
+def test_integer_partial_sums_are_exact():
+    # checkpoints on both sides of 4096 and one far from any power of two
+    checkpoints = (1, 4095, 4096, 4097, 12293)
+    mu = weight_table("moebius", checkpoints[-1])
+    rep = sarnak_series(TM, W0, mu, checkpoints)
+    bits = TM.prefix(checkpoints[-1] + 1).tolist()
+    exact, n = 0, 0
+    for m, got in zip(checkpoints, rep.values):
+        while n < m:
+            n += 1
+            exact += (1 - 2 * bits[n]) * int(mu.values[n])
+        assert got.imag == 0.0
+        assert got.real == exact / m
