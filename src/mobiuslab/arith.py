@@ -14,6 +14,7 @@ number of overlapping occurrences of the pattern in the expansion, mod 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,21 +35,42 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(~composite).astype(np.int64)
 
 
+# Deterministic Miller-Rabin: the first thirteen prime bases decide every n
+# below this bound, the least strong pseudoprime to all of them (OEIS
+# A014233).  Twelve bases would stop at 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+IS_PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; meant for the small prime pairs of kbsz runs."""
+    """Exact primality for n < IS_PRIME_BOUND; ValueError above it."""
+    if n >= IS_PRIME_BOUND:
+        raise ValueError("primality of %d is not decided (limit is %d)" % (n, IS_PRIME_BOUND - 1))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Tabulated completely multiplicative-ish weight; values[0] is unused."""
+    """Tabulated mu or lambda on 1..limit; values[0] is 0 and unused."""
 
     kind: str
     limit: int
@@ -60,32 +82,56 @@ class WeightTable:
         return int(self.values[n])
 
 
-def weight_table(kind: str, limit: int) -> WeightTable:
-    """Tabulate mu or lambda for 1..limit in one pass over the primes.
+# Positions per sieve block: its int8 signs and int32 smooth parts (5 MiB)
+# stay small next to the tables, and larger blocks are no faster.
+_BLOCK = 1 << 19
 
-    Each prime slice flips the sign once, giving (-1)^(number of distinct
-    prime divisors).  For mu, multiples of p^2 are then zeroed; for lambda,
-    every higher prime-power slice flips again so the exponent counts
-    multiplicity.
+
+def _block_weights(kind: str, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """Weights of lo..hi-1 for 1 <= lo < hi <= 2^31 (smooth parts are int32).
+
+    primes must hold every prime <= isqrt(hi - 1).
+
+    Each prime power q = p^k flips the sign of its multiples and multiplies
+    their smooth part by p, leaving (-1)^(prime factors <= sqrt, with
+    multiplicity) and the product of those factors.  Where the smooth part
+    falls short of n, the rest is a single prime above isqrt(hi - 1), which
+    flips the sign once more: that is lambda.  mu is lambda with the
+    multiples of every p^2 set to 0.
+    """
+    sign = np.ones(hi - lo, dtype=np.int8)
+    smooth = np.ones(hi - lo, dtype=np.int32)
+    for p in primes.tolist():
+        q = p
+        while q < hi:
+            start = -lo % q
+            sign[start::q] *= -1
+            smooth[start::q] *= p
+            q *= p
+    np.negative(sign, out=sign, where=smooth != np.arange(lo, hi, dtype=np.int32))
+    if kind == "moebius":
+        for p in primes.tolist():
+            sq = p * p
+            sign[-lo % sq :: sq] = 0
+    return sign
+
+
+def weight_table(kind: str, limit: int) -> WeightTable:
+    """Tabulate mu or lambda for 1..limit with a segmented sqrt(limit) sieve.
+
+    The primes up to isqrt(limit) are found once; the table is then filled
+    one block of _BLOCK positions at a time by _block_weights.
     """
     if kind not in WEIGHT_KINDS:
         raise ValueError("unknown weight kind %r (expected one of %s)" % (kind, ", ".join(WEIGHT_KINDS)))
     if not 1 <= limit <= LIMIT_CAP:
         raise ValueError("limit must be in 1..%d, got %d" % (LIMIT_CAP, limit))
-    values = np.ones(limit + 1, dtype=np.int8)
+    primes = primes_up_to(math.isqrt(limit))
+    values = np.empty(limit + 1, dtype=np.int8)
     values[0] = 0
-    for p in primes_up_to(limit):
-        p = int(p)
-        values[p::p] *= -1
-        if kind == "moebius":
-            sq = p * p
-            if sq <= limit:
-                values[sq::sq] = 0
-        else:
-            q = p * p
-            while q <= limit:
-                values[q::q] *= -1
-                q *= p
+    for lo in range(1, limit + 1, _BLOCK):
+        hi = min(lo + _BLOCK, limit + 1)
+        values[lo:hi] = _block_weights(kind, lo, hi, primes)
     values.flags.writeable = False
     return WeightTable(kind, limit, values)
 

@@ -354,12 +354,16 @@ def _cmd_run(args) -> int:
     experiments = doc.experiments()
     if not experiments:
         raise BindingError("no experiment declarations in %s" % args.spec)
+    tables = {}  # (kind, N) -> WeightTable: each pair is sieved once per file
     for decl in experiments:
         bound = build_system(doc, decl.system)
         obs = bind_observable(doc, decl.observable, bound)
         weight = None
         if decl.kbsz is None and decl.weight != "none":
-            weight = weight_table(decl.weight, decl.sample_size)
+            key = (decl.weight, decl.sample_size)
+            if key not in tables:
+                tables[key] = weight_table(*key)
+            weight = tables[key]
         config = _experiment.ExperimentConfig(
             name=decl.name,
             stream=bound.stream,

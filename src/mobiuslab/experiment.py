@@ -94,12 +94,10 @@ def sarnak_series(
     limit = checkpoints[-1]
     if weights is not None and weights.limit < limit:
         raise ValueError("weight table reaches %d, need %d" % (weights.limit, limit))
-    v = obs.evaluate(stream, 1, limit)
-    if weights is None:
-        products = v
-    else:
-        products = v * weights.values[1 : limit + 1]
-    partials = _partial_sums(products, checkpoints)
+    v = obs.evaluate(stream, 1, limit)  # a fresh vector, so it is weighted in place
+    if weights is not None:
+        v *= weights.values[1 : limit + 1]
+    partials = _partial_sums(v, checkpoints)
     return ConvergenceReport(
         checkpoints=checkpoints,
         values=tuple(s / m for s, m in zip(partials, checkpoints)),

@@ -736,8 +736,11 @@ class _Validator:
                 self.error("checkpoint %d is beyond N = %d" % (points[-1], decl.sample_size), decl.span)
         if decl.kbsz is not None:
             r, s = decl.kbsz
-            if r == s or not (is_prime(r) and is_prime(s)):
-                self.error("kbsz needs two distinct primes, got (%d, %d)" % (r, s), decl.span)
+            try:
+                if r == s or not (is_prime(r) and is_prime(s)):
+                    self.error("kbsz needs two distinct primes, got (%d, %d)" % (r, s), decl.span)
+            except ValueError as exc:
+                self.error("kbsz pair (%d, %d): %s" % (r, s, exc), decl.span)
         if system is not None and obs is not None:
             self.check_binding(decl, system, obs)
 

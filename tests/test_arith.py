@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from mobiuslab import arith
 from mobiuslab.arith import (
+    IS_PRIME_BOUND,
     DigitPattern,
+    is_prime,
     pattern_parities,
     pattern_parity,
     primes_up_to,
@@ -65,6 +70,95 @@ def test_tables_match_trial_division():
         f = factorize(n)
         assert lam[n] == (-1) ** len(f)
         assert mu[n] == mu_naive(n)
+
+
+def test_tables_match_trial_division_at_every_small_limit():
+    # every limit 1..300 crosses each isqrt step and each p^2 edge
+    for limit in range(1, 301):
+        mu = weight_table("moebius", limit).values
+        lam = weight_table("liouville", limit).values
+        assert len(mu) == len(lam) == limit + 1
+        assert mu[0] == lam[0] == 0
+        for n in range(1, limit + 1):
+            assert lam[n] == (-1) ** len(factorize(n)), (limit, n)
+            assert mu[n] == mu_naive(n), (limit, n)
+
+
+def all_primes_sieve(kind, limit):
+    """The earlier weight sieve: one pass over every prime up to limit."""
+    values = np.ones(limit + 1, dtype=np.int8)
+    values[0] = 0
+    for p in primes_up_to(limit):
+        p = int(p)
+        values[p::p] *= -1
+        if kind == "moebius":
+            sq = p * p
+            if sq <= limit:
+                values[sq::sq] = 0
+        else:
+            q = p * p
+            while q <= limit:
+                values[q::q] *= -1
+                q *= p
+    return values
+
+
+# three full sieve blocks and a ragged tail
+MULTI_BLOCK_LIMIT = 3 * arith._BLOCK + 12345
+
+
+@pytest.mark.parametrize("kind", ["moebius", "liouville"])
+def test_multi_block_table_matches_all_primes_sieve(kind):
+    table = weight_table(kind, MULTI_BLOCK_LIMIT)
+    assert table.values.dtype == np.int8
+    assert np.array_equal(table.values, all_primes_sieve(kind, MULTI_BLOCK_LIMIT))
+
+
+def test_multiplicative_across_block_boundaries():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tables = {kind: weight_table(kind, MULTI_BLOCK_LIMIT).values for kind in ("moebius", "liouville")}
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        m=st.integers(2, 5000),
+        boundary=st.integers(1, 3),
+        offset=st.integers(-64, 64),
+    )
+    def check(m, boundary, offset):
+        # m * n lands within m + 64 of a block boundary
+        n = max(1, (boundary * arith._BLOCK + offset) // m)
+        mu, lam = tables["moebius"], tables["liouville"]
+        assert lam[m * n] == lam[m] * lam[n]
+        if math.gcd(m, n) == 1:
+            assert mu[m * n] == mu[m] * mu[n]
+        else:
+            assert mu[m * n] == 0
+
+    check()
+
+
+def test_is_prime_matches_sieve():
+    primes = set(primes_up_to(10**5).tolist())
+    assert [n for n in range(-5, 10**5 + 1) if is_prime(n)] == sorted(primes)
+
+
+def test_is_prime_large_values():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..37
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**14 + 31)
+    assert not is_prime((10**9 + 7) * (10**14 + 31))
+
+
+def test_is_prime_refuses_beyond_bound():
+    is_prime(IS_PRIME_BOUND - 1)
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(IS_PRIME_BOUND)
+    with pytest.raises(ValueError):
+        is_prime(10**30)
 
 
 def test_moebius_divisor_sums_vanish():

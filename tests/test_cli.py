@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from mobiuslab import cli
 from mobiuslab.cli import main
 
 REPO = pathlib.Path(__file__).parent.parent
@@ -111,6 +112,13 @@ def test_kbsz_rejects_bad_primes(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_kbsz_prime_beyond_primality_bound_exits_two(capsys):
+    code, _, err = run(
+        capsys, "kbsz", TM_SPEC, "--observable", "w0", "--n", "64", "--primes", "3,%d" % 10**30,
+    )
+    assert code == 2 and err.startswith("error:") and "not decided" in err
+
+
 def test_sarnak_writes_file(capsys, tmp_path):
     out_file = tmp_path / "run.json"
     code, _, _ = run(
@@ -157,3 +165,42 @@ def test_veech_and_rs_systems(capsys):
     assert code == 0 and out == "101110101011101\n"
     code, out, _ = run(capsys, "gen", spec, "--system", "rs11", "--n", "16")
     assert code == 0 and out == "0001001000011101\n"
+
+
+REUSE_SYSTEMS = """substitution tm on {0, 1} {
+  0 -> "01";
+  1 -> "10";
+}
+observable w0 = walsh {0}
+"""
+
+REUSE_EXPERIMENTS = (("mu_a", "moebius"), ("lam", "liouville"), ("mu_b", "moebius"))
+
+
+def reuse_experiment(name, weight):
+    return "experiment %s {\n  system: tm;\n  observable: w0;\n  weight: %s;\n  N: 5000;\n}\n" % (name, weight)
+
+
+def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
+    calls = []
+    sieve = cli.weight_table
+
+    def counting(kind, limit):
+        calls.append((kind, limit))
+        return sieve(kind, limit)
+
+    monkeypatch.setattr(cli, "weight_table", counting)
+    spec = tmp_path / "three.spec"
+    spec.write_text(REUSE_SYSTEMS + "".join(reuse_experiment(*e) for e in REUSE_EXPERIMENTS))
+    code, _, err = run(capsys, "run", str(spec), "--out", str(tmp_path / "all"))
+    assert (code, err) == (0, "")
+    assert calls == [("moebius", 5000), ("liouville", 5000)]
+
+    for name, weight in REUSE_EXPERIMENTS:
+        alone = tmp_path / (name + ".spec")
+        alone.write_text(REUSE_SYSTEMS + reuse_experiment(name, weight))
+        code, _, _ = run(capsys, "run", str(alone), "--out", str(tmp_path / name))
+        assert code == 0
+        for ext in (".csv", ".json"):
+            solo = (tmp_path / name / (name + ext)).read_bytes()
+            assert (tmp_path / "all" / (name + ext)).read_bytes() == solo

@@ -162,6 +162,34 @@ def test_nonprime_kbsz():
     assert "(4, 5)" in diags[0].message
 
 
+KBSZ_TEMPLATE = """substitution tm on {0, 1} {
+  0 -> "01";
+  1 -> "10";
+}
+observable w = walsh {0}
+experiment e {
+  system: tm;
+  observable: w;
+  N: 16;
+  kbsz: (3, %d);
+}
+"""
+
+
+def test_kbsz_large_prime_parses_quickly():
+    doc = parse_ok(KBSZ_TEMPLATE % (10**14 + 31))
+    assert doc.experiments()[0].kbsz == (3, 10**14 + 31)
+
+
+def test_kbsz_beyond_primality_bound_is_located():
+    diags = parse_bad(KBSZ_TEMPLATE % 10**30)
+    assert len(diags) == 1
+    d = diags[0]
+    assert d.severity == "error"
+    assert (d.line, d.column) == (6, 1)
+    assert "not decided" in d.message and "(3, %d)" % 10**30 in d.message
+
+
 def test_recovery_collects_multiple_errors():
     # two broken declarations, both reported, one diagnostic each
     text = (

@@ -22,6 +22,21 @@ TM = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
 PD = hat_stream(Z2, morse_stream(MorseSpec(Z2, (), (0, 1))))
 
 
+def test_evaluate_returns_fresh_memory():
+    # sarnak_series weights the evaluated vector in place
+    observables = (
+        make_walsh((0,)),
+        make_walsh((0, 2)),
+        make_block_indicator((0, 1), 1, 2),
+        make_symbol_table({0: 1.0, 1: -1.0}, 2),
+    )
+    for obs in observables:
+        v = obs.evaluate(TM, 1, 256)
+        assert not np.shares_memory(v, TM.prefix(256 + 1 + obs.span))
+        assert not np.shares_memory(v, TM.block(1, 256))
+        assert not np.shares_memory(v, obs.values)
+
+
 def test_observable_validation():
     with pytest.raises(ValueError):
         Observable(window=(), alphabet_size=2, values=[1.0])
