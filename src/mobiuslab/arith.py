@@ -97,7 +97,7 @@ def _block_weights(kind: str, lo: int, hi: int, primes: np.ndarray) -> np.ndarra
     multiplicity) and the product of those factors.  Where the smooth part
     falls short of n, the rest is a single prime above isqrt(hi - 1), which
     flips the sign once more: that is lambda.  mu is lambda with the
-    multiples of every p^2 set to 0.
+    multiples of every p^2 set to 0 (a zero stays zero under the flips).
     """
     sign = np.ones(hi - lo, dtype=np.int8)
     smooth = np.ones(hi - lo, dtype=np.int32)
@@ -108,11 +108,9 @@ def _block_weights(kind: str, lo: int, hi: int, primes: np.ndarray) -> np.ndarra
             sign[start::q] *= -1
             smooth[start::q] *= p
             q *= p
+        if kind == "moebius":
+            sign[-lo % (p * p) :: p * p] = 0
     np.negative(sign, out=sign, where=smooth != np.arange(lo, hi, dtype=np.int32))
-    if kind == "moebius":
-        for p in primes.tolist():
-            sq = p * p
-            sign[-lo % sq :: sq] = 0
     return sign
 
 
