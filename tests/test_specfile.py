@@ -176,7 +176,7 @@ experiment e {
 """
 
 
-def test_kbsz_large_prime_parses_quickly():
+def test_kbsz_large_prime_parses():
     doc = parse_ok(KBSZ_TEMPLATE % (10**14 + 31))
     assert doc.experiments()[0].kbsz == (3, 10**14 + 31)
 
