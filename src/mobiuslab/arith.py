@@ -180,19 +180,25 @@ def pattern_parity(n: int, pattern) -> int:
 
 
 def pattern_parities(count: int, pattern) -> np.ndarray:
-    """pattern_parity(n) for n = 0..count-1, vectorized.
+    """pattern_parity(n) for n = 0..count-1, vectorized."""
+    if count < 0:
+        raise ValueError("count must be nonnegative, got %d" % count)
+    return pattern_parities_at(np.arange(count, dtype=np.uint64), pattern)
+
+
+def pattern_parities_at(positions, pattern) -> np.ndarray:
+    """pattern_parity(n) for each n in an array of nonnegative integers.
 
     The pattern starts with a literal 1, so a matching window is
     automatically inside the expansion; windows are scanned by their offset
     from the low end.
     """
     pat = _as_pattern(pattern).pattern
-    if count < 0:
-        raise ValueError("count must be nonnegative, got %d" % count)
+    n = np.asarray(positions).astype(np.uint64, copy=False)
+    count = len(n)
     m = len(pat)
-    n = np.arange(count, dtype=np.uint64)
     acc = np.zeros(count, dtype=np.uint8)
-    maxbits = int(count - 1).bit_length() if count > 1 else 1
+    maxbits = max(int(n.max(initial=0)).bit_length(), 1)
     for j in range(maxbits):
         ok = np.ones(count, dtype=bool)
         for i, c in enumerate(pat):

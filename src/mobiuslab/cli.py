@@ -30,7 +30,7 @@ from . import morse as _morse
 from . import odometer as _odometer
 from . import spectral as _spectral
 from . import subst as _subst
-from .arith import DigitPattern, pattern_parities, weight_table
+from .arith import DigitPattern, pattern_parities, pattern_parities_at, weight_table
 from .errors import CapacityError, UndefinedPointError
 from .experiment import _format_number
 from .permgrp import FiniteGroup, cyclic_group, symmetric_group
@@ -143,7 +143,12 @@ def build_system(doc: SpecDocument, name: str) -> BoundSystem:
         return BoundSystem(name, "morse", stream, group.order, group=group)
     if isinstance(decl, RsDecl):
         pattern = DigitPattern(decl.pattern)
-        stream = SymbolStream(lambda n: pattern_parities(n, pattern), name=name, alphabet_size=2)
+        stream = SymbolStream(
+            lambda n: pattern_parities(n, pattern),
+            name=name,
+            alphabet_size=2,
+            read=lambda positions: pattern_parities_at(positions, pattern),
+        )
         return BoundSystem(name, "rs", stream, 2, group=cyclic_group(2))
     if isinstance(decl, VeechDecl):
         group, _ = build_group(decl.group, systems)

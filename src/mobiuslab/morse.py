@@ -15,12 +15,13 @@ the determined residues form the stage word c-hat_t = hat(c_t).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .permgrp import FiniteGroup, cyclic_group
-from .streams import SymbolStream
+from .streams import LEVEL_MIN, DigitReader, SymbolStream
 
 
 @dataclass(frozen=True)
@@ -80,23 +81,54 @@ def morse_prefix(spec: MorseSpec, count: int) -> np.ndarray:
     """First count symbols of the limit sequence (vectorized partial products)."""
     if count < 0:
         raise ValueError("count must be nonnegative, got %d" % count)
-    table = spec.group.table
     word = np.zeros(1, dtype=np.int32)
     t = 0
     while len(word) < count:
-        block = np.asarray(spec.block(t), dtype=np.int32)
-        # segment j of c_{t+1} is c_t translated by block[j]
-        word = table[word][:, block].T.reshape(-1).astype(np.int32)
+        word = _times_block(spec.group.table, word, spec.block(t))
         t += 1
     return word[:count]
 
 
+def _times_block(table: np.ndarray, word: np.ndarray, block) -> np.ndarray:
+    """word x block: segment j is the word translated by block[j]."""
+    return table[word][:, np.asarray(block, dtype=np.int32)].T.reshape(-1).astype(np.int32)
+
+
+def _digit_levels(spec: MorseSpec):
+    """Digit levels of the limit sequence for DigitReader.
+
+    A level is a run of consecutive blocks whose product D has at least
+    LEVEL_MIN entries; its table is T[g, i] = D[i] g.  By associativity
+    x = D_0 x D_1 x ..., so x[q R_0 + i] = D_0[i] y[q] with y the sequence
+    of the blocks after the first level.  Levels that start past the head
+    are all the same product c_k of k tail blocks, y[q L + i] = c_k[i] y[q],
+    so one table serves every level from there on.
+    """
+
+    def level(t):
+        """(radix, table) of the level starting at block t, and the next block."""
+        word = np.zeros(1, dtype=np.int32)
+        while True:
+            word = _times_block(spec.group.table, word, spec.block(t))
+            t += 1
+            if len(word) >= LEVEL_MIN:
+                return (len(word), spec.group.table[word].T), t
+
+    t = 0
+    while t < len(spec.head):
+        table, t = level(t)
+        yield table
+    yield from itertools.repeat(level(t)[0])
+
+
 def morse_stream(spec: MorseSpec, name: str = "morse") -> SymbolStream:
+    """The limit sequence as a stream; at() reads it through its digit levels."""
     return SymbolStream(
         lambda n: morse_prefix(spec, n),
         name=name,
         alphabet_size=spec.group.order,
         letters=spec.group.element_names,
+        read=DigitReader(0, _digit_levels(spec)),
     )
 
 

@@ -167,16 +167,22 @@ class VeechSpec:
         return self.psi_tail[(i - len(self.psi_head)) % len(self.psi_tail)]
 
 
-def _tau_block(spec: OdometerSpec, start: int, count: int, max_stage: int = 200) -> np.ndarray:
-    """tau(start + n) for n = 0..count-1, vectorized over stages."""
-    values = np.arange(start, start + count, dtype=np.int64)
+def _tau_at(spec: OdometerSpec, values: np.ndarray, max_stage: int = 200) -> np.ndarray:
+    """tau(v) for each integer point v of an int64 array, vectorized over stages."""
     if np.any(values == -1):
         raise UndefinedPointError("orbit passes through -theta where tau is undefined")
+    count = len(values)
     out = np.zeros(count, dtype=np.int64)
     remaining = np.arange(count)
+    # once n_t - 1 exceeds every point (all nonnegative), v mod n_t = v for
+    # each point left, so tau is t; stopping there keeps n_t inside int64
+    top = int(values.max()) if count and values.min() >= 0 else None
     t = 1
     while len(remaining) and t <= max_stage:
         n_t = spec.n(t)
+        if top is not None and n_t - 1 > top:
+            out[remaining] = t
+            return out
         vals = values[remaining]
         hit = (vals % n_t) != (n_t - 1)
         out[remaining[hit]] = t
@@ -188,19 +194,23 @@ def _tau_block(spec: OdometerSpec, start: int, count: int, max_stage: int = 200)
 
 
 def veech_stream(vspec: VeechSpec, start: int = 0, name: str = "veech") -> SymbolStream:
-    """The sequence n -> Psi(tau(start + n)) along the orbit of a point."""
+    """The sequence n -> Psi(tau(start + n)) along the orbit of a point.
 
-    def build(count):
-        taus = _tau_block(vspec.odometer, start, count)
+    at() evaluates tau at start + position directly, with no prefix.
+    """
+
+    def symbols(values):
+        taus = _tau_at(vspec.odometer, values)
         lookup_len = int(taus.max(initial=1))
         lookup = np.array([0] + [vspec.psi(t) for t in range(1, lookup_len + 1)], dtype=np.int32)
         return lookup[taus]
 
     return SymbolStream(
-        build,
+        lambda count: symbols(np.arange(start, start + count, dtype=np.int64)),
         name=name,
         alphabet_size=vspec.group.order,
         letters=vspec.group.element_names,
+        read=lambda positions: symbols(start + positions),
     )
 
 

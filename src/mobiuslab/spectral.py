@@ -88,16 +88,20 @@ class Observable:
         return self.values[idx]
 
     def evaluate_at(self, stream: SymbolStream, positions) -> np.ndarray:
-        """v at arbitrary nonnegative positions."""
+        """v at arbitrary nonnegative positions.
+
+        Each window offset is read with stream.at, so streams with a digit
+        reader build no prefix and the cost follows len(positions), not the
+        largest position.
+        """
         positions = np.asarray(positions, dtype=np.int64)
         if len(positions) == 0:
             return np.zeros(0, dtype=np.complex128)
         if positions.min() < 0:
             raise ValueError("positions must be nonnegative")
-        prefix = stream.prefix(int(positions.max()) + self.span)
-        idx = np.zeros(len(positions), dtype=np.int64)
-        for off in self.window:
-            idx = idx * self.alphabet_size + prefix[positions + off]
+        idx = stream.at(positions + self.window[0])
+        for off in self.window[1:]:
+            idx = idx * self.alphabet_size + stream.at(positions + off)
         return self.values[idx]
 
 

@@ -1,8 +1,21 @@
-"""Lazy one-sided symbol sequences with positioned block reads."""
+"""Lazy one-sided symbol sequences with positioned block and random reads.
+
+A stream is read in two ways.  prefix() and block() materialize the
+sequence from 0 up to the last symbol asked for; consecutive windows
+(Sarnak sums, autocorrelations) read that way.  at() reads arbitrary
+positions, as the dilated KBSZ sums do.  A stream built with a digit reader
+computes each symbol from the digits of its position (see DigitReader), so
+reading at positions up to s*N costs memory in the number of positions,
+not in s*N; the other streams gather at() from their prefix.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+# Least radix of a digit level.  Tables of at least this many columns read
+# any position below 2^32 in two gathers and stay a few MiB in size.
+LEVEL_MIN = 1 << 16
 
 
 class SymbolStream:
@@ -10,11 +23,14 @@ class SymbolStream:
 
     build(n) must return a prefix of length >= n and agree with earlier calls
     on the overlap; growth extends a cached read-only prefix.  block() reads
-    do not move the iteration cursor.
+    do not move the iteration cursor.  read(positions), when given, returns
+    the symbols at a nonempty int64 array of nonnegative positions without
+    building a prefix; it must agree with build.
     """
 
-    def __init__(self, build, name: str = "stream", alphabet_size: int | None = None, letters=None):
+    def __init__(self, build, name: str = "stream", alphabet_size: int | None = None, letters=None, read=None):
         self._build = build
+        self._read = read
         self.name = name
         self.alphabet_size = alphabet_size
         self.letters = tuple(letters) if letters is not None else None
@@ -49,6 +65,21 @@ class SymbolStream:
         self._ensure(start + count)
         return self._prefix[start : start + count]
 
+    def at(self, positions) -> np.ndarray:
+        """Symbols at arbitrary nonnegative positions, as int32.
+
+        The digit reader answers when the stream has one; otherwise the
+        symbols are gathered from a prefix reaching the largest position.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size == 0:
+            return np.zeros(positions.shape, dtype=np.int32)
+        if positions.min() < 0:
+            raise ValueError("positions must be nonnegative")
+        if self._read is None:
+            return self.prefix(int(positions.max()) + 1)[positions]
+        return np.asarray(self._read(positions), dtype=np.int32)
+
     def __iter__(self):
         return self
 
@@ -63,6 +94,47 @@ class SymbolStream:
 
     def __repr__(self):
         return "SymbolStream(%r)" % self.name
+
+
+class DigitReader:
+    """Random access to a sequence through tables on the digits of a position.
+
+    levels is an iterator of (radix R_j, table T_j of shape (alphabet, R_j)),
+    pulled on the first read that needs each level and then kept.  Writing
+    p = d_0 + d_1 R_0 + d_2 R_0 R_1 + ... with 0 <= d_j < R_j,
+
+        x[p] = T_0[T_1[... T_m[start, d_m] ..., d_1], d_0],
+
+    which is the recursion x[q R_0 + i] = T_0[y[q], i] with y the sequence
+    read from the levels above the first.  T_j[start, 0] must be start, so
+    leading zero digits change nothing and reads below R_0 use one table.
+    """
+
+    def __init__(self, start: int, levels):
+        self._start = int(start)
+        self._pending = levels
+        self._levels = []
+
+    def __call__(self, positions: np.ndarray) -> np.ndarray:
+        top = int(positions.max())
+        reach = 1  # R_0 * ... * R_{j-1}, the positions the first j levels cover
+        j = 0
+        while j == 0 or reach <= top:
+            if j == len(self._levels):
+                radix, table = next(self._pending)
+                self._levels.append((radix, np.ascontiguousarray(table, dtype=np.int32)))
+            reach *= self._levels[j][0]
+            j += 1
+        levels = self._levels[:j]
+        digits = []
+        q = positions
+        for radix, _ in levels[:-1]:
+            digits.append(q % radix)
+            q = q // radix
+        symbols = levels[-1][1][self._start][q]
+        for (radix, table), d in zip(reversed(levels[:-1]), reversed(digits)):
+            symbols = table.reshape(-1)[symbols * radix + d]
+        return symbols
 
 
 def word_stream(values, name: str = "word", alphabet_size: int | None = None, letters=None) -> SymbolStream:

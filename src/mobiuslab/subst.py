@@ -10,13 +10,14 @@ onto the base fixed point by evaluating each permutation at the seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import morse as _morse
 from .permgrp import FiniteGroup, GroupEmbedding, Perm, closure
-from .streams import SymbolStream
+from .streams import LEVEL_MIN, DigitReader, SymbolStream
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,7 @@ def analyze(sub: Substitution) -> SubstitutionReport:
     )
 
 
-def fixed_point(sub: Substitution, count: int) -> np.ndarray:
-    """Prefix of the one-sided fixed point starting at the seed."""
-    if count < 0:
-        raise ValueError("count must be nonnegative, got %d" % count)
+def _check_fixed_point(sub: Substitution) -> None:
     if sub.rows[sub.seed][0] != sub.seed:
         report = analyze(sub)
         hint = (
@@ -153,6 +151,13 @@ def fixed_point(sub: Substitution, count: int) -> np.ndarray:
             "theta(%s) does not start with %s, no one-sided fixed point%s"
             % (sub.letters[sub.seed], sub.letters[sub.seed], hint)
         )
+
+
+def fixed_point(sub: Substitution, count: int) -> np.ndarray:
+    """Prefix of the one-sided fixed point starting at the seed."""
+    if count < 0:
+        raise ValueError("count must be nonnegative, got %d" % count)
+    _check_fixed_point(sub)
     word = np.array([sub.seed], dtype=np.int32)
     rows = sub.rows_array()
     while len(word) < count:
@@ -160,12 +165,32 @@ def fixed_point(sub: Substitution, count: int) -> np.ndarray:
     return word[:count]
 
 
+def _digit_levels(sub: Substitution):
+    """The one digit level of the fixed point, repeated: (L, theta^k).
+
+    L = lam^k is the least power of lam >= LEVEL_MIN, and row a of the table
+    is theta^k(a), so x[q L + i] = theta^k(x[q])[i].
+    """
+    table = sub.rows_array()
+    while table.shape[1] < LEVEL_MIN:
+        table = sub.rows_array()[table].reshape(sub.r, -1)
+    yield from itertools.repeat((table.shape[1], table))
+
+
 def fixed_point_stream(sub: Substitution, name: str | None = None) -> SymbolStream:
+    """The fixed point as a stream; at() reads it through its digit table."""
+    reader = DigitReader(sub.seed, _digit_levels(sub))
+
+    def read(positions):
+        _check_fixed_point(sub)
+        return reader(positions)
+
     return SymbolStream(
         lambda n: fixed_point(sub, n),
         name=name or "fixed_point",
         alphabet_size=sub.r,
         letters=sub.letters,
+        read=read,
     )
 
 

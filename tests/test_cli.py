@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +120,39 @@ def test_kbsz_prime_beyond_primality_bound_exits_two(capsys):
         capsys, "kbsz", TM_SPEC, "--observable", "w0", "--n", "64", "--primes", "3,%d" % 10**30,
     )
     assert code == 2 and err.startswith("error:") and "not decided" in err
+
+
+@pytest.mark.parametrize("s", [100000000000031, 18446744073709551557])
+def test_kbsz_positions_beyond_int64_exit_two(capsys, s):
+    code, out, err = run(
+        capsys, "kbsz", TM_SPEC, "--observable", "w0", "--n", "1048576", "--primes", "3,%d" % s,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "(3, %d)" % s in err and str((1 << 63) - 1) in err
+
+
+def test_kbsz_memory_grows_with_n_not_with_the_dilation():
+    """s * N is about 10^9 here; the positions are read without a prefix.
+
+    The address-space limit is set in the child only, so this process is
+    unaffected.
+    """
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1200 << 20, 1200 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobiuslab.cli", "kbsz", TM_SPEC, "--observable", "w0",
+         "--n", "1024", "--primes", "3,1000003"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # Thue-Morse is popcount parity, so the final is a direct sum
+    want = sum((-1) ** (bin(3 * n).count("1") + bin(1000003 * n).count("1")) for n in range(1, 1025)) / 1024
+    assert want == -0.009765625
+    assert proc.stdout.splitlines()[0] == "final = -0.009765625 + 0i at N = 1024"
 
 
 def test_sarnak_writes_file(capsys, tmp_path):

@@ -193,3 +193,43 @@ def test_integer_partial_sums_are_exact():
             exact += (1 - 2 * bits[n]) * int(mu.values[n])
         assert got.imag == 0.0
         assert got.real == exact / m
+
+
+def test_kbsz_blocks_sum_like_one_gathered_vector():
+    """Filling the products a block at a time leaves every float sum unchanged.
+
+    The reference is the whole-vector form: gather v(rn) and v(sn) from one
+    prefix and reduce once.  N spans several blocks and a ragged tail, the
+    table is float-valued and complex, and the window has two offsets.
+    """
+    from mobiuslab import experiment
+    from mobiuslab.experiment import _partial_sums
+    from mobiuslab.spectral import Observable
+
+    rng = np.random.default_rng(11)
+    sub = Substitution.from_words({"a": "abb", "b": "bac", "c": "cca"})
+    obs = Observable(window=(0, 2), alphabet_size=3, values=rng.normal(size=9) + 1j * rng.normal(size=9))
+    n = 3 * experiment._KBSZ_BLOCK + 17
+    checkpoints = pow2_checkpoints(n)
+    r, s = 7, 3
+    prefix = fixed_point_stream(sub).prefix(r * n + obs.span)
+    idx = np.arange(1, n + 1)
+
+    def gathered(positions):
+        return obs.values[prefix[positions] * 3 + prefix[positions + 2]]
+
+    sums = _partial_sums(gathered(r * idx) * np.conj(gathered(s * idx)), checkpoints)
+    want = tuple(c / m for c, m in zip(sums, checkpoints))
+    assert kbsz_series(fixed_point_stream(sub), obs, r, s, checkpoints).values == want
+
+
+def test_kbsz_reads_positions_without_a_prefix():
+    stream = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
+
+    def refuse(*args):
+        raise AssertionError("kbsz built a prefix")
+
+    stream.prefix = stream.block = refuse
+    frozen = json.loads((GOLDEN / "kbsz_tm_3_5.json").read_text())
+    final = kbsz_series(stream, W0, 3, 5, (1 << 18,)).final
+    assert final.real == frozen["value"] and final.imag == 0.0
