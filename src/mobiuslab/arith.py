@@ -10,6 +10,13 @@ first (n = 0 has the empty expansion).  A pattern is a word whose first
 character is the literal 1, whose last character is a literal 0 or 1, and
 whose interior characters are 1 or the wildcard *.  pattern_parity(n) is the
 number of overlapping occurrences of the pattern in the expansion, mod 2.
+The windows of n other than its lowest are the windows of n >> 1, so
+
+    pattern_parity(n) = pattern_parity(n >> 1) xor [(n & mask) == value]
+
+with mask holding a 1 at each literal character and value its bits; the
+prefix builder pattern_parities runs this recursion, and the positional
+read pattern_parities_at makes one such masked compare per window offset.
 """
 
 from __future__ import annotations
@@ -179,33 +186,55 @@ def pattern_parity(n: int, pattern) -> int:
     return count & 1
 
 
+def _pattern_bits(pat: str) -> tuple:
+    """(mask, value) of the window at the low end: a 1 at each literal, its bit."""
+    m = len(pat)
+    mask = sum(1 << (m - 1 - i) for i, c in enumerate(pat) if c != "*")
+    value = sum(1 << (m - 1 - i) for i, c in enumerate(pat) if c == "1")
+    return mask, value
+
+
 def pattern_parities(count: int, pattern) -> np.ndarray:
-    """pattern_parity(n) for n = 0..count-1, vectorized."""
+    """pattern_parity(n) for n = 0..count-1, by the shift recursion.
+
+    a(n) = a(n >> 1) xor [(n & mask) == value] fills one range
+    [2^t, 2^(t+1)) at a time from the range below it.  The pattern starts
+    with a literal 1, so a(n) = 0 for every n < 2^(m-1).
+    """
     if count < 0:
         raise ValueError("count must be nonnegative, got %d" % count)
-    return pattern_parities_at(np.arange(count, dtype=np.uint64), pattern)
+    pat = _as_pattern(pattern).pattern
+    mask, value = _pattern_bits(pat)
+    out = np.zeros(count, dtype=np.uint8)
+    lo = 1 << (len(pat) - 1)
+    while lo < count:
+        hi = min(2 * lo, count)
+        low_match = (np.arange(lo, hi, dtype=np.int64) & mask) == value
+        out[lo:hi] = out[lo >> 1 : (hi + 1) >> 1].repeat(2)[: hi - lo] ^ low_match
+        lo *= 2
+    return out
 
 
 def pattern_parities_at(positions, pattern) -> np.ndarray:
     """pattern_parity(n) for each n in an array of nonnegative integers.
 
-    The pattern starts with a literal 1, so a matching window is
-    automatically inside the expansion; windows are scanned by their offset
-    from the low end.
+    The window at offset j from the low end matches where
+    n & (mask << j) == value << j: one masked compare per offset.  The
+    pattern starts with a literal 1, so a matching window lies inside the
+    expansion and only offsets up to bit_length - m are scanned; a pattern
+    longer than 64 characters matches no 64-bit position.
     """
     pat = _as_pattern(pattern).pattern
     n = np.asarray(positions).astype(np.uint64, copy=False)
-    count = len(n)
+    acc = np.zeros(len(n), dtype=np.uint8)
     m = len(pat)
-    acc = np.zeros(count, dtype=np.uint8)
-    maxbits = max(int(n.max(initial=0)).bit_length(), 1)
-    for j in range(maxbits):
-        ok = np.ones(count, dtype=bool)
-        for i, c in enumerate(pat):
-            if c == "*":
-                continue
-            # character i sits at bit j + m - 1 - i (expansion is MSB first)
-            bit = (n >> np.uint64(j + m - 1 - i)) & np.uint64(1)
-            ok &= bit.astype(bool) if c == "1" else ~bit.astype(bool)
-        acc ^= ok
+    if m > 64:
+        return acc
+    mask, value = _pattern_bits(pat)
+    masked = np.empty_like(n)
+    hit = np.empty(len(n), dtype=bool)
+    for j in range(int(n.max(initial=0)).bit_length() - m + 1):
+        np.bitwise_and(n, np.uint64(mask << j), out=masked)
+        np.equal(masked, np.uint64(value << j), out=hit)
+        acc ^= hit
     return acc

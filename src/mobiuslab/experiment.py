@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import WeightTable, is_prime
+from .arith import LIMIT_CAP, WeightTable, is_prime
 from .spectral import Observable
 from .streams import SymbolStream
 
@@ -64,6 +64,8 @@ def _validate_checkpoints(checkpoints) -> tuple:
         raise ValueError("checkpoints must be positive, got %s" % (points,))
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError("checkpoints must be strictly ascending, got %s" % (points,))
+    if points[-1] > LIMIT_CAP:
+        raise ValueError("N = %d is beyond the sample-size cap %d" % (points[-1], LIMIT_CAP))
     return points
 
 

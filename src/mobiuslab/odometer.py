@@ -193,24 +193,46 @@ def _tau_at(spec: OdometerSpec, values: np.ndarray, max_stage: int = 200) -> np.
     return out
 
 
+def _tau_run(spec: OdometerSpec, start: int, count: int) -> np.ndarray:
+    """tau(v) for v = start..start+count-1, one arithmetic progression per stage.
+
+    v = -1 mod n_{t+1} implies v = -1 mod n_t, so tau(v) = 1 + #{t >= 1 :
+    v = -1 mod n_t}, and on the run those v sit at the indices
+    (-1 - start) mod n_t, (-1 - start) mod n_t + n_t, ...  Stages stop once
+    n_t - 1 exceeds every |v|: a v >= 0 below n_t - 1 is its own residue,
+    and a v <= -2 has residue n_t + v, which is not n_t - 1.
+    """
+    if start <= -1 < start + count:
+        raise UndefinedPointError("orbit passes through -theta where tau is undefined")
+    out = np.ones(count, dtype=np.uint8)  # tau <= 64 for points in int64
+    reach = max(abs(start), abs(start + count - 1))
+    t, n_t = 1, spec.lam(0)
+    while n_t - 1 <= reach:
+        out[(-1 - start) % n_t :: n_t] += 1
+        n_t *= spec.lam(t)
+        t += 1
+    return out
+
+
 def veech_stream(vspec: VeechSpec, start: int = 0, name: str = "veech") -> SymbolStream:
     """The sequence n -> Psi(tau(start + n)) along the orbit of a point.
 
-    at() evaluates tau at start + position directly, with no prefix.
+    The prefix adds one to tau on each stage's progression of points
+    v = -1 mod n_t (_tau_run); at() evaluates tau at start + position
+    directly (_tau_at), with no prefix.
     """
 
-    def symbols(values):
-        taus = _tau_at(vspec.odometer, values)
+    def symbols(taus):
         lookup_len = int(taus.max(initial=1))
         lookup = np.array([0] + [vspec.psi(t) for t in range(1, lookup_len + 1)], dtype=np.int32)
         return lookup[taus]
 
     return SymbolStream(
-        lambda count: symbols(np.arange(start, start + count, dtype=np.int64)),
+        lambda count: symbols(_tau_run(vspec.odometer, start, count)),
         name=name,
         alphabet_size=vspec.group.order,
         letters=vspec.group.element_names,
-        read=lambda positions: symbols(start + positions),
+        read=lambda positions: symbols(_tau_at(vspec.odometer, start + positions)),
     )
 
 

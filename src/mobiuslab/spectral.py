@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arith import LIMIT_CAP
 from .streams import SymbolStream
 
 TABLE_CAP = 1 << 24
@@ -235,6 +236,8 @@ def autocorrelation(stream: SymbolStream, obs: Observable, sample_size: int, max
         raise ValueError("max_lag must be nonnegative, got %d" % max_lag)
     if sample_size < 4 * max_lag or sample_size < 1:
         raise ValueError("need sample_size >= 4 * max_lag >= 0, got N=%d L=%d" % (sample_size, max_lag))
+    if sample_size > LIMIT_CAP:
+        raise ValueError("N = %d is beyond the sample-size cap %d" % (sample_size, LIMIT_CAP))
     v = obs.evaluate(stream, 0, sample_size + max_lag)
     base = v[:sample_size]
     values = np.array(

@@ -9,6 +9,7 @@ from mobiuslab.arith import (
     DigitPattern,
     is_prime,
     pattern_parities,
+    pattern_parities_at,
     pattern_parity,
     primes_up_to,
     weight_table,
@@ -248,3 +249,39 @@ def test_pattern_parity_shift_recursion():
     for n in range(1, 1024):
         assert table[2 * n] == table[n]
         assert table[2 * n + 1] == table[n] ^ (n & 1)
+
+
+RECURSION_PATTERNS = ("10", "11", "110", "1*10", "11*1", "1*1**1*11***1")
+
+
+@pytest.mark.parametrize("pat", RECURSION_PATTERNS)
+def test_pattern_parities_recursion_matches_scalar(pat):
+    """The range-by-range prefix agrees with the scalar count, cut anywhere."""
+    m = len(pat)
+    counts = {0, 1, (1 << (m - 1)) - 1, 1 << (m - 1), (1 << (m - 1)) + 1}
+    counts |= {(1 << k) + d for k in range(1, 13) for d in (-1, 0, 1)}
+    want = np.array([pattern_parity(n, pat) for n in range(max(counts))], dtype=np.uint8)
+    for count in sorted(counts):
+        got = pattern_parities(count, pat)
+        assert got.dtype == np.uint8 and got.shape == (count,)
+        assert np.array_equal(got, want[:count]), count
+
+
+@pytest.mark.parametrize("pat", ("11", "1*10", "11*1"))
+def test_pattern_parities_match_positional_reads(pat):
+    count = 1 << 20
+    assert np.array_equal(pattern_parities(count, pat), pattern_parities_at(np.arange(count), pat))
+
+
+def test_pattern_parities_at_near_the_top_bit():
+    positions = np.array([(1 << 64) - 1, (1 << 64) - 2, (1 << 63) + 5, (1 << 63) - 1, 12345], dtype=np.uint64)
+    for pat in ("1" * 64, "1" * 63, "1" + "*" * 62 + "0", "11*1"):
+        want = [pattern_parity(int(n), pat) for n in positions]
+        assert pattern_parities_at(positions, pat).tolist() == want
+
+
+def test_patterns_longer_than_64_match_nothing():
+    pat = "1" + "*" * 63 + "1"
+    positions = np.array([0, 1, (1 << 62) + 1, (1 << 63) - 1], dtype=np.int64)
+    assert pattern_parities_at(positions, pat).tolist() == [0, 0, 0, 0]
+    assert not pattern_parities(4096, pat).any()

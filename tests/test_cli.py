@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from mobiuslab import cli
+from mobiuslab.arith import LIMIT_CAP
 from mobiuslab.cli import main
 
 REPO = pathlib.Path(__file__).parent.parent
@@ -153,6 +154,32 @@ def test_kbsz_memory_grows_with_n_not_with_the_dilation():
     want = sum((-1) ** (bin(3 * n).count("1") + bin(1000003 * n).count("1")) for n in range(1, 1025)) / 1024
     assert want == -0.009765625
     assert proc.stdout.splitlines()[0] == "final = -0.009765625 + 0i at N = 1024"
+
+
+@pytest.mark.parametrize("command", [
+    ["kbsz", "--primes", "3,5"],
+    ["sarnak", "--weight", "none"],
+], ids=["kbsz", "sarnak_unweighted"])
+def test_unweighted_sums_beyond_the_cap_exit_two(command):
+    """N = 2^27 is refused before any N-long vector is allocated.
+
+    Run in a child under a 1.2 GB address-space limit (set there only), where
+    an N-long products vector would not fit.
+    """
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1200 << 20, 1200 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobiuslab.cli", command[0], TM_SPEC, "--observable", "w0",
+         "--n", "134217728"] + command[1:],
+        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and str(LIMIT_CAP) in proc.stderr
 
 
 def test_sarnak_writes_file(capsys, tmp_path):

@@ -6,6 +6,8 @@ from mobiuslab.morse import MorseSpec, hat_stream, morse_stream
 from mobiuslab.odometer import (
     OdometerSpec,
     VeechSpec,
+    _tau_at,
+    _tau_run,
     morse_cocycle_eval,
     rs_extension_stages,
     tower_index,
@@ -108,6 +110,31 @@ def test_veech_stream_offsets():
     # an orbit through the all-top point is rejected
     with pytest.raises(UndefinedPointError):
         veech_stream(vspec, start=-3).prefix(5)
+
+
+TAU_SPECS = [OdometerSpec(tail=2), OdometerSpec(tail=3), OdometerSpec(head=(2, 5, 3), tail=2)]
+
+
+@pytest.mark.parametrize("spec", TAU_SPECS, ids=["base2", "base3", "head253"])
+@pytest.mark.parametrize("start", [0, 7, -50])
+def test_tau_run_matches_tau_at(spec, start):
+    # nonnegative runs end on n_t - 1, the one point whose last stage is t;
+    # the negative run stops at -2, one short of -theta
+    count = spec.n(7 if spec.tail == 3 else 11) - start if start >= 0 else 49
+    values = np.arange(start, start + count, dtype=np.int64)
+    got = _tau_run(spec, start, count)
+    assert np.array_equal(got, _tau_at(spec, values))
+    vspec = VeechSpec(spec, cyclic_group(3), psi_head=(2,), psi_tail=(1, 0))
+    stream = veech_stream(vspec, start=start)
+    assert np.array_equal(stream.prefix(count), veech_stream(vspec, start=start).at(np.arange(count)))
+
+
+@pytest.mark.parametrize("spec", TAU_SPECS, ids=["base2", "base3", "head253"])
+def test_tau_run_through_minus_one_is_undefined(spec):
+    assert _tau_run(spec, -50, 0).shape == (0,)
+    for start, count in ((-50, 50), (-1, 1), (-3, 10)):
+        with pytest.raises(UndefinedPointError):
+            _tau_run(spec, start, count)
 
 
 def test_veech_psi_head_tail():

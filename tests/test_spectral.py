@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mobiuslab.arith import LIMIT_CAP
 from mobiuslab.morse import MorseSpec, hat_stream, morse_stream
 from mobiuslab.permgrp import cyclic_group
 from mobiuslab.spectral import (
@@ -142,6 +143,10 @@ def test_autocorrelation_basics():
         autocorrelation(TM, w0, 100, 32)  # N < 4L
     with pytest.raises(ValueError):
         autocorrelation(TM, w0, 100, -1)
+    fresh = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
+    with pytest.raises(ValueError, match=str(LIMIT_CAP)):
+        autocorrelation(fresh, w0, LIMIT_CAP + 1, 32)
+    assert len(fresh._prefix) == 0  # refused before any read
 
 
 def test_tm_autocorrelation_recursion():
