@@ -13,54 +13,31 @@ Subcommands operate on a spec file (see specfile) plus flags:
     kbsz FILE       bilinear averages for a prime pair --primes R,S
     run FILE        execute every experiment declaration in the file
 
-Exit status: 0 on success, 1 when the spec file has diagnostics, 2 on
-runtime errors (bad references, capacity limits, I/O).
+Exit status: 0 on success, 1 when the spec file has diagnostics (every
+declaration binds and every experiment's limits are checked while the file
+is parsed, so these carry a line and column), 2 on other errors: names and
+values given by flags (--system, --observable, --n, --primes), capacity
+limits and I/O.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import binding as _binding
 from . import experiment as _experiment
 from . import morse as _morse
-from . import odometer as _odometer
 from . import spectral as _spectral
 from . import subst as _subst
-from .arith import DigitPattern, pattern_parities, pattern_parities_at, weight_table
+from .arith import weight_table
+from .binding import BASE36, BindingError, BoundSystem
 from .errors import CapacityError, UndefinedPointError
 from .experiment import _format_number
-from .permgrp import FiniteGroup, cyclic_group, symmetric_group
-from .specfile import (
-    MorseDecl,
-    ObservableDecl,
-    RsDecl,
-    SpecDocument,
-    SubstitutionDecl,
-    VeechDecl,
-    parse_spec,
-)
-from .streams import SymbolStream
-
-_BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-class BindingError(ValueError):
-    """A spec document parsed cleanly but a reference or value cannot bind."""
-
-
-@dataclass(frozen=True)
-class BoundSystem:
-    name: str
-    kind: str  # "substitution" | "morse" | "rs" | "veech"
-    stream: SymbolStream
-    alphabet_size: int
-    letters: tuple | None = None  # substitution letter names, else None
-    group: FiniteGroup | None = None
-    substitution: object = None
+from .permgrp import FiniteGroup, cyclic_group
+from .specfile import SpecDocument, parse_spec
 
 
 def load_document(path: str) -> SpecDocument:
@@ -78,89 +55,18 @@ class DiagnosticFailure(Exception):
         self.diagnostics = diagnostics
 
 
-def build_substitution(decl: SubstitutionDecl) -> "_subst.Substitution":
-    images = dict(decl.rules)
-    index = {c: a for a, c in enumerate(decl.letters)}
-    rows = tuple(tuple(index[c] for c in images[letter]) for letter in decl.letters)
-    seeds = [a for a, row in enumerate(rows) if row[0] == a]
-    if not seeds:
-        raise BindingError("substitution %r has no letter fixed at position 0, so no one-sided fixed point" % decl.name)
-    return _subst.Substitution(rows, decl.letters, seed=seeds[0])
-
-
-def build_group(expr, systems: dict):
-    """Group of a group expression; returns (group, cover or None)."""
-    if expr.kind == "Z2":
-        return cyclic_group(2), None
-    if expr.kind == "Zn":
-        return cyclic_group(expr.param), None
-    if expr.kind == "Sym":
-        return symmetric_group(expr.param)[0], None
-    decl = systems.get(expr.param)
-    if not isinstance(decl, SubstitutionDecl):
-        raise BindingError("cover-of needs a substitution, got %r" % expr.param)
-    cover = _subst.group_cover(build_substitution(decl))
-    return cover.group, cover
-
-
-def _symbols(word: str) -> tuple:
-    return tuple(int(c, 36) for c in word)
-
-
-def _morse_spec(decl: MorseDecl, systems: dict):
-    """(group, MorseSpec) of a morse declaration; cover systems inherit their block."""
-    group, cover = build_group(decl.group, systems)
-    if cover is not None:
-        return group, cover.morse_spec()
-    return group, _morse.MorseSpec(group, tuple(_symbols(b) for b in decl.blocks), _symbols(decl.tail))
-
-
-def _get_decl(doc: SpecDocument, name: str):
-    systems = doc.systems()
-    decl = systems.get(name)
-    if decl is None:
-        known = ", ".join(sorted(systems)) or "none declared"
+def _bound(doc: SpecDocument, name: str) -> BoundSystem:
+    """The document's bound system; it has no stream."""
+    bound = doc.bound.get(name)
+    if bound is None:
+        known = ", ".join(sorted(doc.bound)) or "none declared"
         raise BindingError("unknown system %r (have: %s)" % (name, known))
-    return decl
+    return bound
 
 
 def build_system(doc: SpecDocument, name: str) -> BoundSystem:
-    systems = doc.systems()
-    decl = _get_decl(doc, name)
-    if isinstance(decl, SubstitutionDecl):
-        sub = build_substitution(decl)
-        return BoundSystem(
-            name=name,
-            kind="substitution",
-            stream=_subst.fixed_point_stream(sub, name=name),
-            alphabet_size=sub.r,
-            letters=sub.letters,
-            substitution=sub,
-        )
-    if isinstance(decl, MorseDecl):
-        group, spec = _morse_spec(decl, systems)
-        stream = _morse.morse_stream(spec, name=name)
-        return BoundSystem(name, "morse", stream, group.order, group=group)
-    if isinstance(decl, RsDecl):
-        pattern = DigitPattern(decl.pattern)
-        stream = SymbolStream(
-            lambda n: pattern_parities(n, pattern),
-            name=name,
-            alphabet_size=2,
-            read=lambda positions: pattern_parities_at(positions, pattern),
-        )
-        return BoundSystem(name, "rs", stream, 2, group=cyclic_group(2))
-    if isinstance(decl, VeechDecl):
-        group, _ = build_group(decl.group, systems)
-        vspec = _odometer.VeechSpec(
-            _odometer.OdometerSpec(tail=decl.base),
-            group,
-            psi_head=_symbols(decl.psi_head),
-            psi_tail=_symbols(decl.psi_tail),
-        )
-        stream = _odometer.veech_stream(vspec, name=name)
-        return BoundSystem(name, "veech", stream, group.order, group=group)
-    raise BindingError("cannot build a stream for %r" % name)
+    """The bound system with a new stream of its own."""
+    return _bound(doc, name).with_stream()
 
 
 def system_group(bound: BoundSystem) -> FiniteGroup:
@@ -170,46 +76,18 @@ def system_group(bound: BoundSystem) -> FiniteGroup:
     return cyclic_group(bound.alphabet_size)
 
 
-def resolve_symbol(bound: BoundSystem, key: str) -> int:
-    if bound.letters is not None and key in bound.letters:
-        return bound.letters.index(key)
-    if all(c in _BASE36 for c in key.lower()) and len(key) >= 1:
-        try:
-            idx = int(key, 36) if len(key) == 1 else int(key, 10)
-        except ValueError:
-            idx = -1
-        if 0 <= idx < bound.alphabet_size:
-            return idx
-    raise BindingError("symbol %r is outside system %r" % (key, bound.name))
-
-
 def bind_observable(doc: SpecDocument, name: str, bound: BoundSystem) -> "_spectral.Observable":
     decl = doc.observables().get(name)
     if decl is None:
         known = ", ".join(sorted(doc.observables())) or "none declared"
         raise BindingError("unknown observable %r (have: %s)" % (name, known))
-    return _bind_observable_decl(decl, bound)
-
-
-def _bind_observable_decl(decl: ObservableDecl, bound: BoundSystem) -> "_spectral.Observable":
-    if decl.kind == "walsh":
-        if bound.alphabet_size != 2:
-            raise BindingError(
-                "walsh observables need a binary alphabet, system %r has %d symbols"
-                % (bound.name, bound.alphabet_size)
-            )
-        return _spectral.make_walsh(decl.coords, name=decl.name)
-    if decl.kind == "indicator":
-        block = tuple(resolve_symbol(bound, c) for c in decl.block)
-        return _spectral.make_block_indicator(block, decl.offset, bound.alphabet_size, name=decl.name)
-    values = {resolve_symbol(bound, key): value for key, value in decl.entries}
-    return _spectral.make_symbol_table(values, bound.alphabet_size, name=decl.name)
+    return _binding.bind_observable(decl, bound)
 
 
 def render_word(bound: BoundSystem, word) -> str:
     if bound.letters is not None:
         return "".join(bound.letters[int(v)] for v in word)
-    return "".join(_BASE36[int(v)] for v in word)
+    return "".join(BASE36[int(v)] for v in word)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +106,17 @@ def _cmd_hat(args) -> int:
     bound = build_system(doc, _pick_system(doc, args))
     group = system_group(bound)
     word = _morse.hat_word(group, bound.stream.prefix(args.n + 1))
-    print("".join(_BASE36[int(v)] for v in word))
+    print("".join(BASE36[int(v)] for v in word))
     return 0
 
 
 def _cmd_cover(args) -> int:
     doc = load_document(args.spec)
     name = _pick_system(doc, args)
-    decl = _get_decl(doc, name)
-    if not isinstance(decl, SubstitutionDecl):
+    bound = _bound(doc, name)
+    if bound.kind != "substitution":
         raise BindingError("cover needs a substitution system, %r is not one" % name)
-    cover = _subst.group_cover(build_substitution(decl))
+    cover = bound.cover
     print("|G| = %d" % cover.group.order)
     print("block = %s" % " ".join(str(b) for b in cover.block))
     for i, b in enumerate(cover.block):
@@ -254,9 +132,9 @@ def _cmd_skeleton(args) -> int:
 def _cmd_blocks(args) -> int:
     doc = load_document(args.spec)
     name = _pick_system(doc, args)
-    decl = _get_decl(doc, name)
-    if isinstance(decl, SubstitutionDecl):
-        sub = build_substitution(decl)
+    bound = _bound(doc, name)
+    if bound.kind == "substitution":
+        sub = bound.definition
         word = np.array([sub.seed], dtype=np.int32)
         for t in range(1, args.t + 1):
             word = sub.apply(word)
@@ -264,11 +142,10 @@ def _cmd_blocks(args) -> int:
                 raise BindingError("power word at t=%d exceeds 2^20 symbols" % t)
             print("t=%d |word|=%d %s" % (t, len(word), sub.word_string(word)))
         return 0
-    if isinstance(decl, MorseDecl):
-        _, spec = _morse_spec(decl, doc.systems())
+    if bound.kind == "morse":
         for t in range(1, args.t + 1):
-            stage = _morse.toeplitz_stage(spec, t)
-            values = "".join(_BASE36[v] for v in stage.values)
+            stage = _morse.toeplitz_stage(bound.definition, t)
+            values = "".join(BASE36[v] for v in stage.values)
             print("t=%d n=%d hole=%d values=%s" % (t, stage.n, stage.hole_residue, values))
         return 0
     raise BindingError("blocks needs a substitution or morse system, %r is neither" % name)

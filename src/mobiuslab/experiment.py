@@ -69,6 +69,16 @@ def _validate_checkpoints(checkpoints) -> tuple:
     return points
 
 
+def _check_reach(r: int, s: int, limit: int, span: int) -> None:
+    """KBSZ positions reach max(r, s) N + span - 1, which must fit in int64."""
+    last = max(r, s) * limit + span - 1
+    if last > _INT64_MAX:
+        raise ValueError(
+            "kbsz pair (%d, %d) at N = %d reads position %d, beyond the int64 limit %d"
+            % (r, s, limit, last, _INT64_MAX)
+        )
+
+
 def _partial_sums(products: np.ndarray, checkpoints):
     """Sums of products[0:M] at each checkpoint M; len(products) is the last one.
 
@@ -141,12 +151,7 @@ def kbsz_series(
         raise ValueError("dilations must be positive, got r=%d s=%d" % (r, s))
     checkpoints = _validate_checkpoints(checkpoints)
     limit = checkpoints[-1]
-    last = max(r, s) * limit + obs.span - 1
-    if last > _INT64_MAX:
-        raise ValueError(
-            "kbsz pair (%d, %d) at N = %d reads position %d, beyond the int64 limit %d"
-            % (r, s, limit, last, _INT64_MAX)
-        )
+    _check_reach(r, s, limit, obs.span)
     products = np.empty(limit, dtype=np.complex128)
     for lo in range(1, limit + 1, _KBSZ_BLOCK):
         idx = np.arange(lo, min(lo + _KBSZ_BLOCK, limit + 1), dtype=np.int64)
@@ -216,16 +221,24 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kbsz is not None:
             r, s = (int(p) for p in self.kbsz)
-            if r == s or not (is_prime(r) and is_prime(s)):
+            try:
+                primes = r != s and is_prime(r) and is_prime(s)
+            except ValueError as exc:
+                raise ValueError("kbsz pair (%d, %d): %s" % (r, s, exc)) from None
+            if not primes:
                 raise ValueError("kbsz needs two distinct primes, got (%d, %d)" % (r, s))
             object.__setattr__(self, "kbsz", (r, s))
 
     def resolved_checkpoints(self) -> tuple:
+        """The checkpoints, after every check a run makes before it reads the stream."""
         if self.checkpoints is None:
-            return pow2_checkpoints(self.sample_size)
-        points = _validate_checkpoints(self.checkpoints)
-        if points[-1] > self.sample_size:
-            raise ValueError("checkpoint %d beyond sample size %d" % (points[-1], self.sample_size))
+            points = _validate_checkpoints(pow2_checkpoints(self.sample_size))
+        else:
+            points = _validate_checkpoints(self.checkpoints)
+            if points[-1] > self.sample_size:
+                raise ValueError("checkpoint %d beyond sample size %d" % (points[-1], self.sample_size))
+        if self.kbsz is not None:
+            _check_reach(*self.kbsz, points[-1], self.observable.span)
         return points
 
 

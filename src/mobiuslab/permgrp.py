@@ -227,18 +227,26 @@ def symmetric_group(degree: int) -> "tuple[FiniteGroup, GroupEmbedding]":
 
 
 def _group_from_perms(perms):
-    """Build (FiniteGroup, GroupEmbedding) from a closed perm list, identity first."""
+    """Build (FiniteGroup, GroupEmbedding) from a closed perm list, identity first.
+
+    Row a of the table composes perms[a] with every element.  Those products
+    are the elements again, in another order, so sorting both sets of image
+    rows the same way pairs each product with its element index; this works
+    for any degree and never builds a Perm per product.
+    """
     if not perms[0].is_identity:
         raise ValueError("element 0 must be the identity")
-    index = {p: i for i, p in enumerate(perms)}
     m = len(perms)
-    degree = perms[0].degree
     stack = np.array([p.images for p in perms], dtype=np.int32)
-    table = np.zeros((m, m), dtype=np.int32)
+    elements = np.lexsort(stack.T[::-1])  # element indices in lexicographic row order
+    sorted_rows = stack[elements]
+    table = np.empty((m, m), dtype=np.int32)
     for a in range(m):
         composed = stack[a][stack]  # row b: perms[a] o perms[b]
-        for b in range(m):
-            table[a, b] = index[Perm(composed[b])]
+        order = np.lexsort(composed.T[::-1])
+        if not np.array_equal(composed[order], sorted_rows):
+            raise ValueError("permutations are not closed under composition")
+        table[a, order] = elements
     names = tuple(p.cycle_string() for p in perms)
     group = FiniteGroup(names, table)
     return group, GroupEmbedding(group, tuple(perms))

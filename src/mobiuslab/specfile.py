@@ -27,19 +27,26 @@ element symbols are base-36 digits of the element index):
 
 Parsing is all or nothing: parse_spec returns a SpecDocument only when no
 diagnostic was raised, otherwise the list of diagnostics.  Every diagnostic
-carries the line, column, and source line of the offending token.  Document
-equality ignores source positions, so parse(print_spec(doc)) == doc.
+carries the line, column, and source line of the offending token.  The
+validator binds each system once through the binding module, and each
+experiment's observable and limits against it, so a document that parses
+also binds and runs within the sample-size cap; the document keeps its bound
+systems.  Document equality ignores source positions and bound systems, so
+parse(print_spec(doc)) == doc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import is_prime
+from .binding import bind_observable, bind_system, build_group
+from .errors import CapacityError
+from .experiment import ExperimentConfig
 
 DECL_KEYWORDS = ("substitution", "morse", "rs", "veech", "observable", "experiment")
 WEIGHT_NAMES = ("moebius", "liouville", "none")
 _PUNCT = set("{}[](),;:=")
+_DIGITS = "0123456789"
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,7 @@ class GroupExpr:
 
 @dataclass(frozen=True)
 class SubstitutionDecl:
+    kind = "substitution"
     name: str
     letters: tuple
     rules: tuple  # ((letter, image string), ...) in source order
@@ -97,6 +105,7 @@ class SubstitutionDecl:
 
 @dataclass(frozen=True)
 class MorseDecl:
+    kind = "morse"
     name: str
     group: GroupExpr
     blocks: tuple  # head block strings
@@ -106,6 +115,7 @@ class MorseDecl:
 
 @dataclass(frozen=True)
 class RsDecl:
+    kind = "rs"
     name: str
     pattern: str
     span: Span = field(default=_NO_SPAN, compare=False)
@@ -113,6 +123,7 @@ class RsDecl:
 
 @dataclass(frozen=True)
 class VeechDecl:
+    kind = "veech"
     name: str
     base: int
     group: GroupExpr
@@ -144,12 +155,15 @@ class ExperimentDecl:
     span: Span = field(default=_NO_SPAN, compare=False)
 
 
+# Each system declaration names its kind in a class attribute, not a field;
+# the binding module dispatches on it.
 SYSTEM_DECLS = (SubstitutionDecl, MorseDecl, RsDecl, VeechDecl)
 
 
 @dataclass(frozen=True)
 class SpecDocument:
     declarations: tuple
+    bound: dict = field(default_factory=dict, compare=False, repr=False)  # system name -> BoundSystem
 
     def systems(self) -> dict:
         return {d.name: d for d in self.declarations if isinstance(d, SYSTEM_DECLS)}
@@ -203,9 +217,9 @@ def _tokenize(text: str):
                 tokens.append(_Token("IDENT", line[i:j], lineno, col, line))
                 i = j
                 continue
-            if c.isdigit():
+            if c in _DIGITS:
                 j = i + 1
-                while j < len(line) and (line[j].isdigit() or line[j] in ".eE"):
+                while j < len(line) and (line[j] in _DIGITS or line[j] in ".eE"):
                     if line[j] in "eE" and j + 1 < len(line) and line[j + 1] in "+-":
                         j += 1
                     j += 1
@@ -286,7 +300,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "NUMBER" or not tok.text.isdigit():
             self.error("expected %s, found %r" % (what, tok.text or "end of input"))
-        return int(self.advance().text)
+        try:
+            return int(self.advance().text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            self.error("integer of %d digits is too long" % len(tok.text), tok)
 
     def expect_string(self, what="a quoted string") -> _Token:
         tok = self.peek()
@@ -554,42 +571,12 @@ class _Parser:
         raise AssertionError(key)
 
 
-def _symbol_value(ch: str) -> int:
-    """Block symbols are base-36 digits of the element index."""
-    try:
-        return int(ch, 36)
-    except ValueError:
-        return -1
-
-
-def _static_group_order(group: GroupExpr):
-    if group.kind == "Z2":
-        return 2
-    if group.kind == "Zn":
-        return group.param
-    if group.kind == "Sym":
-        order = 1
-        for k in range(2, group.param + 1):
-            order *= k
-        return order
-    return None  # cover groups are only known after closure
-
-
-def _static_alphabet(decl):
-    if isinstance(decl, SubstitutionDecl):
-        return len(decl.letters)
-    if isinstance(decl, RsDecl):
-        return 2
-    if isinstance(decl, (MorseDecl, VeechDecl)):
-        return _static_group_order(decl.group)
-    return None
-
-
 class _Validator:
     def __init__(self, declarations, source_lines):
         self.declarations = declarations
         self.source_lines = source_lines
         self.diagnostics = []
+        self.bound = {}  # system name -> BoundSystem
 
     def error(self, message, span):
         excerpt = ""
@@ -617,180 +604,92 @@ class _Validator:
             else:
                 scope[decl.name] = decl
 
+        # substitutions first: cover-of systems are built from bound ones
+        for decl in sorted(systems.values(), key=lambda d: d.kind != "substitution"):
+            self.bind(decl, systems)
         for decl in self.declarations:
-            if isinstance(decl, SubstitutionDecl):
-                self.check_substitution(decl)
-            elif isinstance(decl, MorseDecl):
-                self.check_morse(decl, systems)
-            elif isinstance(decl, RsDecl):
-                self.check_rs(decl)
-            elif isinstance(decl, VeechDecl):
-                self.check_veech(decl, systems)
-            elif isinstance(decl, ExperimentDecl):
+            if isinstance(decl, ExperimentDecl):
                 self.check_experiment(decl, systems, observables)
-        return self.diagnostics
+        return sorted(self.diagnostics, key=lambda d: (d.line, d.column))
 
-    def check_substitution(self, decl):
-        if len(set(decl.letters)) != len(decl.letters):
-            self.error("alphabet letters must be distinct", decl.span)
+    def bind(self, decl, systems):
+        if isinstance(decl, SubstitutionDecl) and not self.check_substitution(decl):
             return
+        group = cover = None
+        if isinstance(decl, (MorseDecl, VeechDecl)):
+            if not self.check_cover_target(decl.group, systems):
+                return
+            try:
+                group, cover = build_group(decl.group, self.bound)
+            except (ValueError, CapacityError) as exc:
+                self.error(str(exc), decl.group.span)
+                return
+        try:
+            self.bound[decl.name] = bind_system(decl, group, cover)
+        except (ValueError, CapacityError) as exc:
+            self.error(str(exc), decl.span)
+
+    def check_substitution(self, decl) -> bool:
+        """Rule-level checks located at the rule; the binder checks the rest."""
         ruled = [letter for letter, _ in decl.rules]
         for i, letter in enumerate(ruled):
             if letter in ruled[:i]:
                 self.error("letter %r has more than one rule" % letter, decl.rule_span(i))
-                return
+                return False
         missing = [l for l in decl.letters if l not in ruled]
         if missing:
             self.error("missing rules for letters %s" % ", ".join(missing), decl.span)
-            return
-        lengths = set()
+            return False
         for i, (letter, image) in enumerate(decl.rules):
             for c in image:
                 if c not in decl.letters:
                     self.error("rule for %r uses unknown letter %r" % (letter, c), decl.rule_span(i))
-                    return
-            lengths.add(len(image))
-        if len(lengths) != 1:
-            first = len(decl.rules[0][1])
-            i = next(i for i, (_, image) in enumerate(decl.rules) if len(image) != first)
-            self.error(
-                "rule for %r has length %d, others have %d" % (decl.rules[i][0], len(decl.rules[i][1]), first),
-                decl.rule_span(i),
-            )
-        elif lengths.pop() < 2:
-            self.error("substitution length must be at least 2", decl.span)
+                    return False
+        first = len(decl.rules[0][1])
+        for i, (letter, image) in enumerate(decl.rules):
+            if len(image) != first:
+                self.error("rule for %r has length %d, others have %d" % (letter, len(image), first), decl.rule_span(i))
+                return False
+        return True
 
-    def check_group(self, group: GroupExpr, systems):
-        if group.kind == "Zn" and group.param < 2:
-            self.error("Zn needs n >= 2, got %d" % group.param, group.span)
-        elif group.kind == "Sym" and not 1 <= group.param <= 6:
-            self.error("Sym needs degree 1..6, got %d" % group.param, group.span)
-        elif group.kind == "cover":
-            target = systems.get(group.param)
-            if target is None:
-                self.error("cover-of refers to unknown system %r" % group.param, group.span)
-            elif not isinstance(target, SubstitutionDecl):
-                self.error("cover-of needs a substitution, %r is not one" % group.param, group.span)
+    def check_cover_target(self, group: GroupExpr, systems) -> bool:
+        """False when a cover-of target is not a bound substitution.
 
-    def check_block_word(self, word, order, what, span, identity_start):
-        if len(word) < 2:
-            self.error("%s needs at least two symbols, got %r" % (what, word), span)
-            return
-        for c in word:
-            v = _symbol_value(c)
-            if v < 0 or (order is not None and v >= order):
-                self.error("%s symbol %r is outside the group" % (what, c), span)
-                return
-        if identity_start and _symbol_value(word[0]) != 0:
-            self.error("%s must start at the identity symbol 0, got %r" % (what, word), span)
-
-    def check_morse(self, decl, systems):
-        self.check_group(decl.group, systems)
-        if decl.group.kind == "cover":
-            if decl.blocks or decl.tail:
-                self.error("cover-of systems take their block from the cover; drop the blocks clause", decl.span)
-            return
-        if not decl.tail:
-            self.error("missing blocks clause (blocks [..., repeat \"...\"])", decl.span)
-            return
-        order = _static_group_order(decl.group)
-        for word in decl.blocks + (decl.tail,):
-            self.check_block_word(word, order, "block", decl.span, identity_start=True)
-
-    def check_rs(self, decl):
-        from .arith import DigitPattern
-
-        try:
-            DigitPattern(decl.pattern)
-        except ValueError as exc:
-            self.error(str(exc), decl.span)
-
-    def check_veech(self, decl, systems):
-        if decl.base < 2:
-            self.error("odometer base must be at least 2, got %d" % decl.base, decl.span)
-        self.check_group(decl.group, systems)
-        order = _static_group_order(decl.group)
-        if not decl.psi_tail:
-            self.error("psi repeat block must be nonempty", decl.span)
-        for word, what in ((decl.psi_head, "psi head"), (decl.psi_tail, "psi repeat block")):
-            for c in word:
-                v = _symbol_value(c)
-                if v < 0 or (order is not None and v >= order):
-                    self.error("%s symbol %r is outside the group" % (what, c), decl.span)
-                    return
+        A target that failed to bind has its own diagnostic already.
+        """
+        if group.kind != "cover":
+            return True
+        target = systems.get(group.param)
+        if target is None:
+            self.error("cover-of refers to unknown system %r" % group.param, group.span)
+        elif not isinstance(target, SubstitutionDecl):
+            self.error("cover-of needs a substitution, %r is not one" % group.param, group.span)
+        return isinstance(target, SubstitutionDecl) and target.name in self.bound
 
     def check_experiment(self, decl, systems, observables):
-        system = systems.get(decl.system)
-        if system is None:
+        if decl.system not in systems:
             self.error("experiment refers to unknown system %r" % decl.system, decl.span)
         obs = observables.get(decl.observable)
         if obs is None:
             self.error("experiment refers to unknown observable %r" % decl.observable, decl.span)
         if decl.sample_size < 1:
             self.error("N must be positive, got %d" % decl.sample_size, decl.span)
-        if decl.checkpoints != "pow2":
-            points = decl.checkpoints
-            if any(b <= a for a, b in zip(points, points[1:])) or (points and points[0] < 1):
-                self.error("checkpoints must be strictly ascending and positive", decl.span)
-            elif points and points[-1] > decl.sample_size:
-                self.error("checkpoint %d is beyond N = %d" % (points[-1], decl.sample_size), decl.span)
-        if decl.kbsz is not None:
-            r, s = decl.kbsz
-            try:
-                if r == s or not (is_prime(r) and is_prime(s)):
-                    self.error("kbsz needs two distinct primes, got (%d, %d)" % (r, s), decl.span)
-            except ValueError as exc:
-                self.error("kbsz pair (%d, %d): %s" % (r, s, exc), decl.span)
-        if system is not None and obs is not None:
-            self.check_binding(decl, system, obs)
-
-    def check_binding(self, decl, system, obs):
-        alphabet = _static_alphabet(system)
-        if alphabet is None:
-            return  # cover group orders are only known at run time
-        if obs.kind == "walsh" and alphabet != 2:
-            self.error(
-                "walsh observables need a binary alphabet, system %r has %d symbols" % (system.name, alphabet),
-                decl.span,
-            )
-        elif obs.kind == "indicator":
-            for c in obs.block:
-                v = _symbol_value(c) if not isinstance(system, SubstitutionDecl) else _letter_index(system, c)
-                if v is None or v < 0 or v >= alphabet:
-                    self.error("indicator symbol %r is outside system %r" % (c, system.name), decl.span)
-                    return
-        elif obs.kind == "table":
-            covered = set()
-            for key, _ in obs.entries:
-                idx = _resolve_key(system, key, alphabet)
-                if idx is None:
-                    self.error("table key %r is outside system %r" % (key, system.name), decl.span)
-                    return
-                covered.add(idx)
-            if len(covered) != alphabet:
-                missing = sorted(set(range(alphabet)) - covered)
-                self.error("table does not cover symbols %s of system %r" % (missing, system.name), decl.span)
-
-
-def _letter_index(decl: SubstitutionDecl, ch: str):
-    try:
-        return decl.letters.index(ch)
-    except ValueError:
-        return None
-
-
-def _resolve_key(system, key: str, alphabet: int):
-    if isinstance(system, SubstitutionDecl):
-        idx = _letter_index(system, key)
-        if idx is not None:
-            return idx
-    if key.isdigit():
-        idx = int(key)
-        return idx if 0 <= idx < alphabet else None
-    if len(key) == 1:
-        idx = _symbol_value(key)
-        return idx if 0 <= idx < alphabet else None
-    return None
+            return
+        system = self.bound.get(decl.system)
+        if system is None or obs is None:
+            return
+        try:
+            # the run-time rules: checkpoints, the sample-size cap, kbsz primes and reach
+            ExperimentConfig(
+                name=decl.name,
+                stream=None,  # the rules read no stream
+                observable=bind_observable(obs, system),
+                sample_size=decl.sample_size,
+                checkpoints=None if decl.checkpoints == "pow2" else decl.checkpoints,
+                kbsz=decl.kbsz,
+            ).resolved_checkpoints()
+        except ValueError as exc:
+            self.error(str(exc), decl.span)
 
 
 def parse_spec(text: str):
@@ -801,12 +700,13 @@ def parse_spec(text: str):
         return [exc.diagnostic]
     parser = _Parser(tokens)
     decls = parser.parse_document()
-    diagnostics = list(parser.diagnostics)
-    if not diagnostics:
-        diagnostics.extend(_Validator(decls, text.split("\n")).run())
+    if parser.diagnostics:
+        return parser.diagnostics
+    validator = _Validator(decls, text.split("\n"))
+    diagnostics = validator.run()
     if diagnostics:
         return diagnostics
-    return SpecDocument(tuple(decls))
+    return SpecDocument(tuple(decls), validator.bound)
 
 
 def _render_value(v: float) -> str:

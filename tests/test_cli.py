@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mobiuslab import cli
+from mobiuslab import cli, subst
 from mobiuslab.arith import LIMIT_CAP
 from mobiuslab.cli import main
 
@@ -267,3 +267,90 @@ def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
         for ext in (".csv", ".json"):
             solo = (tmp_path / name / (name + ext)).read_bytes()
             assert (tmp_path / "all" / (name + ext)).read_bytes() == solo
+
+
+HERNING = """substitution h on {a, b, c} {
+  a -> "aabaa";
+  b -> "bcabb";
+  c -> "cbccc";
+}
+morse hc over cover-of h
+"""
+AB = 'substitution s on {a, b} {\n  a -> "ab";\n  b -> "ba";\n}\nobservable t = table {a: 1, b: -1}\n'
+
+
+@pytest.mark.parametrize("text, line, column, fragment", [
+    (HERNING + "observable t = table {9: 1}\nexperiment e { system: hc; observable: t; N: 16; }\n",
+     8, 1, "symbol '9' is outside system 'hc'"),
+    (HERNING + "observable w = walsh {0}\nexperiment e { system: hc; observable: w; N: 16; }\n",
+     8, 1, "binary alphabet"),
+    (HERNING + 'veech v base 2 group cover-of h psi repeat "9"\n', 7, 1, "psi repeat block symbol '9'"),
+    ('substitution s on {a, b} {\n  a -> "ba";\n  b -> "ab";\n}\n', 1, 1, "no letter fixed at position 0"),
+    (AB + "experiment e { system: s; observable: t; N: %d; }\n" % (LIMIT_CAP + 1), 6, 1, str(LIMIT_CAP)),
+    (AB + "experiment e { system: s; observable: t; N: 1048576; kbsz: (3, 100000000000031); }\n",
+     6, 1, "beyond the int64 limit"),
+], ids=["cover_table_key", "cover_walsh", "cover_psi", "no_fixed_letter", "n_above_cap", "kbsz_reach"])
+def test_spec_errors_found_while_binding_exit_one(capsys, tmp_path, text, line, column, fragment):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    code, out, err = run(capsys, "run", str(spec), "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line %d, column %d: " % (line, column)) and fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("observable", ['indicator "01" at 0', 'indicator "ab" at 0', "table {0: 1, 1: -1}"])
+def test_symbol_indices_and_letters_bind_alike(capsys, tmp_path, observable):
+    spec = tmp_path / "ab.spec"
+    spec.write_text(AB + "observable o = %s\n" % observable)
+    code, out, err = run(capsys, "sarnak", str(spec), "--observable", "o", "--n", "64")
+    assert (code, err) == (0, "") and out.startswith("final = ")
+
+
+COVER_EXPERIMENTS = (
+    ("cov_mu", "weight: moebius; N: 4096;"),
+    ("cov_lam", "weight: liouville; N: 4096; checkpoints: [100, 4096];"),
+    ("cov_kbsz", "N: 1024; kbsz: (3, 5);"),
+)
+COVER_TABLE = "observable f = table {0: 1, 1: -1, 2: 0, 3: 1, 4: -1, 5: 0}\n"
+
+
+def cover_experiment(name, fields):
+    return "experiment %s { system: hc; observable: f; %s }\n" % (name, fields)
+
+
+def test_run_closes_each_cover_once_per_file(capsys, tmp_path, monkeypatch):
+    calls = []
+    close = subst.closure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return close(*args, **kwargs)
+
+    monkeypatch.setattr(subst, "closure", counting)
+    spec = tmp_path / "three.spec"
+    spec.write_text(HERNING + COVER_TABLE + "".join(cover_experiment(*e) for e in COVER_EXPERIMENTS))
+    code, _, err = run(capsys, "run", str(spec), "--out", str(tmp_path / "all"))
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+    # cover reads the closure that binding the cover-of system made
+    code, out, _ = run(capsys, "cover", str(spec), "--system", "h")
+    assert code == 0 and out.startswith("|G| = 6\n")
+    assert len(calls) == 2
+
+    for name, fields in COVER_EXPERIMENTS:
+        alone = tmp_path / (name + ".spec")
+        alone.write_text(HERNING + COVER_TABLE + cover_experiment(name, fields))
+        code, _, _ = run(capsys, "run", str(alone), "--out", str(tmp_path / name))
+        assert code == 0
+        for ext in (".csv", ".json"):
+            solo = (tmp_path / name / (name + ext)).read_bytes()
+            assert (tmp_path / "all" / (name + ext)).read_bytes() == solo
+
+
+def test_build_system_gives_each_caller_a_new_stream():
+    """A stream keeps the whole prefix it has built, so experiments share none."""
+    doc = cli.load_document(TM_SPEC)
+    first, second = cli.build_system(doc, "tm"), cli.build_system(doc, "tm")
+    assert first.stream is not second.stream
+    assert first.definition is second.definition is doc.bound["tm"].definition

@@ -5,6 +5,7 @@ from mobiuslab.errors import CapacityError
 from mobiuslab.permgrp import (
     FiniteGroup,
     Perm,
+    _group_from_perms,
     centralizer_in_sym,
     closure,
     cyclic_group,
@@ -13,6 +14,7 @@ from mobiuslab.permgrp import (
     symmetric_group,
     trivial_group,
 )
+from mobiuslab.subst import Substitution, group_cover
 
 
 def test_perm_composition_convention():
@@ -186,3 +188,33 @@ def test_quotient_of_cyclic():
     q, proj = quotient(z6, h)
     assert q.order == 3
     assert [proj[a] for a in range(6)] == [proj[a % 3] for a in range(6)]
+
+
+def product_table_by_lookup(perms):
+    """Reference: one Perm per product, looked up by its images."""
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[a * b] for b in perms] for a in perms], dtype=np.int32)
+
+
+def test_product_table_matches_lookup_for_symmetric_groups():
+    for degree in range(1, 7):
+        group, emb = symmetric_group(degree)
+        assert np.array_equal(group.table, product_table_by_lookup(emb.images))
+
+
+def test_product_table_matches_lookup_for_covers():
+    herning = Substitution.from_words({"a": "aabaa", "b": "bcabb", "c": "cbccc"})
+    # 16 letters, past the degree where degree**degree still fits in int64:
+    # columns identity, a 16-cycle and a reflection generate the dihedral group
+    r = 16
+    columns = [list(range(r)), [(a + 1) % r for a in range(r)], [(-a) % r for a in range(r)]]
+    dihedral = Substitution([[col[a] for col in columns] for a in range(r)], [chr(65 + a) for a in range(r)])
+    for sub, order in ((herning, 6), (dihedral, 2 * r)):
+        cover = group_cover(sub)
+        assert cover.group.order == order
+        assert np.array_equal(cover.group.table, product_table_by_lookup(cover.embedding.images))
+
+
+def test_product_table_needs_closed_perms():
+    with pytest.raises(ValueError, match="not closed"):
+        _group_from_perms([Perm((0, 1, 2)), Perm((1, 2, 0))])

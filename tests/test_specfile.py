@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 
@@ -272,3 +273,185 @@ def test_diagnostic_render_format():
     rendered = diags[0].render()
     assert rendered.startswith("error: line 1, column ")
     assert "\n  " in rendered
+
+
+@pytest.mark.parametrize("text", [
+    'rs r pattern "11"\nobservable w = walsh {0}\nexperiment e { system: r; observable: w; N: ²; }\n',
+    'rs r pattern "11"\nobservable t = table {0: 1, ²: -1}\n',
+    'rs r pattern "11"\nobservable w = walsh {٣}\n',
+], ids=["superscript_N", "superscript_key", "arabic_indic_coordinate"])
+def test_non_ascii_digits_are_diagnosed(text):
+    diags = parse_bad(text)
+    assert len(diags) == 1
+    line = text.splitlines()[diags[0].line - 1]
+    assert line[diags[0].column - 1] in "²٣"
+
+
+def test_integer_too_long_to_convert_is_diagnosed():
+    diags = parse_bad('rs r pattern "11"\nobservable w = walsh {0}\nexperiment e { system: r; observable: w; N: %s; }\n'
+                      % ("1" * 5000))
+    assert len(diags) == 1 and (diags[0].line, diags[0].column) == (3, 45)
+    assert "too long" in diags[0].message
+
+
+AB = 'substitution s on {a, b} {\n  a -> "ab";\n  b -> "ba";\n}\n'
+
+
+def test_letters_and_indices_name_the_same_symbols():
+    doc = parse_ok(
+        AB
+        + 'observable i = indicator "01" at 0\n'
+        + 'observable j = indicator "ab" at 0\n'
+        + "observable t = table {0: 1, 1: -1}\n"
+        + "observable u = table {a: 1, b: -1}\n"
+        + "".join("experiment %s { system: s; observable: %s; N: 16; }\n" % (o, o) for o in "ijtu")
+    )
+    assert set(doc.bound) == {"s"}
+
+
+def test_parsed_documents_keep_their_bound_systems():
+    doc = parse_ok((SPECS / "valid" / "herning.spec").read_text())
+    assert {name: b.kind for name, b in doc.bound.items()} == {"herning": "substitution", "herning_cover": "morse"}
+    assert doc.bound["herning_cover"].alphabet_size == 6
+    assert all(b.stream is None for b in doc.bound.values())
+
+
+def test_group_expression_limits():
+    diags = parse_bad('morse m over Zn(10001) blocks [repeat "01"]\n')
+    assert (diags[0].line, diags[0].column) == (1, 14) and "10000" in diags[0].message
+    diags = parse_bad('morse m over Sym(7) blocks [repeat "01"]\n')
+    assert (diags[0].line, diags[0].column) == (1, 14)
+    diags = parse_bad('rs r pattern "11"\nmorse m over cover-of r\n')
+    assert (diags[0].line, diags[0].column) == (2, 14) and "needs a substitution" in diags[0].message
+
+
+def test_cover_of_a_substitution_that_fails_to_bind_is_reported_once():
+    diags = parse_bad('substitution s on {a, b} {\n  a -> "ba";\n  b -> "ab";\n}\nmorse m over cover-of s\n')
+    assert len(diags) == 1 and "no letter fixed" in diags[0].message
+
+
+# -- properties ------------------------------------------------------------
+
+LETTER_POOL = "abcxyz0123"
+SMALL_GROUPS = (("Z2", 2), ("Zn(3)", 3), ("Zn(4)", 4), ("Sym(1)", 1), ("Sym(3)", 6))
+PRIME_PAIRS = ((2, 3), (3, 5), (5, 7), (7, 3))
+WEIGHTS = ("moebius", "liouville", "none")
+
+
+def documents(st):
+    """Valid documents over small groups, with experiments whose observables bind."""
+
+    def word(draw, order, length):
+        return "0" + "".join("0123456789"[draw(st.integers(0, order - 1))] for _ in range(length - 1))
+
+    @st.composite
+    def build(draw):
+        chunks, systems = [], []  # systems: (name, table keys or None for indicator "0")
+        for i in range(draw(st.integers(1, 2))):
+            r = draw(st.integers(2, 3))
+            letters = draw(st.lists(st.sampled_from(LETTER_POOL), min_size=r, max_size=r, unique=True))
+            columns = [list(range(r))] + [draw(st.permutations(range(r))) for _ in range(draw(st.integers(1, 2)))]
+            rules = "".join('  %s -> "%s";\n' % (letters[a], "".join(letters[c[a]] for c in columns)) for a in range(r))
+            chunks.append("substitution s%d on {%s} {\n%s}" % (i, ", ".join(letters), rules))
+            systems.append(("s%d" % i, letters))
+            if any(list(c) != list(range(r)) for c in columns[1:]) and draw(st.booleans()):
+                chunks.append("morse c%d over cover-of s%d" % (i, i))
+                systems.append(("c%d" % i, None))
+        for i in range(draw(st.integers(0, 2))):
+            group, order = draw(st.sampled_from(SMALL_GROUPS))
+            head = ['"%s", ' % word(draw, order, draw(st.integers(2, 3))) for _ in range(draw(st.integers(0, 2)))]
+            chunks.append('morse m%d over %s blocks [%srepeat "%s"]' % (i, group, "".join(head), word(draw, order, 2)))
+            systems.append(("m%d" % i, [str(k) for k in range(order)]))
+        if draw(st.booleans()):
+            pattern = "1" + draw(st.text("1*", max_size=3)) + draw(st.sampled_from("01"))
+            chunks.append('rs r pattern "%s"' % pattern)
+            systems.append(("r", ["0", "1"]))
+        if draw(st.booleans()):
+            group, order = draw(st.sampled_from(SMALL_GROUPS))
+            psi = "".join(str(draw(st.integers(0, order - 1))) for _ in range(draw(st.integers(1, 3))))
+            chunks.append('veech v base %d group %s psi repeat "%s"' % (draw(st.integers(2, 4)), group, psi))
+            systems.append(("v", [str(k) for k in range(order)]))
+        for i in range(draw(st.integers(0, 3))):
+            name, keys = draw(st.sampled_from(systems))
+            if keys is None or draw(st.booleans()):
+                chunks.append('observable o%d = indicator "0" at %d' % (i, draw(st.integers(0, 3))))
+            elif len(keys) == 2 and draw(st.booleans()):
+                coords = sorted(draw(st.sets(st.integers(0, 5), max_size=3)))
+                chunks.append("observable o%d = walsh {%s}" % (i, ", ".join(map(str, coords))))
+            else:
+                values = [draw(st.floats(-1e6, 1e6, allow_nan=False)) for _ in keys]
+                chunks.append("observable o%d = table {%s}" % (i, ", ".join("%s: %r" % kv for kv in zip(keys, values))))
+            n = draw(st.integers(1, 1 << 20))
+            fields = ["system: %s" % name, "observable: o%d" % i, "weight: %s" % draw(st.sampled_from(WEIGHTS)), "N: %d" % n]
+            if draw(st.booleans()):
+                points = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=4)) | {n})
+                fields.append("checkpoints: [%s]" % ", ".join(map(str, points)))
+            if draw(st.booleans()):
+                fields.append("kbsz: (%d, %d)" % draw(st.sampled_from(PRIME_PAIRS)))
+            chunks.append("experiment e%d { %s; }" % (i, "; ".join(fields)))
+        text = "\n".join(chunks) + "\n"
+        doc = parse_spec(text)
+        assert isinstance(doc, SpecDocument), (text, [d.render() for d in doc])
+        return doc
+
+    return build()
+
+
+def test_generated_documents_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(doc=documents(hypothesis.strategies))
+    def check(doc):
+        assert parse_spec(print_spec(doc)) == doc
+
+    check()
+
+
+SEED_TEXTS = [p.read_text() for p in VALID + sorted(MALFORMED.glob("*.spec"))]
+TOKEN = re.compile(r'"[^"\n]*"|[0-9]+|[A-Za-z_]+|\s+|.')
+# str.isdigit() holds for each, and int() accepts only the Arabic-Indic three
+UNICODE_DIGITS = ("\u00b2", "\u00b3", "\u2460", "\u0663")
+SPLICES = ("\u212a", '"', "-", "->", "{", "}", "(", ")", ";", ":", ",", "#", "\n", "9",
+           "Zn(", "Sym(", "cover-of ", "walsh {", "table {", "indicator ", "kbsz: (", "N: ", "99999999999")
+
+
+def mutated_texts(st):
+    """Arbitrary text, and valid or malformed spec files with a few tokens edited.
+
+    An edit replaces a token, numbers more often than the rest, by a
+    non-ASCII digit, a splice, another token of the file, nothing, or
+    arbitrary text.
+    """
+
+    @st.composite
+    def build(draw):
+        tokens = TOKEN.findall(draw(st.sampled_from(SEED_TEXTS)))
+        numbers = [i for i, t in enumerate(tokens) if t.isdigit()]
+        for _ in range(draw(st.integers(1, 4))):
+            pool = numbers if numbers and draw(st.booleans()) else range(len(tokens))
+            i = draw(st.sampled_from(pool))
+            tokens[i] = draw(st.one_of(
+                st.sampled_from(UNICODE_DIGITS), st.sampled_from(SPLICES), st.sampled_from(tokens), st.just(""),
+                st.text(max_size=3),
+            ))
+        return "".join(tokens)
+
+    return st.one_of(build(), st.text(max_size=200))
+
+
+def test_parse_never_raises():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(text=mutated_texts(hypothesis.strategies))
+    def check(text):
+        result = parse_spec(text)
+        if isinstance(result, SpecDocument):
+            return
+        assert result
+        lines = text.count("\n") + 1
+        for d in result:
+            assert 1 <= d.line <= lines + 1 and d.column >= 1, d.render()
+
+    check()
