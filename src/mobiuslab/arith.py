@@ -14,9 +14,9 @@ The windows of n other than its lowest are the windows of n >> 1, so
 
     pattern_parity(n) = pattern_parity(n >> 1) xor [(n & mask) == value]
 
-with mask holding a 1 at each literal character and value its bits; the
-prefix builder pattern_parities runs this recursion, and the positional
-read pattern_parities_at makes one such masked compare per window offset.
+with mask holding a 1 at each literal character and value its bits.
+pattern_parities_at runs this recursion over a run of n and makes one such
+masked compare per window offset at an array of positions.
 """
 
 from __future__ import annotations
@@ -186,51 +186,52 @@ def pattern_parity(n: int, pattern) -> int:
     return count & 1
 
 
-def _pattern_bits(pat: str) -> tuple:
-    """(mask, value) of the window at the low end: a 1 at each literal, its bit."""
-    m = len(pat)
-    mask = sum(1 << (m - 1 - i) for i, c in enumerate(pat) if c != "*")
-    value = sum(1 << (m - 1 - i) for i, c in enumerate(pat) if c == "1")
-    return mask, value
+def _parity_run(lo: int, hi: int, mask: int, value: int, low: int) -> np.ndarray:
+    """pattern_parity(n) for lo <= n < hi, by the shift recursion.
 
-
-def pattern_parities(count: int, pattern) -> np.ndarray:
-    """pattern_parity(n) for n = 0..count-1, by the shift recursion.
-
-    a(n) = a(n >> 1) xor [(n & mask) == value] fills one range
-    [2^t, 2^(t+1)) at a time from the range below it.  The pattern starts
-    with a literal 1, so a(n) = 0 for every n < 2^(m-1).
+    a(n) = 0 below low = 2^(m-1).  From a = max(lo, low) each range [a, 2a)
+    reads the one below it, and only the first reads a run below lo: a run
+    costs about its length from lo = 0 and twice its length far out.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative, got %d" % count)
-    pat = _as_pattern(pattern).pattern
-    mask, value = _pattern_bits(pat)
-    out = np.zeros(count, dtype=np.uint8)
-    lo = 1 << (len(pat) - 1)
-    while lo < count:
-        hi = min(2 * lo, count)
-        low_match = (np.arange(lo, hi, dtype=np.int64) & mask) == value
-        out[lo:hi] = out[lo >> 1 : (hi + 1) >> 1].repeat(2)[: hi - lo] ^ low_match
-        lo *= 2
+    out = np.zeros(hi - lo, dtype=np.uint8)
+    a = max(lo, low)
+    below = _parity_run(a >> 1, (min(hi, 2 * a) + 1) >> 1, mask, value, low) if a < hi else None
+    while a < hi:
+        b = min(hi, 2 * a)
+        n = np.arange(a, b, dtype=np.int64)
+        n &= mask  # in place: one int64 temporary per range
+        out[a - lo : b - lo] = below.repeat(2)[a & 1 : (a & 1) + b - a] ^ (n == value)
+        below = out[a - lo : b - lo]
+        a = b
     return out
 
 
-def pattern_parities_at(positions, pattern) -> np.ndarray:
-    """pattern_parity(n) for each n in an array of nonnegative integers.
+def pattern_parities(count: int, pattern) -> np.ndarray:
+    """pattern_parity(n) for n = 0..count-1, by the shift recursion."""
+    if count < 0:
+        raise ValueError("count must be nonnegative, got %d" % count)
+    return pattern_parities_at(slice(0, count), pattern)
 
-    The window at offset j from the low end matches where
-    n & (mask << j) == value << j: one masked compare per offset.  The
-    pattern starts with a literal 1, so a matching window lies inside the
-    expansion and only offsets up to bit_length - m are scanned; a pattern
-    longer than 64 characters matches no 64-bit position.
+
+def pattern_parities_at(key, pattern) -> np.ndarray:
+    """pattern_parity(n) for n in key: a slice(lo, hi) or an array of nonnegative integers.
+
+    A run follows the shift recursion (_parity_run).  At an array the window
+    at offset j from the low end matches where n & (mask << j) == value << j:
+    one masked compare per offset up to bit_length - m, since the pattern
+    starts with a literal 1; a pattern over 64 characters matches nothing.
     """
     pat = _as_pattern(pattern).pattern
-    n = np.asarray(positions).astype(np.uint64, copy=False)
-    acc = np.zeros(len(n), dtype=np.uint8)
     m = len(pat)
+    # the window at the low end: a 1 at each literal in mask, its bit in value
+    mask = sum(1 << (m - 1 - i) for i, c in enumerate(pat) if c != "*")
+    value = sum(1 << (m - 1 - i) for i, c in enumerate(pat) if c == "1")
+    if isinstance(key, slice):
+        return _parity_run(key.start, key.stop, mask, value, 1 << (m - 1))
+    n = np.asarray(key).astype(np.uint64, copy=False)
+    acc = np.zeros(len(n), dtype=np.uint8)
     if m > 64:
         return acc
-    mask, value = _pattern_bits(pat)
     masked = np.empty_like(n)
     hit = np.empty(len(n), dtype=bool)
     for j in range(int(n.max(initial=0)).bit_length() - m + 1):

@@ -21,7 +21,7 @@ from . import morse as _morse
 from . import odometer as _odometer
 from . import spectral as _spectral
 from . import subst as _subst
-from .arith import DigitPattern, pattern_parities, pattern_parities_at
+from .arith import DigitPattern, pattern_parities_at
 from .permgrp import CLOSURE_CAP, FiniteGroup, cyclic_group, symmetric_group
 from .streams import SymbolStream
 
@@ -61,12 +61,7 @@ class BoundSystem:
         elif self.kind == "morse":
             stream = _morse.morse_stream(d, name=self.name)
         elif self.kind == "rs":
-            stream = SymbolStream(
-                lambda n: pattern_parities(n, d),
-                name=self.name,
-                alphabet_size=2,
-                read=lambda positions: pattern_parities_at(positions, d),
-            )
+            stream = SymbolStream(None, name=self.name, alphabet_size=2, read=lambda key: pattern_parities_at(key, d))
         else:
             stream = _odometer.veech_stream(d, name=self.name)
         return dataclasses.replace(self, stream=stream)

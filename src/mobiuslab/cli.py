@@ -32,7 +32,7 @@ from . import experiment as _experiment
 from . import morse as _morse
 from . import spectral as _spectral
 from . import subst as _subst
-from .arith import weight_table
+from .arith import LIMIT_CAP, weight_table
 from .binding import BASE36, BindingError, BoundSystem
 from .errors import CapacityError, UndefinedPointError
 from .experiment import _format_number
@@ -94,10 +94,17 @@ def render_word(bound: BoundSystem, word) -> str:
 # subcommands
 
 
+def _symbol_count(args) -> int:
+    """--n of gen and hat, which print that many symbols."""
+    if args.n > LIMIT_CAP:
+        raise BindingError("--n %d is beyond the symbol cap %d" % (args.n, LIMIT_CAP))
+    return args.n
+
+
 def _cmd_gen(args) -> int:
     doc = load_document(args.spec)
     bound = build_system(doc, _pick_system(doc, args))
-    print(render_word(bound, bound.stream.prefix(args.n)))
+    print(render_word(bound, bound.stream.prefix(_symbol_count(args))))
     return 0
 
 
@@ -105,7 +112,7 @@ def _cmd_hat(args) -> int:
     doc = load_document(args.spec)
     bound = build_system(doc, _pick_system(doc, args))
     group = system_group(bound)
-    word = _morse.hat_word(group, bound.stream.prefix(args.n + 1))
+    word = _morse.hat_word(group, bound.stream.prefix(_symbol_count(args) + 1))
     print("".join(BASE36[int(v)] for v in word))
     return 0
 
@@ -144,6 +151,8 @@ def _cmd_blocks(args) -> int:
         return 0
     if bound.kind == "morse":
         for t in range(1, args.t + 1):
+            if bound.definition.n(t) > 1 << 20:
+                raise BindingError("Toeplitz stage at t=%d exceeds 2^20 symbols" % t)
             stage = _morse.toeplitz_stage(bound.definition, t)
             values = "".join(BASE36[v] for v in stage.values)
             print("t=%d n=%d hole=%d values=%s" % (t, stage.n, stage.hole_residue, values))
@@ -151,11 +160,16 @@ def _cmd_blocks(args) -> int:
     raise BindingError("blocks needs a substitution or morse system, %r is neither" % name)
 
 
-def _cmd_corr(args) -> int:
+def _autocorrelation(args) -> "_spectral.AutocorrelationEstimate":
     doc = load_document(args.spec)
     bound = build_system(doc, _pick_system(doc, args))
     obs = bind_observable(doc, args.observable, bound)
-    est = _spectral.autocorrelation(bound.stream, obs, args.n, args.lags)
+    _experiment._check_reach(args.n, obs.span + args.lags - 1)
+    return _spectral.autocorrelation(bound.stream, obs, args.n, args.lags)
+
+
+def _cmd_corr(args) -> int:
+    est = _autocorrelation(args)
     lines = ["lag,real,imag"]
     for lag, v in enumerate(est.values):
         lines.append("%d,%s,%s" % (lag, _format_number(v.real), _format_number(v.imag)))
@@ -164,10 +178,7 @@ def _cmd_corr(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    doc = load_document(args.spec)
-    bound = build_system(doc, _pick_system(doc, args))
-    obs = bind_observable(doc, args.observable, bound)
-    est = _spectral.autocorrelation(bound.stream, obs, args.n, args.lags)
+    est = _autocorrelation(args)
     spec = _spectral.periodogram(est, args.grid)
     lines = ["k,value"]
     for k, v in enumerate(spec):

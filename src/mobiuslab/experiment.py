@@ -69,13 +69,18 @@ def _validate_checkpoints(checkpoints) -> tuple:
     return points
 
 
-def _check_reach(r: int, s: int, limit: int, span: int) -> None:
-    """KBSZ positions reach max(r, s) N + span - 1, which must fit in int64."""
-    last = max(r, s) * limit + span - 1
+def _check_reach(limit: int, span: int, kbsz: tuple | None = None) -> None:
+    """The positions a sum reads must fit in int64.
+
+    A Sarnak sum at N reads up to N + span - 1 and a KBSZ pair (r, s) up to
+    max(r, s) N + span - 1; an autocorrelation up to lag L reads as far as
+    a Sarnak sum whose window is L - 1 longer.
+    """
+    last = (max(kbsz) if kbsz else 1) * limit + span - 1
     if last > _INT64_MAX:
+        what = "kbsz pair (%d, %d)" % kbsz if kbsz else "the observable window"
         raise ValueError(
-            "kbsz pair (%d, %d) at N = %d reads position %d, beyond the int64 limit %d"
-            % (r, s, limit, last, _INT64_MAX)
+            "%s at N = %d reads position %d, beyond the int64 limit %d" % (what, limit, last, _INT64_MAX)
         )
 
 
@@ -119,6 +124,7 @@ def sarnak_series(
     limit = checkpoints[-1]
     if weights is not None and weights.limit < limit:
         raise ValueError("weight table reaches %d, need %d" % (weights.limit, limit))
+    _check_reach(limit, obs.span)
     v = obs.evaluate(stream, 1, limit)  # a fresh vector, so it is weighted in place
     if weights is not None:
         v *= weights.values[1 : limit + 1]
@@ -151,7 +157,7 @@ def kbsz_series(
         raise ValueError("dilations must be positive, got r=%d s=%d" % (r, s))
     checkpoints = _validate_checkpoints(checkpoints)
     limit = checkpoints[-1]
-    _check_reach(r, s, limit, obs.span)
+    _check_reach(limit, obs.span, (r, s))
     products = np.empty(limit, dtype=np.complex128)
     for lo in range(1, limit + 1, _KBSZ_BLOCK):
         idx = np.arange(lo, min(lo + _KBSZ_BLOCK, limit + 1), dtype=np.int64)
@@ -237,8 +243,7 @@ class ExperimentConfig:
             points = _validate_checkpoints(self.checkpoints)
             if points[-1] > self.sample_size:
                 raise ValueError("checkpoint %d beyond sample size %d" % (points[-1], self.sample_size))
-        if self.kbsz is not None:
-            _check_reach(*self.kbsz, points[-1], self.observable.span)
+        _check_reach(points[-1], self.observable.span, self.kbsz)
         return points
 
 

@@ -91,14 +91,14 @@ def morse_prefix(spec: MorseSpec, count: int) -> np.ndarray:
 
 def _times_block(table: np.ndarray, word: np.ndarray, block) -> np.ndarray:
     """word x block: segment j is the word translated by block[j]."""
-    return table[word][:, np.asarray(block, dtype=np.int32)].T.reshape(-1).astype(np.int32)
+    return table[word[:, None], np.asarray(block, dtype=np.int32)].T.reshape(-1).astype(np.int32)
 
 
 def _digit_levels(spec: MorseSpec):
     """Digit levels of the limit sequence for DigitReader.
 
-    A level is a run of consecutive blocks whose product D has at least
-    LEVEL_MIN entries; its table is T[g, i] = D[i] g.  By associativity
+    A level is a run of consecutive blocks whose product D is long enough for
+    a table T[g, i] = D[i] g of at least LEVEL_MIN entries.  By associativity
     x = D_0 x D_1 x ..., so x[q R_0 + i] = D_0[i] y[q] with y the sequence
     of the blocks after the first level.  Levels that start past the head
     are all the same product c_k of k tail blocks, y[q L + i] = c_k[i] y[q],
@@ -111,7 +111,7 @@ def _digit_levels(spec: MorseSpec):
         while True:
             word = _times_block(spec.group.table, word, spec.block(t))
             t += 1
-            if len(word) >= LEVEL_MIN:
+            if len(word) * spec.group.order >= LEVEL_MIN:
                 return (len(word), spec.group.table[word].T), t
 
     t = 0
@@ -122,9 +122,9 @@ def _digit_levels(spec: MorseSpec):
 
 
 def morse_stream(spec: MorseSpec, name: str = "morse") -> SymbolStream:
-    """The limit sequence as a stream; at() reads it through its digit levels."""
+    """The limit sequence as a stream, read through its digit levels."""
     return SymbolStream(
-        lambda n: morse_prefix(spec, n),
+        None,
         name=name,
         alphabet_size=spec.group.order,
         letters=spec.group.element_names,

@@ -217,23 +217,20 @@ def _tau_run(spec: OdometerSpec, start: int, count: int) -> np.ndarray:
 def veech_stream(vspec: VeechSpec, start: int = 0, name: str = "veech") -> SymbolStream:
     """The sequence n -> Psi(tau(start + n)) along the orbit of a point.
 
-    The prefix adds one to tau on each stage's progression of points
-    v = -1 mod n_t (_tau_run); at() evaluates tau at start + position
-    directly (_tau_at), with no prefix.
+    A run adds one to tau on each stage's progression of points
+    v = -1 mod n_t (_tau_run); positions evaluate tau at start + position
+    directly (_tau_at).
     """
 
-    def symbols(taus):
-        lookup_len = int(taus.max(initial=1))
-        lookup = np.array([0] + [vspec.psi(t) for t in range(1, lookup_len + 1)], dtype=np.int32)
+    def read(key):
+        if isinstance(key, slice):
+            taus = _tau_run(vspec.odometer, start + key.start, key.stop - key.start)
+        else:
+            taus = _tau_at(vspec.odometer, start + key)
+        lookup = np.array([0] + [vspec.psi(t) for t in range(1, int(taus.max(initial=1)) + 1)], dtype=np.int32)
         return lookup[taus]
 
-    return SymbolStream(
-        lambda count: symbols(_tau_run(vspec.odometer, start, count)),
-        name=name,
-        alphabet_size=vspec.group.order,
-        letters=vspec.group.element_names,
-        read=lambda positions: symbols(_tau_at(vspec.odometer, start + positions)),
-    )
+    return SymbolStream(None, name=name, alphabet_size=vspec.group.order, letters=vspec.group.element_names, read=read)
 
 
 @dataclass(frozen=True)

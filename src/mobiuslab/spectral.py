@@ -85,7 +85,8 @@ class Observable:
         """v(start), ..., v(start + count - 1) as a complex vector."""
         idx = np.zeros(count, dtype=np.int64)
         for off in self.window:
-            idx = idx * self.alphabet_size + stream.block(start + off, count)
+            idx *= self.alphabet_size
+            idx += stream.block(start + off, count)
         return self.values[idx]
 
     def evaluate_at(self, stream: SymbolStream, positions) -> np.ndarray:

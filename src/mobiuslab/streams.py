@@ -1,31 +1,32 @@
-"""Lazy one-sided symbol sequences with positioned block and random reads.
+"""Lazy one-sided symbol sequences, read in runs and at positions.
 
-A stream is read in two ways.  prefix() and block() materialize the
-sequence from 0 up to the last symbol asked for; consecutive windows
-(Sarnak sums, autocorrelations) read that way.  at() reads arbitrary
-positions, as the dilated KBSZ sums do.  A stream built with a digit reader
-computes each symbol from the digits of its position (see DigitReader), so
-reading at positions up to s*N costs memory in the number of positions,
-not in s*N; the other streams gather at() from their prefix.
+prefix(), block() and iteration read contiguous runs (Sarnak sums,
+autocorrelations); at() reads arbitrary positions (the dilated KBSZ sums).
+A stream with a reader reads both through it, from the digits of each
+position (see DigitReader), so a run costs memory in its length and a
+positional read in the number of positions, wherever they lie.  The other
+streams grow a cached prefix from their build and index it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Least radix of a digit level.  Tables of at least this many columns read
-# any position below 2^32 in two gathers and stay a few MiB in size.
-LEVEL_MIN = 1 << 16
+# Least entries (alphabet size x radix) of a digit level table: radix 2^16
+# for a binary alphabet, which reads any position below 2^32 in two gathers,
+# and a few MiB per table however many symbols the alphabet has.
+LEVEL_MIN = 1 << 17
 
 
 class SymbolStream:
-    """Deterministic sequence over {0..alphabet_size-1}, materialized on demand.
+    """Deterministic sequence over {0..alphabet_size-1}.
 
-    build(n) must return a prefix of length >= n and agree with earlier calls
-    on the overlap; growth extends a cached read-only prefix.  block() reads
-    do not move the iteration cursor.  read(positions), when given, returns
-    the symbols at a nonempty int64 array of nonnegative positions without
-    building a prefix; it must agree with build.
+    read(key), when given, is the only way the stream is read: it returns
+    the symbols at a slice(lo, hi), 0 <= lo <= hi <= 2^63, or at a nonempty
+    int64 array of nonnegative positions, in an array no other read shares,
+    and build may be None.  Otherwise build(n) must return a prefix of
+    length >= n and agree with earlier calls on the overlap; growth extends
+    a cached read-only prefix.  block() reads do not move the iteration cursor.
     """
 
     def __init__(self, build, name: str = "stream", alphabet_size: int | None = None, letters=None, read=None):
@@ -53,39 +54,37 @@ class SymbolStream:
         grown.flags.writeable = False
         self._prefix = grown
 
+    def _get(self, key) -> np.ndarray:
+        """Symbols at a slice(lo, hi) or a nonempty array of positions."""
+        if self._read is not None:
+            return np.asarray(self._read(key), dtype=np.int32)
+        self._ensure(key.stop if isinstance(key, slice) else int(key.max()) + 1)
+        return self._prefix[key]
+
     def prefix(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("length must be nonnegative, got %d" % n)
-        self._ensure(n)
-        return self._prefix[:n]
+        return self._get(slice(0, n))
 
     def block(self, start: int, count: int) -> np.ndarray:
-        if start < 0 or count < 0:
+        if start < 0 or count < 0 or start + count > 1 << 63:
             raise ValueError("block read out of range: start=%d count=%d" % (start, count))
-        self._ensure(start + count)
-        return self._prefix[start : start + count]
+        return self._get(slice(start, start + count))
 
     def at(self, positions) -> np.ndarray:
-        """Symbols at arbitrary nonnegative positions, as int32.
-
-        The digit reader answers when the stream has one; otherwise the
-        symbols are gathered from a prefix reaching the largest position.
-        """
+        """Symbols at arbitrary nonnegative positions, as int32."""
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
             return np.zeros(positions.shape, dtype=np.int32)
         if positions.min() < 0:
             raise ValueError("positions must be nonnegative")
-        if self._read is None:
-            return self.prefix(int(positions.max()) + 1)[positions]
-        return np.asarray(self._read(positions), dtype=np.int32)
+        return self._get(positions)
 
     def __iter__(self):
         return self
 
     def __next__(self) -> int:
-        self._ensure(self.position + 1)
-        value = int(self._prefix[self.position])
+        value = int(self._get(slice(self.position, self.position + 1))[0])
         self.position += 1
         return value
 
@@ -97,7 +96,7 @@ class SymbolStream:
 
 
 class DigitReader:
-    """Random access to a sequence through tables on the digits of a position.
+    """Reads a sequence through tables on the digits of a position.
 
     levels is an iterator of (radix R_j, table T_j of shape (alphabet, R_j)),
     pulled on the first read that needs each level and then kept.  Writing
@@ -108,6 +107,8 @@ class DigitReader:
     which is the recursion x[q R_0 + i] = T_0[y[q], i] with y the sequence
     read from the levels above the first.  T_j[start, 0] must be start, so
     leading zero digits change nothing and reads below R_0 use one table.
+    A run [lo, hi) reads y at lo // R_0 .. (hi - 1) // R_0 through the
+    levels above the first, gathers those rows of T_0 and slices.
     """
 
     def __init__(self, start: int, levels):
@@ -115,26 +116,27 @@ class DigitReader:
         self._pending = levels
         self._levels = []
 
-    def __call__(self, positions: np.ndarray) -> np.ndarray:
-        top = int(positions.max())
-        reach = 1  # R_0 * ... * R_{j-1}, the positions the first j levels cover
-        j = 0
-        while j == 0 or reach <= top:
-            if j == len(self._levels):
-                radix, table = next(self._pending)
-                self._levels.append((radix, np.ascontiguousarray(table, dtype=np.int32)))
-            reach *= self._levels[j][0]
-            j += 1
-        levels = self._levels[:j]
-        digits = []
-        q = positions
-        for radix, _ in levels[:-1]:
-            digits.append(q % radix)
-            q = q // radix
-        symbols = levels[-1][1][self._start][q]
-        for (radix, table), d in zip(reversed(levels[:-1]), reversed(digits)):
-            symbols = table.reshape(-1)[symbols * radix + d]
-        return symbols
+    def _level(self, j: int):
+        while len(self._levels) <= j:
+            radix, table = next(self._pending)
+            self._levels.append((radix, np.ascontiguousarray(table, dtype=np.int32)))
+        return self._levels[j]
+
+    def _at(self, q: np.ndarray, top: int, j: int) -> np.ndarray:
+        """Symbols at positions q, none above top, of the sequence read from level j up."""
+        radix, table = self._level(j)
+        if top < radix:
+            return table[self._start][q]
+        y = self._at(q // radix, top // radix, j + 1)
+        return table.reshape(-1)[y * radix + q % radix]
+
+    def __call__(self, key) -> np.ndarray:
+        if not isinstance(key, slice):
+            return self._at(key, int(key.max()), 0)
+        radix, table = self._level(0)
+        first, last = key.start // radix, (key.stop - 1) // radix
+        rows = table[self._at(np.arange(first, last + 1, dtype=np.int64), last, 1)]
+        return rows.reshape(-1)[key.start - first * radix : key.stop - first * radix]
 
 
 def word_stream(values, name: str = "word", alphabet_size: int | None = None, letters=None) -> SymbolStream:

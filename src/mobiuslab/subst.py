@@ -168,25 +168,25 @@ def fixed_point(sub: Substitution, count: int) -> np.ndarray:
 def _digit_levels(sub: Substitution):
     """The one digit level of the fixed point, repeated: (L, theta^k).
 
-    L = lam^k is the least power of lam >= LEVEL_MIN, and row a of the table
-    is theta^k(a), so x[q L + i] = theta^k(x[q])[i].
+    L = lam^k is the least power of lam with r L >= LEVEL_MIN, and row a of
+    the table is theta^k(a), so x[q L + i] = theta^k(x[q])[i].
     """
     table = sub.rows_array()
-    while table.shape[1] < LEVEL_MIN:
+    while table.size < LEVEL_MIN:
         table = sub.rows_array()[table].reshape(sub.r, -1)
     yield from itertools.repeat((table.shape[1], table))
 
 
 def fixed_point_stream(sub: Substitution, name: str | None = None) -> SymbolStream:
-    """The fixed point as a stream; at() reads it through its digit table."""
+    """The fixed point as a stream, read through its digit table."""
     reader = DigitReader(sub.seed, _digit_levels(sub))
 
-    def read(positions):
+    def read(key):
         _check_fixed_point(sub)
-        return reader(positions)
+        return reader(key)
 
     return SymbolStream(
-        lambda n: fixed_point(sub, n),
+        None,
         name=name or "fixed_point",
         alphabet_size=sub.r,
         letters=sub.letters,

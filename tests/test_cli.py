@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from mobiuslab import cli, subst
-from mobiuslab.arith import LIMIT_CAP
+from mobiuslab.arith import LIMIT_CAP, pattern_parity, weight_table
 from mobiuslab.cli import main
+from mobiuslab.experiment import _format_number
 
 REPO = pathlib.Path(__file__).parent.parent
 SPECS = REPO / "specs"
@@ -132,11 +133,11 @@ def test_kbsz_positions_beyond_int64_exit_two(capsys, s):
     assert err.startswith("error:") and "(3, %d)" % s in err and str((1 << 63) - 1) in err
 
 
-def test_kbsz_memory_grows_with_n_not_with_the_dilation():
-    """s * N is about 10^9 here; the positions are read without a prefix.
+def run_limited(*argv, cwd=None):
+    """The CLI in a child process under a 1.2 GB address-space limit.
 
-    The address-space limit is set in the child only, so this process is
-    unaffected.
+    The limit is set in the child only, so this process is unaffected; an
+    allocation the limit refuses ends the child in a MemoryError traceback.
     """
     resource = pytest.importorskip("resource")
 
@@ -144,11 +145,15 @@ def test_kbsz_memory_grows_with_n_not_with_the_dilation():
         resource.setrlimit(resource.RLIMIT_AS, (1200 << 20, 1200 << 20))
 
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "mobiuslab.cli", "kbsz", TM_SPEC, "--observable", "w0",
-         "--n", "1024", "--primes", "3,1000003"],
-        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300,
+    return subprocess.run(
+        [sys.executable, "-m", "mobiuslab.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300, cwd=cwd,
     )
+
+
+def test_kbsz_memory_grows_with_n_not_with_the_dilation():
+    """s * N is about 10^9 here; the positions are read without a prefix."""
+    proc = run_limited("kbsz", TM_SPEC, "--observable", "w0", "--n", "1024", "--primes", "3,1000003")
     assert proc.returncode == 0, proc.stderr
     # Thue-Morse is popcount parity, so the final is a direct sum
     want = sum((-1) ** (bin(3 * n).count("1") + bin(1000003 * n).count("1")) for n in range(1, 1025)) / 1024
@@ -163,23 +168,132 @@ def test_kbsz_memory_grows_with_n_not_with_the_dilation():
 def test_unweighted_sums_beyond_the_cap_exit_two(command):
     """N = 2^27 is refused before any N-long vector is allocated.
 
-    Run in a child under a 1.2 GB address-space limit (set there only), where
-    an N-long products vector would not fit.
+    Run under a 1.2 GB address-space limit, where an N-long products vector
+    would not fit.
     """
-    resource = pytest.importorskip("resource")
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1200 << 20, 1200 << 20))
-
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "mobiuslab.cli", command[0], TM_SPEC, "--observable", "w0",
-         "--n", "134217728"] + command[1:],
-        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300,
-    )
+    proc = run_limited(command[0], TM_SPEC, "--observable", "w0", "--n", "134217728", *command[1:])
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and str(LIMIT_CAP) in proc.stderr
+
+
+FAR_SYSTEMS = """substitution tm on {0, 1} {
+  0 -> "01";
+  1 -> "10";
+}
+rs rs11 pattern "11"
+veech vtm base 2 group Z2 psi repeat "10"
+morse kak over Z2 blocks ["00", "01", "00", repeat "01"]
+observable far = walsh {100000000000}
+"""
+FAR_EXPERIMENTS = (("e_tm", "tm", "moebius"), ("e_rs", "rs11", "none"), ("e_v", "vtm", "liouville"),
+                   ("e_kak", "kak", "moebius"))
+# Thue-Morse is popcount parity and RS11 counts 11 windows; the Veech symbol
+# is Psi(tau), tau one more than the trailing ones; the Morse symbol is the
+# sum of b^t[digit t], which is bit 1 plus the bits from 3 up
+FAR_SYMBOLS = {
+    "tm": lambda n: bin(n).count("1") % 2,
+    "rs11": lambda n: pattern_parity(n, "11"),
+    "vtm": lambda n: (len(bin(n)) - len(bin(n).rstrip("1")) + 1) % 2,
+    "kak": lambda n: ((n >> 1) + bin(n >> 3).count("1")) % 2,
+}
+
+
+def test_far_windows_read_only_the_window(tmp_path):
+    """A window 10^11 ahead of N = 64 reads 64 symbols there, for every kind of system."""
+    text = FAR_SYSTEMS + "".join(
+        "experiment %s { system: %s; observable: far; weight: %s; N: 64; }\n" % e for e in FAR_EXPERIMENTS
+    )
+    (tmp_path / "far.spec").write_text(text)
+    proc = run_limited("run", "far.spec", "--out", "out", cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for name, system, weight in FAR_EXPERIMENTS:
+        w = weight_table(weight, 64) if weight != "none" else None
+        total = sum((-1) ** FAR_SYMBOLS[system](n + 10**11) * (w[n] if w else 1) for n in range(1, 65))
+        want = "experiment %s: final = %s + 0i" % (name, _format_number(total / 64))
+        assert want in proc.stdout, (want, proc.stdout)
+
+
+def test_morse_over_a_large_group_reads_in_small_tables(tmp_path):
+    """Zn(10000) has a 400 MB table; the digit levels add a few MiB, not order x 2^16 entries."""
+    (tmp_path / "z.spec").write_text('morse m over Zn(10000) blocks [repeat "01"]\nobservable one = indicator "1" at 0\n')
+    proc = run_limited("sarnak", "z.spec", "--observable", "one", "--n", "65536", "--weight", "none",
+                       cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    # x[n] is the popcount of n in Z/10000, so the symbol is 1 at n = 2^0, ..., 2^16
+    assert proc.stdout.splitlines()[0] == "final = %s + 0i at N = 65536" % _format_number(17 / 65536)
+
+
+def test_morse_stages_over_a_large_group_gather_only_block_columns(tmp_path):
+    """A stage of 2^20 symbols over Zn(1000) multiplies by the block's columns, not by all 1000."""
+    (tmp_path / "z.spec").write_text('morse z over Zn(1000) blocks [repeat "00"]\n')
+    proc = run_limited("blocks", "z.spec", "--t", "20", cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "t=20 n=1048576 hole=1048575 values=" + "0" * 1048575
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", TM_SPEC, "--n", "10000000000"],
+    ["hat", TM_SPEC, "--n", "10000000000"],
+], ids=["gen", "hat"])
+def test_symbol_counts_beyond_the_cap_exit_two(command):
+    proc = run_limited(*command)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and str(LIMIT_CAP) in proc.stderr
+
+
+def test_morse_stages_beyond_2_20_exit_two():
+    proc = run_limited("blocks", str(SPECS / "herning.spec"), "--system", "herning_cover", "--t", "40")
+    assert proc.returncode == 2
+    lines = proc.stdout.splitlines()
+    assert [line.split()[1] for line in lines] == ["n=%d" % 5**t for t in range(1, 9)]  # 5^9 > 2^20
+    assert proc.stderr == "error: Toeplitz stage at t=9 exceeds 2^20 symbols\n"
+
+
+FAR_FLAGS = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable far = walsh {%d}\n'
+
+
+@pytest.mark.parametrize("command", [
+    ["sarnak", "--n", "64"],
+    ["sarnak", "--n", "64", "--weight", "none"],
+    ["corr", "--n", "64", "--lags", "4"],
+    ["spectrum", "--n", "64", "--lags", "4"],
+], ids=["sarnak", "sarnak_unweighted", "corr", "spectrum"])
+@pytest.mark.parametrize("offset", [10**20, (1 << 63) - 8])
+def test_sums_beyond_int64_exit_two(tmp_path, command, offset):
+    """Run under the address-space limit: a read past the rule would try to build the window."""
+    (tmp_path / "far.spec").write_text(FAR_FLAGS % offset)
+    proc = run_limited(command[0], "far.spec", "--observable", "far", *command[1:], cwd=str(tmp_path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: the observable window at N = 64 reads position ")
+    assert "beyond the int64 limit %d" % ((1 << 63) - 1) in proc.stderr
+
+
+def test_autocorrelation_reach_counts_the_lags(tmp_path):
+    """N + span - 1 fits in int64 here, but lags up to L read L - 1 positions further."""
+    (tmp_path / "far.spec").write_text(FAR_FLAGS % ((1 << 63) - 66))
+    proc = run_limited("sarnak", "far.spec", "--observable", "far", "--n", "64", cwd=str(tmp_path))
+    assert proc.returncode == 0 and proc.stdout.startswith("final = "), proc.stderr
+    for command in ("corr", "spectrum"):
+        proc = run_limited(command, "far.spec", "--observable", "far", "--n", "64", "--lags", "4",
+                           cwd=str(tmp_path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "reads position %d, beyond the int64 limit" % ((1 << 63) + 1) in proc.stderr
+
+
+@pytest.mark.parametrize("offset, weight, last", [
+    (10**20, "moebius", 10**20 + 64),
+    ((1 << 63) - 8, "none", (1 << 63) + 56),
+])
+def test_sums_beyond_int64_in_a_spec_exit_one(tmp_path, offset, weight, last):
+    experiment = "experiment e { system: tm; observable: far; weight: %s; N: 64; }\n" % weight
+    (tmp_path / "far.spec").write_text(FAR_FLAGS % offset + experiment)
+    proc = run_limited("run", "far.spec", "--out", "out", cwd=str(tmp_path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: line 6, column 1: the observable window at N = 64 reads position %d, beyond the int64 limit" % last
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_sarnak_writes_file(capsys, tmp_path):

@@ -110,6 +110,31 @@ def test_finite_group_validation():
     assert z3.product([]) == 0
 
 
+# a loop: a latin square with identity 0, where 2 * 3 = 0 but 3 * 2 = 1
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+
+
+def test_latin_loop_without_two_sided_inverses_is_refused():
+    with pytest.raises(ValueError, match="^element 2 has no two-sided inverse$"):
+        FiniteGroup(tuple("01234"), LOOP5)
+
+
+def test_latin_checks_span_every_block_of_rows():
+    """1500 rows are checked about 700 at a time; break the last block only."""
+    m = 1500
+    cyclic = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
+    assert cyclic_group(m).inverse.tolist() == [(-a) % m for a in range(m)]
+    rows = cyclic.copy()
+    rows[1499, 3] = rows[1499, 4]
+    columns = cyclic.copy()
+    columns[1400, [5, 6]] = columns[1400, [6, 5]]
+    names = tuple(map(str, range(m)))
+    with pytest.raises(ValueError, match="^rows must be permutations$"):
+        FiniteGroup(names, rows)
+    with pytest.raises(ValueError, match="^columns must be permutations$"):
+        FiniteGroup(names, columns)
+
+
 def test_symmetric_groups():
     for r, order in ((1, 1), (2, 2), (3, 6), (4, 24)):
         g, emb = symmetric_group(r)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobiuslab import morse, subst
+from mobiuslab import arith, morse, subst
 from mobiuslab.arith import pattern_parity
 from mobiuslab.cli import build_system
 from mobiuslab.odometer import OdometerSpec, VeechSpec, veech_stream, veech_tau
@@ -104,15 +104,26 @@ TM_SUB = subst.Substitution.from_words({"0": "01", "1": "10"})
 ABC_SUB = subst.Substitution.from_words({"a": "abb", "b": "bac", "c": "cca"}, seed="c")
 ABC_COVER = subst.group_cover(ABC_SUB)
 KAKUTANI = morse.kakutani_spec([0, 1, 1, 0])
+# mixed block lengths over Z/3; the head product (36^6) spans several levels
+LONG_HEAD = morse.MorseSpec(cyclic_group(3), ((0, 1), (0, 2, 1), (0, 0), (0, 1, 1)) * 6, (0, 2))
 VEECH = VeechSpec(OdometerSpec(tail=3), cyclic_group(2), psi_head=(0, 1), psi_tail=(1, 0, 0))
 RS_PATTERN = "1*1"
 
 
-def least_power(lam):
-    """The radix of a digit level: the least power of lam >= LEVEL_MIN."""
+def least_power(lam, r):
+    """The radix of a digit level: the least power of lam with r L >= LEVEL_MIN."""
     L = 1
-    while L < LEVEL_MIN:
+    while r * L < LEVEL_MIN:
         L *= lam
+    return L
+
+
+def first_level(spec):
+    """The radix of a Morse spec's first digit level: blocks until the table has LEVEL_MIN entries."""
+    L, t = 1, 0
+    while spec.group.order * L < LEVEL_MIN:
+        L *= spec.lam(t)
+        t += 1
     return L
 
 
@@ -153,16 +164,18 @@ def rs_stream():
 
 # name, stream factory, digit-level radix L, x[n] from the digits of n
 SYSTEMS = [
-    ("thue_morse", lambda: subst.fixed_point_stream(TM_SUB), least_power(2),
+    ("thue_morse", lambda: subst.fixed_point_stream(TM_SUB), least_power(2, 2),
      lambda n: bin(n).count("1") % 2),
-    ("abc", lambda: subst.fixed_point_stream(ABC_SUB), least_power(3),
+    ("abc", lambda: subst.fixed_point_stream(ABC_SUB), least_power(3, 3),
      lambda n: substitution_symbol(ABC_SUB, n)),
-    ("abc_cover", ABC_COVER.stream, least_power(3),
+    ("abc_cover", ABC_COVER.stream, first_level(ABC_COVER.morse_spec()),
      lambda n: morse_symbol(ABC_COVER.morse_spec(), n)),
-    ("kakutani", lambda: morse.morse_stream(KAKUTANI), KAKUTANI.n(4) * least_power(2),
+    ("kakutani", lambda: morse.morse_stream(KAKUTANI), first_level(KAKUTANI),
      lambda n: morse_symbol(KAKUTANI, n)),
-    ("rs", rs_stream, least_power(2), lambda n: pattern_parity(n, RS_PATTERN)),
-    ("veech", lambda: veech_stream(VEECH), least_power(3), lambda n: veech_symbol(VEECH, n)),
+    ("rs", rs_stream, least_power(2, 2), lambda n: pattern_parity(n, RS_PATTERN)),
+    ("veech", lambda: veech_stream(VEECH), least_power(3, 2), lambda n: veech_symbol(VEECH, n)),
+    ("long_head", lambda: morse.morse_stream(LONG_HEAD), first_level(LONG_HEAD),
+     lambda n: morse_symbol(LONG_HEAD, n)),
 ]
 IDS = [s[0] for s in SYSTEMS]
 
@@ -256,3 +269,144 @@ def test_at_without_a_reader_gathers_from_the_prefix():
         w.at([4])
     with pytest.raises(ValueError):
         subst.fixed_point_stream(TM_SUB).at([-2])
+
+
+# ---------------------------------------------------------------------------
+# runs: prefix(), block() and iteration read through the same reader as at()
+
+
+def run_starts(L):
+    return [0, L - 1, L, L + 1, 7 * L // 3, L * L, (1 << 40) + 5, (1 << 40) + 6, (1 << 63) - 70]
+
+
+@pytest.mark.parametrize("name,make,L,symbol", SYSTEMS, ids=IDS)
+def test_runs_match_the_digit_definition(name, make, L, symbol):
+    stream = make()
+    for start in run_starts(L):
+        for count in (0, 1, 70):
+            got = stream.block(start, count)
+            assert got.dtype == np.int32 and got.shape == (count,)
+            assert got.tolist() == [symbol(n) for n in range(start, start + count)], (start, count)
+    assert stream.prefix(0).shape == (0,)
+    with pytest.raises(ValueError):
+        stream.block((1 << 63) - 69, 70)  # the last position would pass int64
+    assert len(stream._prefix) == 0  # runs cache no prefix
+
+
+# independent prefixes: the substitution and Morse builders, and the scalar
+# definitions of the RS and Veech symbols on a shorter horizon
+REFERENCES = {
+    "thue_morse": lambda n: subst.fixed_point(TM_SUB, n),
+    "abc": lambda n: subst.fixed_point(ABC_SUB, n),
+    "abc_cover": lambda n: morse.morse_prefix(ABC_COVER.morse_spec(), n),
+    "kakutani": lambda n: morse.morse_prefix(KAKUTANI, n),
+    "long_head": lambda n: morse.morse_prefix(LONG_HEAD, n),
+    "rs": lambda n: np.array([pattern_parity(k, RS_PATTERN) for k in range(n)]),
+    "veech": lambda n: np.array([veech_symbol(VEECH, k) for k in range(n)]),
+}
+
+
+@pytest.mark.parametrize("name,make,L,symbol", SYSTEMS, ids=IDS)
+def test_long_runs_match_an_independent_prefix(name, make, L, symbol):
+    if name == "rs":
+        L = 1 << 12  # scalar reads are slow; runs from 0 to 10L/3 still cross many powers of two
+    horizon = 10 * L // 3 + 2
+    want = REFERENCES[name](horizon)
+    stream = make()
+    assert stream.prefix(horizon).tolist() == want.tolist()
+    for start, count in ((0, L + 1), (L - 1, 2 * L + 3), (L + 1, L - 2), (7 * L // 3, L + 2), (5, 0)):
+        assert stream.block(start, count).tolist() == want[start : start + count].tolist(), (start, count)
+
+
+def test_runs_on_many_levels_match_the_builders():
+    """With a tiny level radix the rows of a run come from reads through several levels."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = ("thue_morse", "abc", "abc_cover", "kakutani", "long_head")
+    makers = [make for name, make, _, _ in SYSTEMS if name in names]
+    horizon = 1 << 14
+    prefixes = [REFERENCES[name](horizon) for name in names]
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(level_min=st.integers(1, 40), start=st.integers(0, horizon), count=st.integers(0, 300))
+    def check(level_min, start, count):
+        count = min(count, horizon - start)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subst, "LEVEL_MIN", level_min)
+            mp.setattr(morse, "LEVEL_MIN", level_min)
+            for make, prefix in zip(makers, prefixes):
+                assert make().block(start, count).tolist() == prefix[start : start + count].tolist()
+
+    check()
+
+
+@pytest.mark.parametrize("name,make,L,symbol", SYSTEMS, ids=IDS)
+def test_writing_into_a_read_changes_no_later_read(name, make, L, symbol):
+    stream = make()
+    want = [symbol(n) for n in range(8)]
+    for read in (lambda: stream.block(0, 8), lambda: stream.prefix(8), lambda: stream.at(np.arange(8))):
+        got = read()
+        if got.flags.writeable:
+            got[:] = -1
+        assert stream.block(0, 8).tolist() == want
+        assert stream.prefix(8).tolist() == want
+        assert stream.at(np.arange(8)).tolist() == want
+    assert stream.block(L - 4, 8).tolist() == [symbol(n) for n in range(L - 4, L + 4)]
+
+
+@pytest.mark.parametrize("name,make,L,symbol", SYSTEMS, ids=IDS)
+def test_iterating_a_reader_backed_stream(name, make, L, symbol):
+    stream = make()
+    it = iter(stream)
+    assert [next(it) for _ in range(10)] == [symbol(n) for n in range(10)]
+    assert stream.position == 10
+    assert stream.block(0, 3).tolist() == [symbol(n) for n in range(3)]
+    assert next(it) == symbol(10)
+
+
+def test_cli_streams_call_no_builder(monkeypatch):
+    """Every system kind the CLI binds reads runs, positions and iteration through its reader.
+
+    Each stream is made with a build that fails, as a tracing wrapper would
+    swap in for None, and the prefix builders fail too.
+    """
+    text = "".join([
+        'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\n',
+        'substitution h on {a, b, c} {\n  a -> "aabaa";\n  b -> "bcabb";\n  c -> "cbccc";\n}\n',
+        "morse hc over cover-of h\n",
+        'morse kak over Zn(4) blocks ["01", "02", repeat "0123"]\n',
+        'rs rs1 pattern "%s"\n' % RS_PATTERN,
+        'veech v base 2 group Z2 psi repeat "10"\n',
+    ])
+    doc = parse_spec(text)
+    assert not isinstance(doc, list), doc
+    positions = [0, 5, (1 << 40) + 3, (1 << 62) + 7]
+    want = {}
+    for name in doc.bound:
+        stream = build_system(doc, name).stream
+        want[name] = (stream.prefix(100).tolist(), stream.block(70000, 50).tolist(), stream.at(positions).tolist())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prefix builder was called")
+
+    init = SymbolStream.__init__
+
+    def init_without_build(stream, build, *args, **kwargs):
+        init(stream, refuse, *args, **kwargs)
+
+    monkeypatch.setattr(SymbolStream, "__init__", init_without_build)
+    monkeypatch.setattr(subst, "fixed_point", refuse)
+    monkeypatch.setattr(morse, "morse_prefix", refuse)
+    monkeypatch.setattr(arith, "pattern_parities", refuse)
+    for name, (prefix, block, at) in want.items():
+        stream = build_system(doc, name).stream
+        assert stream._build is refuse
+        assert stream.prefix(100).tolist() == prefix
+        assert stream.block(70000, 50).tolist() == block
+        assert stream.at(positions).tolist() == at
+        assert [next(stream) for _ in range(5)] == prefix[:5]
+    # the references: popcount parity, and the scalar RS and Veech rules
+    assert want["tm"][2] == [bin(n).count("1") % 2 for n in positions]
+    assert want["rs1"][1] == [pattern_parity(n, RS_PATTERN) for n in range(70000, 70050)]
+    vtm = VeechSpec(OdometerSpec(tail=2), cyclic_group(2), psi_tail=(1, 0))
+    assert want["v"][2] == [veech_symbol(vtm, n) for n in positions]
