@@ -3,7 +3,8 @@
 specfile's validator resolves the names a document uses and then binds each
 system declaration once through these functions; a BindingError, ValueError
 or CapacityError they raise becomes a located diagnostic.  The document
-keeps the bound systems, and the CLI reads them from there.
+keeps the bound systems with their streams, and the CLI reads them from
+there.
 
 Symbols: a key of a table observable, or a character of an indicator block,
 names a substitution letter or a symbol index (one base-36 digit, or a
@@ -14,7 +15,7 @@ elements as base-36 digits of their index.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import morse as _morse
@@ -34,37 +35,25 @@ class BindingError(ValueError):
 
 @dataclass(frozen=True)
 class BoundSystem:
-    """One bound system declaration.
+    """One bound system declaration and its stream.
 
     definition is the Substitution, MorseSpec, DigitPattern or VeechSpec.
-    The document's copy has no stream; with_stream gives each reader a new
-    one, because a stream keeps the whole prefix it has built.
+    The stream keeps only its digit tables, never a prefix, so every reader
+    of the document shares it.
     """
 
     name: str
     kind: str  # "substitution" | "morse" | "rs" | "veech"
     definition: object
     alphabet_size: int
+    stream: SymbolStream = field(compare=False, repr=False)
     letters: tuple | None = None  # substitution letter names, else None
     group: FiniteGroup | None = None
-    stream: SymbolStream | None = None
 
     @cached_property
     def cover(self) -> "_subst.GroupCover":
         """Group cover of a substitution system, closed on first use."""
         return _subst.group_cover(self.definition)
-
-    def with_stream(self) -> "BoundSystem":
-        d = self.definition
-        if self.kind == "substitution":
-            stream = _subst.fixed_point_stream(d, name=self.name)
-        elif self.kind == "morse":
-            stream = _morse.morse_stream(d, name=self.name)
-        elif self.kind == "rs":
-            stream = SymbolStream(None, name=self.name, alphabet_size=2, read=lambda key: pattern_parities_at(key, d))
-        else:
-            stream = _odometer.veech_stream(d, name=self.name)
-        return dataclasses.replace(self, stream=stream)
 
 
 def build_substitution(decl) -> "_subst.Substitution":
@@ -108,9 +97,12 @@ def bind_system(decl, group: FiniteGroup | None = None, cover=None) -> BoundSyst
     """Bind a system declaration; morse and veech take their built group."""
     if decl.kind == "substitution":
         sub = build_substitution(decl)
-        return BoundSystem(decl.name, "substitution", sub, sub.r, letters=sub.letters)
+        stream = _subst.fixed_point_stream(sub, name=decl.name)
+        return BoundSystem(decl.name, "substitution", sub, sub.r, stream, letters=sub.letters)
     if decl.kind == "rs":
-        return BoundSystem(decl.name, "rs", DigitPattern(decl.pattern), 2, group=cyclic_group(2))
+        pattern = DigitPattern(decl.pattern)
+        stream = SymbolStream(lambda key: pattern_parities_at(key, pattern), name=decl.name, alphabet_size=2)
+        return BoundSystem(decl.name, "rs", pattern, 2, stream, group=cyclic_group(2))
     if decl.kind == "morse":
         if cover is not None:
             if decl.blocks or decl.tail:
@@ -121,14 +113,14 @@ def bind_system(decl, group: FiniteGroup | None = None, cover=None) -> BoundSyst
         else:
             blocks = tuple(_symbols(b, group.order, "block") for b in decl.blocks)
             spec = _morse.MorseSpec(group, blocks, _symbols(decl.tail, group.order, "block"))
-        return BoundSystem(decl.name, "morse", spec, group.order, group=group)
+        return BoundSystem(decl.name, "morse", spec, group.order, _morse.morse_stream(spec, name=decl.name), group=group)
     vspec = _odometer.VeechSpec(
         _odometer.OdometerSpec(tail=decl.base),
         group,
         psi_head=_symbols(decl.psi_head, group.order, "psi head"),
         psi_tail=_symbols(decl.psi_tail, group.order, "psi repeat block"),
     )
-    return BoundSystem(decl.name, "veech", vspec, group.order, group=group)
+    return BoundSystem(decl.name, "veech", vspec, group.order, _odometer.veech_stream(vspec, name=decl.name), group=group)
 
 
 def resolve_symbol(bound: BoundSystem, key: str) -> int:

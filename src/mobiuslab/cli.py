@@ -55,18 +55,13 @@ class DiagnosticFailure(Exception):
         self.diagnostics = diagnostics
 
 
-def _bound(doc: SpecDocument, name: str) -> BoundSystem:
-    """The document's bound system; it has no stream."""
+def build_system(doc: SpecDocument, name: str) -> BoundSystem:
+    """The document's bound system, with the stream every experiment shares."""
     bound = doc.bound.get(name)
     if bound is None:
         known = ", ".join(sorted(doc.bound)) or "none declared"
         raise BindingError("unknown system %r (have: %s)" % (name, known))
     return bound
-
-
-def build_system(doc: SpecDocument, name: str) -> BoundSystem:
-    """The bound system with a new stream of its own."""
-    return _bound(doc, name).with_stream()
 
 
 def system_group(bound: BoundSystem) -> FiniteGroup:
@@ -84,10 +79,13 @@ def bind_observable(doc: SpecDocument, name: str, bound: BoundSystem) -> "_spect
     return _binding.bind_observable(decl, bound)
 
 
-def render_word(bound: BoundSystem, word) -> str:
-    if bound.letters is not None:
-        return "".join(bound.letters[int(v)] for v in word)
-    return "".join(BASE36[int(v)] for v in word)
+def render_word(word, letters=BASE36) -> str:
+    """The word spelt with the single character letters[v] for each symbol v, in one lookup."""
+    word = np.asarray(word)
+    top = int(word.max(initial=0))
+    if top >= len(letters):
+        raise BindingError("symbol %d has no letter or base-36 digit to print" % top)
+    return np.array(list(letters), dtype="<U1")[word].tobytes().decode("utf-32-le")
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +102,7 @@ def _symbol_count(args) -> int:
 def _cmd_gen(args) -> int:
     doc = load_document(args.spec)
     bound = build_system(doc, _pick_system(doc, args))
-    print(render_word(bound, bound.stream.prefix(_symbol_count(args))))
+    print(render_word(bound.stream.prefix(_symbol_count(args)), bound.letters or BASE36))
     return 0
 
 
@@ -113,14 +111,14 @@ def _cmd_hat(args) -> int:
     bound = build_system(doc, _pick_system(doc, args))
     group = system_group(bound)
     word = _morse.hat_word(group, bound.stream.prefix(_symbol_count(args) + 1))
-    print("".join(BASE36[int(v)] for v in word))
+    print(render_word(word))
     return 0
 
 
 def _cmd_cover(args) -> int:
     doc = load_document(args.spec)
     name = _pick_system(doc, args)
-    bound = _bound(doc, name)
+    bound = build_system(doc, name)
     if bound.kind != "substitution":
         raise BindingError("cover needs a substitution system, %r is not one" % name)
     cover = bound.cover
@@ -139,7 +137,7 @@ def _cmd_skeleton(args) -> int:
 def _cmd_blocks(args) -> int:
     doc = load_document(args.spec)
     name = _pick_system(doc, args)
-    bound = _bound(doc, name)
+    bound = build_system(doc, name)
     if bound.kind == "substitution":
         sub = bound.definition
         word = np.array([sub.seed], dtype=np.int32)
@@ -147,14 +145,14 @@ def _cmd_blocks(args) -> int:
             word = sub.apply(word)
             if len(word) > 1 << 20:
                 raise BindingError("power word at t=%d exceeds 2^20 symbols" % t)
-            print("t=%d |word|=%d %s" % (t, len(word), sub.word_string(word)))
+            print("t=%d |word|=%d %s" % (t, len(word), render_word(word, sub.letters)))
         return 0
     if bound.kind == "morse":
         for t in range(1, args.t + 1):
             if bound.definition.n(t) > 1 << 20:
                 raise BindingError("Toeplitz stage at t=%d exceeds 2^20 symbols" % t)
             stage = _morse.toeplitz_stage(bound.definition, t)
-            values = "".join(BASE36[v] for v in stage.values)
+            values = render_word(stage.values)
             print("t=%d n=%d hole=%d values=%s" % (t, stage.n, stage.hole_residue, values))
         return 0
     raise BindingError("blocks needs a substitution or morse system, %r is neither" % name)

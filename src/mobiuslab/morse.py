@@ -102,7 +102,8 @@ def _digit_levels(spec: MorseSpec):
     x = D_0 x D_1 x ..., so x[q R_0 + i] = D_0[i] y[q] with y the sequence
     of the blocks after the first level.  Levels that start past the head
     are all the same product c_k of k tail blocks, y[q L + i] = c_k[i] y[q],
-    so one table serves every level from there on.
+    so one table serves every level from there on; each table is C-ordered
+    int32, so DigitReader keeps the repeated one as one array.
     """
 
     def level(t):
@@ -112,7 +113,7 @@ def _digit_levels(spec: MorseSpec):
             word = _times_block(spec.group.table, word, spec.block(t))
             t += 1
             if len(word) * spec.group.order >= LEVEL_MIN:
-                return (len(word), spec.group.table[word].T), t
+                return (len(word), np.ascontiguousarray(spec.group.table[word].T, dtype=np.int32)), t
 
     t = 0
     while t < len(spec.head):
@@ -124,11 +125,10 @@ def _digit_levels(spec: MorseSpec):
 def morse_stream(spec: MorseSpec, name: str = "morse") -> SymbolStream:
     """The limit sequence as a stream, read through its digit levels."""
     return SymbolStream(
-        None,
+        DigitReader(0, _digit_levels(spec)),
         name=name,
         alphabet_size=spec.group.order,
         letters=spec.group.element_names,
-        read=DigitReader(0, _digit_levels(spec)),
     )
 
 
@@ -141,8 +141,15 @@ def hat_word(group: FiniteGroup, word) -> np.ndarray:
 
 
 def hat_stream(group: FiniteGroup, stream: SymbolStream, name: str | None = None) -> SymbolStream:
+    """hat(y) as a stream: hat(y)[n] reads y at n and n + 1, through block() or at()."""
+
+    def read(key):
+        if isinstance(key, slice):
+            return hat_word(group, stream.block(key.start, key.stop - key.start + 1))
+        return group.table[stream.at(key + 1), group.inverse[stream.at(key)]]
+
     return SymbolStream(
-        lambda n: hat_word(group, stream.prefix(n + 1)),
+        read,
         name=name or ("hat_" + stream.name),
         alphabet_size=group.order,
         letters=group.element_names,

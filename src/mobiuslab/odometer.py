@@ -230,7 +230,7 @@ def veech_stream(vspec: VeechSpec, start: int = 0, name: str = "veech") -> Symbo
         lookup = np.array([0] + [vspec.psi(t) for t in range(1, int(taus.max(initial=1)) + 1)], dtype=np.int32)
         return lookup[taus]
 
-    return SymbolStream(None, name=name, alphabet_size=vspec.group.order, letters=vspec.group.element_names, read=read)
+    return SymbolStream(read, name=name, alphabet_size=vspec.group.order, letters=vspec.group.element_names)
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,9 @@ def rs_extension_stages(choices, max_level: int, tail_choice: int = 0):
     completed cocycle along the orbit of 0, consuming choices[s-1] at passage
     s and tail_choice past the list.  Every integer lands on a defined level
     at some stage; only the limit of the exceptional levels (-theta) never
-    does.
+    does.  Level n is filled at passage k + 1, k the number of trailing ones
+    of n, with choice bit k + 1 xor bit k + 1 of n, and the stream reads each
+    position by that rule.
     """
     choices = [int(c) for c in choices]
     if any(c not in (0, 1) for c in choices) or int(tail_choice) not in (0, 1):
@@ -333,15 +335,13 @@ def rs_extension_stages(choices, max_level: int, tail_choice: int = 0):
 
     stages = [ExtensionStage(t, tuple(int(v) for v in table), filled) for t, table, filled in tables(max_level)]
 
-    def build(count):
-        if count == 0:
-            return np.zeros(0, dtype=np.int32)
-        for _, table, _ in tables(max(int(count - 1).bit_length() + 2, 2)):
-            pass
-        out = table[:count].astype(np.int32)
-        if np.any(out < 0):
-            raise UndefinedPointError("undefined level inside the requested prefix")
-        return out
+    bits = np.array([choice(s) for s in range(1, 65)], dtype=np.int64)
 
-    stream = SymbolStream(build, name="rs_extension", alphabet_size=2)
+    def read(key):
+        n = key.start + np.arange(key.stop - key.start, dtype=np.int64) if isinstance(key, slice) else key
+        low = ~n & (n + 1)  # 2^k for k trailing ones; at n = 2^63 - 1 it wraps to -2^63, k still 63
+        k = np.frexp(low)[1] - 1  # exact: low is a power of two
+        return bits[k] ^ ((n & (low << 1)) != 0)
+
+    stream = SymbolStream(read, name="rs_extension", alphabet_size=2)
     return stages, stream

@@ -31,8 +31,8 @@ carries the line, column, and source line of the offending token.  The
 validator binds each system once through the binding module, and each
 experiment's observable and limits against it, so a document that parses
 also binds and runs within the sample-size cap; the document keeps its bound
-systems.  Document equality ignores source positions and bound systems, so
-parse(print_spec(doc)) == doc.
+systems, each with its stream.  Document equality ignores source positions
+and bound systems, so parse(print_spec(doc)) == doc.
 """
 
 from __future__ import annotations
@@ -682,7 +682,7 @@ class _Validator:
             # the run-time rules: checkpoints, the sample-size cap, kbsz primes and reach
             ExperimentConfig(
                 name=decl.name,
-                stream=None,  # the rules read no stream
+                stream=system.stream,
                 observable=bind_observable(obs, system),
                 sample_size=decl.sample_size,
                 checkpoints=None if decl.checkpoints == "pow2" else decl.checkpoints,

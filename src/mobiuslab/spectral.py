@@ -92,9 +92,8 @@ class Observable:
     def evaluate_at(self, stream: SymbolStream, positions) -> np.ndarray:
         """v at arbitrary nonnegative positions.
 
-        Each window offset is read with stream.at, so streams with a digit
-        reader build no prefix and the cost follows len(positions), not the
-        largest position.
+        Each window offset is read with stream.at, so the cost follows
+        len(positions), not the largest position.
         """
         positions = np.asarray(positions, dtype=np.int64)
         if len(positions) == 0:

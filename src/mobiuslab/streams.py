@@ -2,10 +2,11 @@
 
 prefix(), block() and iteration read contiguous runs (Sarnak sums,
 autocorrelations); at() reads arbitrary positions (the dilated KBSZ sums).
-A stream with a reader reads both through it, from the digits of each
-position (see DigitReader), so a run costs memory in its length and a
-positional read in the number of positions, wherever they lie.  The other
-streams grow a cached prefix from their build and index it.
+Every stream reads both through its one reader: the substitution, Morse,
+RS and Veech streams compute each symbol from the digits of its position
+(see DigitReader), and composed streams (hat, factor) read their source at
+the same positions.  So a run costs memory in its length and a positional
+read in the number of positions, wherever they lie.
 """
 
 from __future__ import annotations
@@ -19,47 +20,24 @@ LEVEL_MIN = 1 << 17
 
 
 class SymbolStream:
-    """Deterministic sequence over {0..alphabet_size-1}.
+    """Deterministic sequence over {0..alphabet_size-1}, read through read(key).
 
-    read(key), when given, is the only way the stream is read: it returns
-    the symbols at a slice(lo, hi), 0 <= lo <= hi <= 2^63, or at a nonempty
-    int64 array of nonnegative positions, in an array no other read shares,
-    and build may be None.  Otherwise build(n) must return a prefix of
-    length >= n and agree with earlier calls on the overlap; growth extends
-    a cached read-only prefix.  block() reads do not move the iteration cursor.
+    read(key) returns the symbols at a slice(lo, hi), 0 <= lo <= hi <= 2^63,
+    or at a nonempty int64 array of nonnegative positions, in an array no
+    other read shares.  prefix(), block(), at() and iteration all call it;
+    block() reads do not move the iteration cursor.
     """
 
-    def __init__(self, build, name: str = "stream", alphabet_size: int | None = None, letters=None, read=None):
-        self._build = build
+    def __init__(self, read, name: str = "stream", alphabet_size: int | None = None, letters=None):
         self._read = read
         self.name = name
         self.alphabet_size = alphabet_size
         self.letters = tuple(letters) if letters is not None else None
-        self._prefix = np.zeros(0, dtype=np.int32)
-        self._prefix.flags.writeable = False
         self.position = 0
-
-    def _ensure(self, n: int) -> None:
-        if len(self._prefix) >= n:
-            return
-        try:
-            grown = np.asarray(self._build(max(n, 2 * len(self._prefix), 64)), dtype=np.int32)
-        except ValueError:
-            # finite sources may refuse the padded ask but still cover n
-            grown = np.asarray(self._build(n), dtype=np.int32)
-        if len(grown) < n:
-            raise ValueError("stream %r produced %d symbols, needed %d" % (self.name, len(grown), n))
-        if len(self._prefix) and not np.array_equal(grown[: len(self._prefix)], self._prefix):
-            raise ValueError("stream %r is not consistent between builds" % self.name)
-        grown.flags.writeable = False
-        self._prefix = grown
 
     def _get(self, key) -> np.ndarray:
         """Symbols at a slice(lo, hi) or a nonempty array of positions."""
-        if self._read is not None:
-            return np.asarray(self._read(key), dtype=np.int32)
-        self._ensure(key.stop if isinstance(key, slice) else int(key.max()) + 1)
-        return self._prefix[key]
+        return np.asarray(self._read(key), dtype=np.int32)
 
     def prefix(self, n: int) -> np.ndarray:
         if n < 0:
@@ -143,12 +121,13 @@ def word_stream(values, name: str = "word", alphabet_size: int | None = None, le
     """Wrap a finite word; reads past the end raise ValueError."""
     arr = np.asarray(values, dtype=np.int32)
 
-    def build(n):
-        if n > len(arr):
-            raise ValueError("word %r has %d symbols, needed %d" % (name, len(arr), n))
-        return arr
+    def read(key):
+        end = key.stop if isinstance(key, slice) else int(key.max()) + 1
+        if end > len(arr):
+            raise ValueError("word %r has %d symbols, needed %d" % (name, len(arr), end))
+        return arr[key].copy()
 
-    return SymbolStream(build, name=name, alphabet_size=alphabet_size, letters=letters)
+    return SymbolStream(read, name=name, alphabet_size=alphabet_size, letters=letters)
 
 
 def periodic_stream(word, name: str = "periodic", alphabet_size: int | None = None) -> SymbolStream:
@@ -157,8 +136,9 @@ def periodic_stream(word, name: str = "periodic", alphabet_size: int | None = No
     if len(base) == 0:
         raise ValueError("period must be nonempty")
 
-    def build(n):
-        reps = -(-n // len(base))
-        return np.tile(base, reps)
+    def read(key):
+        if isinstance(key, slice):
+            key = np.arange(key.stop - key.start, dtype=np.int64) + key.start % len(base)
+        return base[key % len(base)]
 
-    return SymbolStream(build, name=name, alphabet_size=alphabet_size)
+    return SymbolStream(read, name=name, alphabet_size=alphabet_size)

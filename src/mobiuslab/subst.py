@@ -185,13 +185,7 @@ def fixed_point_stream(sub: Substitution, name: str | None = None) -> SymbolStre
         _check_fixed_point(sub)
         return reader(key)
 
-    return SymbolStream(
-        None,
-        name=name or "fixed_point",
-        alphabet_size=sub.r,
-        letters=sub.letters,
-        read=read,
-    )
+    return SymbolStream(read, name=name or "fixed_point", alphabet_size=sub.r, letters=sub.letters)
 
 
 @dataclass(frozen=True)
@@ -266,8 +260,14 @@ def factor_map(cover: GroupCover, word, seed: int | None = None) -> np.ndarray:
 
 
 def factor_stream(cover: GroupCover, stream: SymbolStream, seed: int | None = None) -> SymbolStream:
+    """The base word of a cover stream: each read maps the cover's symbols at the same key."""
+
+    def read(key):
+        word = stream.block(key.start, key.stop - key.start) if isinstance(key, slice) else stream.at(key)
+        return factor_map(cover, word, seed)
+
     return SymbolStream(
-        lambda n: factor_map(cover, stream.prefix(n), seed),
+        read,
         name=stream.name + "_base",
         alphabet_size=cover.base.r,
         letters=cover.base.letters,

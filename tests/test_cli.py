@@ -8,6 +8,7 @@ import pytest
 
 from mobiuslab import cli, subst
 from mobiuslab.arith import LIMIT_CAP, pattern_parity, weight_table
+from mobiuslab.binding import BindingError
 from mobiuslab.cli import main
 from mobiuslab.experiment import _format_number
 
@@ -51,6 +52,30 @@ def test_cover(capsys):
 def test_hat(capsys):
     code, out, _ = run(capsys, "hat", TM_SPEC, "--system", "tm", "--n", "15")
     assert code == 0 and out == "101110101011101\n"
+
+
+ZN = 'morse m over Zn(1000) blocks [repeat "%s"]\n'
+
+
+@pytest.mark.parametrize("block, command", [
+    ("0a", ["gen", "--n", "16"]),
+    ("01", ["hat", "--n", "8"]),
+    ("01", ["blocks", "--t", "3"]),
+], ids=["gen", "hat", "blocks"])
+def test_symbols_without_a_digit_exit_two(capsys, tmp_path, block, command):
+    """x[15] = 4 * 10 = 40 has no base-36 digit; x-hat[3] = -1 = 999 neither."""
+    (tmp_path / "z.spec").write_text(ZN % block)
+    code, out, err = run(capsys, command[0], str(tmp_path / "z.spec"), *command[1:])
+    assert code == 2 and err.startswith("error: symbol ") and "base-36" in err
+    assert out == ("t=1 n=2 hole=1 values=1\nt=2 n=4 hole=3 values=101\n" if command[0] == "blocks" else "")
+
+
+def test_gen_spells_every_letter(capsys, tmp_path):
+    (tmp_path / "ab.spec").write_text('substitution s on {é, Z} {\n  é -> "éZ";\n  Z -> "Zé";\n}\n')
+    code, out, err = run(capsys, "gen", str(tmp_path / "ab.spec"), "--n", "8")
+    assert (code, out, err) == (0, "éZZéZééZ\n", "")
+    code, out, err = run(capsys, "hat", str(tmp_path / "ab.spec"), "--n", "7")
+    assert (code, out, err) == (0, "1011101\n", "")
 
 
 def test_skeleton(capsys):
@@ -133,8 +158,8 @@ def test_kbsz_positions_beyond_int64_exit_two(capsys, s):
     assert err.startswith("error:") and "(3, %d)" % s in err and str((1 << 63) - 1) in err
 
 
-def run_limited(*argv, cwd=None):
-    """The CLI in a child process under a 1.2 GB address-space limit.
+def run_limited(*argv, cwd=None, python=("-m", "mobiuslab.cli")):
+    """The CLI (or python with other arguments) in a child process under a 1.2 GB address-space limit.
 
     The limit is set in the child only, so this process is unaffected; an
     allocation the limit refuses ends the child in a MemoryError traceback.
@@ -146,9 +171,47 @@ def run_limited(*argv, cwd=None):
 
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-m", "mobiuslab.cli", *argv],
+        [sys.executable, *python, *argv],
         capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300, cwd=cwd,
     )
+
+
+COMPOSED_FAR_READS = """
+import numpy as np
+from mobiuslab import morse, subst
+from mobiuslab.permgrp import cyclic_group
+
+z2 = cyclic_group(2)
+tm = morse.morse_stream(morse.MorseSpec(z2, (), (0, 1)))
+herning = subst.Substitution.from_words({"a": "aabaa", "b": "bcabb", "c": "cbccc"})
+cover = subst.group_cover(herning)
+base = subst.fixed_point_stream(herning)
+hat = morse.hat_stream(z2, tm)
+factor = subst.factor_stream(cover, cover.stream())
+positions = np.array([(1 << 40) + k for k in range(-3, 17)] + [(1 << 63) - 70], dtype=np.int64)
+
+def popcount_parity(n):
+    return bin(int(n)).count("1") % 2
+
+want = [morse.hat_word(z2, tm.block(int(p), 2))[0] for p in positions]
+assert want == [(popcount_parity(p + 1) - popcount_parity(p)) % 2 for p in positions]
+assert hat.at(positions).tolist() == want
+assert hat.at([1 << 40]).tolist() == want[3:4]
+assert hat.block(1 << 40, 70).tolist() == morse.hat_word(z2, tm.block(1 << 40, 71)).tolist()
+
+want = subst.factor_map(cover, cover.stream().at(positions)).tolist()
+assert want == base.at(positions).tolist()
+assert factor.at(positions).tolist() == want
+assert factor.at([1 << 40]).tolist() == want[3:4]
+assert factor.block(1 << 40, 70).tolist() == base.block(1 << 40, 70).tolist()
+print("ok")
+"""
+
+
+def test_composed_streams_read_far_positions():
+    """hat and factor streams read their source at the positions asked, not a prefix up to them."""
+    proc = run_limited(python=("-c", COMPOSED_FAR_READS))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_kbsz_memory_grows_with_n_not_with_the_dilation():
@@ -462,9 +525,32 @@ def test_run_closes_each_cover_once_per_file(capsys, tmp_path, monkeypatch):
             assert (tmp_path / "all" / (name + ext)).read_bytes() == solo
 
 
-def test_build_system_gives_each_caller_a_new_stream():
-    """A stream keeps the whole prefix it has built, so experiments share none."""
+def test_build_system_gives_every_caller_the_bound_stream():
+    """A stream keeps only its digit tables, so every experiment of a file shares it."""
     doc = cli.load_document(TM_SPEC)
     first, second = cli.build_system(doc, "tm"), cli.build_system(doc, "tm")
-    assert first.stream is not second.stream
-    assert first.definition is second.definition is doc.bound["tm"].definition
+    assert first is second is doc.bound["tm"]
+    assert first.stream.name == "tm" and first.stream.prefix(8).tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
+    with pytest.raises(BindingError, match="unknown system 'nope' \\(have: tm\\)"):
+        cli.build_system(doc, "nope")
+
+
+def test_benchmark_hooks_trace_a_run(tmp_path):
+    """perfbench/child.py wraps names in the package from outside; a rename must fail here."""
+    (tmp_path / "tm.spec").write_text(
+        'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable w0 = walsh {0}\n'
+        "experiment s { system: tm; observable: w0; weight: moebius; N: 1024; }\n"
+        "experiment k { system: tm; observable: w0; weight: none; N: 1024; kbsz: (3, 5); }\n"
+    )
+    sidecar = tmp_path / "sidecar.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "child.py"), str(sidecar), "spans",
+         "run", str(tmp_path / "tm.spec"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(sidecar.read_text())["spans"]
+    assert spans
+    names = {span[0] for span in spans}
+    assert {"specfile.parse", "cli.bind", "streams.build.subst", "experiment.report"} <= names, names

@@ -192,6 +192,22 @@ def test_rs_extension_choice_one():
     assert by_t[2].values[0] == 1 and by_t[2].values[2] == 0
 
 
+def test_rs_extension_reads_far_positions_from_the_stage_table():
+    """Stage 12 defines every level below 2^10, and the cocycle repeats it with period 2^12."""
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        choices = [int(v) for v in rng.integers(0, 2, size=int(rng.integers(0, 14)))]
+        stages, stream = rs_extension_stages(choices, max_level=12, tail_choice=int(rng.integers(0, 2)))
+        table = np.array(stages[-1].values[: 1 << 10])
+        assert np.all(table >= 0)
+        assert stream.prefix(1 << 10).tolist() == table.tolist()
+        for base in (1 << 12, 1 << 40, (1 << 62) + (1 << 30), (1 << 63) - (1 << 12)):
+            assert stream.block(base, 1 << 10).tolist() == table.tolist()
+            positions = base + rng.integers(0, 1 << 10, size=50)
+            assert stream.at(positions).tolist() == table[positions - base].tolist()
+    assert rs_extension_stages([1], 2)[1].at([(1 << 63) - 1]).tolist() == [0]  # 63 ones: the tail choice
+
+
 def test_rs_extension_stage_consistency():
     rng = np.random.default_rng(41)
     for _ in range(10):

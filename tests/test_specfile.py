@@ -313,7 +313,8 @@ def test_parsed_documents_keep_their_bound_systems():
     doc = parse_ok((SPECS / "valid" / "herning.spec").read_text())
     assert {name: b.kind for name, b in doc.bound.items()} == {"herning": "substitution", "herning_cover": "morse"}
     assert doc.bound["herning_cover"].alphabet_size == 6
-    assert all(b.stream is None for b in doc.bound.values())
+    assert {name: b.stream.name for name, b in doc.bound.items()} == {"herning": "herning", "herning_cover": "herning_cover"}
+    assert doc.bound["herning_cover"].stream.alphabet_size == 6
 
 
 def test_group_expression_limits():

