@@ -92,17 +92,33 @@ def render_word(word, letters=BASE36) -> str:
 # subcommands
 
 
+# Symbols per piece that gen and hat read and spell at once; only the
+# one-character-a-symbol text of each piece is kept until it is printed.
+_PIECE = 1 << 20
+
+
 def _symbol_count(args) -> int:
     """--n of gen and hat, which print that many symbols."""
+    if args.n < 0:
+        raise BindingError("--n must be nonnegative, got %d" % args.n)
     if args.n > LIMIT_CAP:
         raise BindingError("--n %d is beyond the symbol cap %d" % (args.n, LIMIT_CAP))
     return args.n
 
 
+def _print_pieces(read, count: int, letters=BASE36) -> None:
+    """Print the count symbols read(lo, k) gives for k at lo, spelt a piece at a time.
+
+    The text is printed once, after every piece is spelt, so an error leaves
+    stdout empty.
+    """
+    print("".join(render_word(read(lo, min(_PIECE, count - lo)), letters) for lo in range(0, count, _PIECE)))
+
+
 def _cmd_gen(args) -> int:
     doc = load_document(args.spec)
     bound = build_system(doc, _pick_system(doc, args))
-    print(render_word(bound.stream.prefix(_symbol_count(args)), bound.letters or BASE36))
+    _print_pieces(bound.stream.block, _symbol_count(args), bound.letters or BASE36)
     return 0
 
 
@@ -110,8 +126,7 @@ def _cmd_hat(args) -> int:
     doc = load_document(args.spec)
     bound = build_system(doc, _pick_system(doc, args))
     group = system_group(bound)
-    word = _morse.hat_word(group, bound.stream.prefix(_symbol_count(args) + 1))
-    print(render_word(word))
+    _print_pieces(lambda lo, k: _morse.hat_word(group, bound.stream.block(lo, k + 1)), _symbol_count(args))
     return 0
 
 

@@ -8,17 +8,22 @@ and the bilinear test sums compare two prime dilations of the same orbit,
 
     C_M = (1/M) sum_{n=1..M} v(r n) conj(v(s n)).
 
-Partial sums are evaluated at ascending checkpoints with one reduction:
-np.add.reduceat sums the products between consecutive checkpoints and a
-cumulative sum over those segment sums gives each partial sum.  The order
-is fixed, so reports are bit-identical on every rerun, and sums of
-integer-valued products (below 2^53) are exact.  Everything runs on one
-thread; the CLI's --workers flag is accepted and has no effect.
+Partial sums are evaluated at ascending checkpoints with one reduction,
+which asks for the products one piece of at most _LEAF values at a time and
+drops each piece once it is summed.  Each segment between consecutive
+checkpoints is summed in the order np.add.reduceat would sum the whole
+products vector, and a cumulative sum over those segment sums gives each
+partial sum.  The order is fixed, so reports are bit-identical on every
+rerun, and sums of integer-valued products (below 2^53) are exact.
+Everything runs on one thread; the CLI's --workers flag is accepted and has
+no effect.
 
-The bilinear sums read the stream at the dilated positions rn and sn with
-SymbolStream.at, one block of positions at a time, so every system the CLI
-binds is read from the digits of each position: memory grows with N (the
-N-long products vector), not with s N.
+Sarnak sums read each piece as a run of the stream and weight it from the
+table; the bilinear sums read the stream at the dilated positions rn and sn
+with SymbolStream.at.  Every system the CLI binds is read from the digits
+of each position, so the sums hold a few pieces, not an N-long vector, and
+the dilation s costs nothing in memory.  A weighted Sarnak sum still holds
+its N-entry weight table (one byte per n).
 """
 
 from __future__ import annotations
@@ -31,15 +36,14 @@ import numpy as np
 
 from .arith import LIMIT_CAP, WeightTable, is_prime
 from .spectral import Observable
-from .streams import SymbolStream
+from .streams import INT64_MAX, SymbolStream
 
 
-_INT64_MAX = (1 << 63) - 1
-
-# KBSZ positions per block.  The block's int64 positions, digits and table
-# indices (256 KiB each) stay in a core's L2 cache; 2^19 positions ran the
-# KBSZ sums 2x slower.
-_KBSZ_BLOCK = 1 << 15
+# Most values the reduction asks for at once.  A piece's int64 positions,
+# digits and table indices (256 KiB each) stay in a core's L2 cache; pieces
+# of 2^19 ran the KBSZ sums 2x slower.
+_LEAF = 1 << 15
+_NEG_ZERO = complex(-0.0, -0.0)  # adds nothing to any value, -0.0 included
 
 
 def pow2_checkpoints(limit: int) -> tuple:
@@ -77,21 +81,40 @@ def _check_reach(limit: int, span: int, kbsz: tuple | None = None) -> None:
     a Sarnak sum whose window is L - 1 longer.
     """
     last = (max(kbsz) if kbsz else 1) * limit + span - 1
-    if last > _INT64_MAX:
+    if last > INT64_MAX:
         what = "kbsz pair (%d, %d)" % kbsz if kbsz else "the observable window"
         raise ValueError(
-            "%s at N = %d reads position %d, beyond the int64 limit %d" % (what, limit, last, _INT64_MAX)
+            "%s at N = %d reads position %d, beyond the int64 limit %d" % (what, limit, last, INT64_MAX)
         )
 
 
-def _partial_sums(products: np.ndarray, checkpoints):
-    """Sums of products[0:M] at each checkpoint M; len(products) is the last one.
+def _pairwise(fill, lo: int, hi: int) -> complex:
+    """Sum of the values on [lo, hi) in np.add.reduce's pairwise order.
 
-    reduceat sums each segment between consecutive checkpoints, and the
-    running sum over those few segment sums gives the partial sums, so no
-    N-long temporary is allocated.
+    numpy splits n complex values (2n doubles) after the largest multiple of
+    8 doubles not above n, so the left half holds (n - n % 8) // 2 values.
+    A node of at most _LEAF values is one np.add.reduce started at -0.0,
+    which sums it exactly as numpy sums that node of the whole vector.
     """
-    segments = np.add.reduceat(products, (0,) + checkpoints[:-1])
+    n = hi - lo
+    if n <= _LEAF:
+        return complex(np.add.reduce(fill(lo, hi), initial=_NEG_ZERO)) if n else _NEG_ZERO
+    mid = lo + (n - n % 8) // 2
+    return _pairwise(fill, lo, mid) + _pairwise(fill, mid, hi)
+
+
+def _partial_sums(fill, checkpoints):
+    """Sums of the products x[0:M] at each checkpoint M, one piece at a time.
+
+    fill(lo, hi) returns x[lo:hi] as a new complex128 array.  A segment
+    [a, b) between checkpoints is x[a] + pairwise(x[a+1:b]), the order of
+    np.add.reduceat, and the running sum over the few segment sums gives
+    the partial sums, bit for bit np.cumsum(np.add.reduceat(x, starts)).
+    """
+    segments, a = [], 0
+    for b in checkpoints:
+        segments.append(complex(fill(a, a + 1)[0]) + _pairwise(fill, a + 1, b))
+        a = b
     return [complex(v) for v in np.cumsum(segments)]
 
 
@@ -125,10 +148,14 @@ def sarnak_series(
     if weights is not None and weights.limit < limit:
         raise ValueError("weight table reaches %d, need %d" % (weights.limit, limit))
     _check_reach(limit, obs.span)
-    v = obs.evaluate(stream, 1, limit)  # a fresh vector, so it is weighted in place
-    if weights is not None:
-        v *= weights.values[1 : limit + 1]
-    partials = _partial_sums(v, checkpoints)
+
+    def fill(lo, hi):
+        v = obs.evaluate(stream, 1 + lo, hi - lo)  # a fresh vector, so it is weighted in place
+        if weights is not None:
+            v *= weights.values[1 + lo : 1 + hi]
+        return v
+
+    partials = _partial_sums(fill, checkpoints)
     return ConvergenceReport(
         checkpoints=checkpoints,
         values=tuple(s / m for s, m in zip(partials, checkpoints)),
@@ -148,9 +175,9 @@ def kbsz_series(
 ) -> ConvergenceReport:
     """Bilinear averages C_M = (1/M) sum v(rn) conj(v(sn)) at each checkpoint.
 
-    The products are filled a block of n at a time through
-    Observable.evaluate_at and then reduced as one vector, so the sums do
-    not depend on the block size.  Positions must fit in int64.
+    Each piece of products is read through Observable.evaluate_at at r n
+    and s n; the reduction fixes the order, so the sums do not depend on
+    the piece size.  Positions must fit in int64.
     """
     r, s = int(r), int(s)
     if r < 1 or s < 1:
@@ -158,13 +185,16 @@ def kbsz_series(
     checkpoints = _validate_checkpoints(checkpoints)
     limit = checkpoints[-1]
     _check_reach(limit, obs.span, (r, s))
-    products = np.empty(limit, dtype=np.complex128)
-    for lo in range(1, limit + 1, _KBSZ_BLOCK):
-        idx = np.arange(lo, min(lo + _KBSZ_BLOCK, limit + 1), dtype=np.int64)
+
+    def fill(lo, hi):
+        idx = np.arange(1 + lo, 1 + hi, dtype=np.int64)
         right = obs.evaluate_at(stream, s * idx)  # a fresh vector, conjugated in place
         np.conjugate(right, out=right)
-        np.multiply(obs.evaluate_at(stream, r * idx), right, out=products[lo - 1 : lo - 1 + len(idx)])
-    partials = _partial_sums(products, checkpoints)
+        # r first, into a new array: another operand order or an in-place
+        # product changes the float bits of the imaginary parts
+        return obs.evaluate_at(stream, r * idx) * right
+
+    partials = _partial_sums(fill, checkpoints)
     return ConvergenceReport(
         checkpoints=checkpoints,
         values=tuple(c / m for c, m in zip(partials, checkpoints)),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permgrp import FiniteGroup, cyclic_group
-from .streams import LEVEL_MIN, DigitReader, SymbolStream
+from .streams import INT64_MAX, LEVEL_MIN, DigitReader, SymbolStream
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,10 @@ def hat_stream(group: FiniteGroup, stream: SymbolStream, name: str | None = None
     """hat(y) as a stream: hat(y)[n] reads y at n and n + 1, through block() or at()."""
 
     def read(key):
+        reach = key.stop if isinstance(key, slice) else int(key.max()) + 1
+        if reach > INT64_MAX:
+            raise ValueError("hat at position %d reads its source at %d, beyond the int64 limit %d"
+                             % (reach - 1, reach, INT64_MAX))
         if isinstance(key, slice):
             return hat_word(group, stream.block(key.start, key.stop - key.start + 1))
         return group.table[stream.at(key + 1), group.inverse[stream.at(key)]]

@@ -18,6 +18,8 @@ import numpy as np
 # and a few MiB per table however many symbols the alphabet has.
 LEVEL_MIN = 1 << 17
 
+INT64_MAX = (1 << 63) - 1  # the last position a stream can read
+
 
 class SymbolStream:
     """Deterministic sequence over {0..alphabet_size-1}, read through read(key).

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mobiuslab import cli, subst
+from mobiuslab import cli, morse, subst
 from mobiuslab.arith import LIMIT_CAP, pattern_parity, weight_table
 from mobiuslab.binding import BindingError
 from mobiuslab.cli import main
@@ -76,6 +76,22 @@ def test_gen_spells_every_letter(capsys, tmp_path):
     assert (code, out, err) == (0, "éZZéZééZ\n", "")
     code, out, err = run(capsys, "hat", str(tmp_path / "ab.spec"), "--n", "7")
     assert (code, out, err) == (0, "1011101\n", "")
+
+
+@pytest.mark.parametrize("piece", [1, 3, 8, 1000])
+def test_gen_and_hat_print_the_same_text_in_any_pieces(capsys, monkeypatch, tmp_path, piece):
+    """gen and hat spell their output a piece at a time; the text is the whole word's."""
+    monkeypatch.setattr(cli, "_PIECE", piece)
+    for spec, system, n in ((TM_SPEC, "tm", 29), (str(SPECS / "herning.spec"), "herning", 31)):
+        bound = cli.build_system(cli.load_document(spec), system)
+        want = cli.render_word(bound.stream.prefix(n), bound.letters)
+        assert run(capsys, "gen", spec, "--system", system, "--n", str(n)) == (0, want + "\n", "")
+        want = cli.render_word(morse.hat_word(cli.system_group(bound), bound.stream.prefix(n + 1)))
+        assert run(capsys, "hat", spec, "--system", system, "--n", str(n)) == (0, want + "\n", "")
+    # x[15] = 40 has no digit: the piece that holds it fails, and nothing is printed
+    (tmp_path / "z.spec").write_text(ZN % "0a")
+    code, out, err = run(capsys, "gen", str(tmp_path / "z.spec"), "--n", "16")
+    assert (code, out) == (2, "") and "base-36" in err
 
 
 def test_skeleton(capsys):
@@ -238,6 +254,47 @@ def test_unweighted_sums_beyond_the_cap_exit_two(command):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and str(LIMIT_CAP) in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["kbsz", "--primes", "3,5"],
+    ["sarnak", "--weight", "moebius"],
+], ids=["kbsz", "sarnak_moebius"])
+def test_sums_at_the_cap_run_in_flat_memory(command):
+    """N = 2^26 runs under a 1.2 GB address-space limit: no N-long complex vector is held."""
+    proc = run_limited(command[0], TM_SPEC, "--observable", "w0", "--n", str(LIMIT_CAP), *command[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].endswith(" at N = %d" % LIMIT_CAP)
+    assert proc.stdout.splitlines()[-1].startswith("%d," % LIMIT_CAP)
+
+
+PEAK_AT_N = """
+import os, sys
+from mobiuslab import cli
+
+code = cli.main([*sys.argv[2:], "--n", sys.argv[1], "--out", os.devnull])
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(code, [int(line.split()[1]) for line in fh if line.startswith("VmHWM:")][0])
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["kbsz", "--primes", "3,5"],
+    ["sarnak", "--weight", "none"],
+], ids=["kbsz", "sarnak_unweighted"])
+def test_peak_memory_does_not_grow_with_n(command):
+    """The peak RSS (VmHWM, KiB) of a sum at N = 2^24 is within 4 MiB of that at 2^20."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    peaks = []
+    for n in (1 << 20, 1 << 24):
+        proc = run_limited(str(n), command[0], TM_SPEC, "--observable", "w0", *command[1:],
+                           python=("-c", PEAK_AT_N))
+        assert proc.returncode == 0, proc.stderr
+        code, peak = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= 4 << 10, peaks
 
 
 FAR_SYSTEMS = """substitution tm on {0, 1} {

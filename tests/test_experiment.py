@@ -196,20 +196,20 @@ def test_integer_partial_sums_are_exact():
 
 
 def test_kbsz_blocks_sum_like_one_gathered_vector():
-    """Filling the products a block at a time leaves every float sum unchanged.
+    """Reading the products a piece at a time leaves every float sum unchanged.
 
     The reference is the whole-vector form: gather v(rn) and v(sn) from one
-    prefix and reduce once.  N spans several blocks and a ragged tail, the
-    table is float-valued and complex, and the window has two offsets.
+    prefix and reduce once with np.add.reduceat and np.cumsum.  N spans
+    several pieces and a ragged tail, the table is float-valued and complex,
+    and the window has two offsets.
     """
     from mobiuslab import experiment
-    from mobiuslab.experiment import _partial_sums
     from mobiuslab.spectral import Observable
 
     rng = np.random.default_rng(11)
     sub = Substitution.from_words({"a": "abb", "b": "bac", "c": "cca"})
     obs = Observable(window=(0, 2), alphabet_size=3, values=rng.normal(size=9) + 1j * rng.normal(size=9))
-    n = 3 * experiment._KBSZ_BLOCK + 17
+    n = 3 * experiment._LEAF + 17
     checkpoints = pow2_checkpoints(n)
     r, s = 7, 3
     prefix = fixed_point_stream(sub).prefix(r * n + obs.span)
@@ -218,9 +218,45 @@ def test_kbsz_blocks_sum_like_one_gathered_vector():
     def gathered(positions):
         return obs.values[prefix[positions] * 3 + prefix[positions + 2]]
 
-    sums = _partial_sums(gathered(r * idx) * np.conj(gathered(s * idx)), checkpoints)
-    want = tuple(c / m for c, m in zip(sums, checkpoints))
+    products = gathered(r * idx) * np.conj(gathered(s * idx))
+    sums = np.cumsum(np.add.reduceat(products, (0,) + checkpoints[:-1]))
+    want = tuple(complex(c) / m for c, m in zip(sums, checkpoints))
     assert kbsz_series(fixed_point_stream(sub), obs, r, s, checkpoints).values == want
+
+
+def _hex(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def test_pieces_sum_in_numpys_order():
+    """The reduction replays np.cumsum(np.add.reduceat(x, starts)) bit for bit.
+
+    The replay copies numpy's pairwise split, so a numpy whose split moves
+    fails here instead of moving report bytes.  Magnitudes span 16 decades,
+    so any other order changes some bits; the all -0.0 vector pins the signs
+    of zero sums.
+    """
+    from mobiuslab.experiment import _LEAF, _partial_sums
+
+    rng = np.random.default_rng(2024)
+    lengths = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, _LEAF - 1, _LEAF, _LEAF + 1]
+    lengths += [(1 << k) + d for k in range(16, 21) for d in (-1, 1)] + [(1 << 22) + 5]
+    for n in lengths:
+        x = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.integers(-8, 8, size=n)
+        ragged = tuple(sorted({1, n, *rng.integers(1, n + 1, size=6).tolist()}))
+        vectors = [x, np.full(n, complex(-0.0, -0.0))] if n in (9, _LEAF + 1, (1 << 17) + 1) else [x]
+        for v in vectors:
+            for checkpoints in (pow2_checkpoints(n), ragged):
+                calls = []
+
+                def fill(lo, hi):
+                    calls.append(hi - lo)
+                    return v[lo:hi].copy()
+
+                got = _partial_sums(fill, checkpoints)
+                want = np.cumsum(np.add.reduceat(v, (0,) + checkpoints[:-1]))
+                assert _hex(got) == _hex(want), (n, checkpoints)
+                assert max(calls) <= _LEAF and sum(calls) == n
 
 
 def test_kbsz_reads_positions_without_a_prefix():

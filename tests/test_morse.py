@@ -95,6 +95,16 @@ def test_hat_stream():
     assert hs.alphabet_size == 2
 
 
+def test_hat_stream_refuses_the_last_int64_position():
+    """hat(y)[2^63 - 1] needs y[2^63], which no int64 position reaches."""
+    hs = hat_stream(Z2, morse_stream(TM_SPEC))
+    last = (1 << 63) - 1
+    for read in (lambda: hs.at([5, last]), lambda: hs.block(last, 1)):
+        with pytest.raises(ValueError, match="position %d .* int64 limit %d" % (last, last)):
+            read()
+    assert hs.at([last - 1]).tolist() == [(bin(last).count("1") - bin(last - 1).count("1")) % 2]
+
+
 def test_toeplitz_stages_of_hat():
     # stage values are hat(c_t) on residues 0..n_t-2, the hole sits at n_t-1
     stage1 = toeplitz_stage(TM_SPEC, 1)
