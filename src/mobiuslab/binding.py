@@ -1,10 +1,10 @@
-"""The rules that turn spec declarations into systems and observables.
+"""The rules that turn spec declarations into systems, observables and experiments.
 
 specfile's validator resolves the names a document uses and then binds each
-system declaration once through these functions; a BindingError, ValueError
-or CapacityError they raise becomes a located diagnostic.  The document
-keeps the bound systems with their streams, and the CLI reads them from
-there.
+system declaration once through these functions, and builds each
+experiment's config; a BindingError, ValueError or CapacityError they raise
+becomes a located diagnostic.  The document keeps the bound systems with
+their streams, and the CLI reads them from there.
 
 Symbols: a key of a table observable, or a character of an indicator block,
 names a substitution letter or a symbol index (one base-36 digit, or a
@@ -23,6 +23,7 @@ from . import odometer as _odometer
 from . import spectral as _spectral
 from . import subst as _subst
 from .arith import DigitPattern, pattern_parities_at
+from .experiment import ExperimentConfig
 from .permgrp import CLOSURE_CAP, FiniteGroup, cyclic_group, symmetric_group
 from .streams import SymbolStream
 
@@ -149,3 +150,15 @@ def bind_observable(decl, bound: BoundSystem) -> "_spectral.Observable":
         return _spectral.make_block_indicator(block, decl.offset, bound.alphabet_size, name=decl.name)
     values = {resolve_symbol(bound, key): value for key, value in decl.entries}
     return _spectral.make_symbol_table(values, bound.alphabet_size, name=decl.name)
+
+
+def bind_experiment(decl, bound: BoundSystem, observable: "_spectral.Observable") -> ExperimentConfig:
+    """The unweighted config of a declaration; building it checks every rule of the run."""
+    return ExperimentConfig(
+        name=decl.name,
+        stream=bound.stream,
+        observable=observable,
+        sample_size=decl.sample_size,
+        checkpoints=None if decl.checkpoints == "pow2" else decl.checkpoints,
+        kbsz=decl.kbsz,
+    )

@@ -23,6 +23,7 @@ limits and I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -157,9 +158,9 @@ def _cmd_blocks(args) -> int:
         sub = bound.definition
         word = np.array([sub.seed], dtype=np.int32)
         for t in range(1, args.t + 1):
-            word = sub.apply(word)
-            if len(word) > 1 << 20:
+            if len(word) * sub.lam > 1 << 20:  # refused before the word is built
                 raise BindingError("power word at t=%d exceeds 2^20 symbols" % t)
+            word = sub.apply(word)
             print("t=%d |word|=%d %s" % (t, len(word), render_word(word, sub.letters)))
         return 0
     if bound.kind == "morse":
@@ -183,20 +184,13 @@ def _autocorrelation(args) -> "_spectral.AutocorrelationEstimate":
 
 def _cmd_corr(args) -> int:
     est = _autocorrelation(args)
-    lines = ["lag,real,imag"]
-    for lag, v in enumerate(est.values):
-        lines.append("%d,%s,%s" % (lag, _format_number(v.real), _format_number(v.imag)))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_experiment.csv_bytes("lag,real,imag", ((lag, v.real, v.imag) for lag, v in enumerate(est.values))), args.out)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    est = _autocorrelation(args)
-    spec = _spectral.periodogram(est, args.grid)
-    lines = ["k,value"]
-    for k, v in enumerate(spec):
-        lines.append("%d,%s" % (k, _format_number(float(v))))
-    _emit("\n".join(lines) + "\n", args.out)
+    spec = _spectral.periodogram(_autocorrelation(args), args.grid)
+    _emit(_experiment.csv_bytes("k,value", ((k, float(v)) for k, v in enumerate(spec))), args.out)
     return 0
 
 
@@ -209,19 +203,28 @@ def _parse_checkpoints(text: str):
         raise BindingError("checkpoints must be 'pow2' or comma-separated integers, got %r" % text) from None
 
 
+def _weighted(config: "_experiment.ExperimentConfig", kind: str, tables: dict) -> "_experiment.ExperimentConfig":
+    """config with its weight table, sieved only once building config has checked the run.
+
+    tables keeps one sieve per (kind, N); kbsz and "none" leave config unweighted.
+    """
+    if config.kbsz is not None or kind == "none":
+        return config
+    key = (kind, config.sample_size)
+    if key not in tables:
+        tables[key] = weight_table(*key)
+    return dataclasses.replace(config, weight=tables[key])
+
+
 def _series_config(args, kbsz=None) -> "_experiment.ExperimentConfig":
     doc = load_document(args.spec)
     bound = build_system(doc, _pick_system(doc, args))
     obs = bind_observable(doc, args.observable, bound)
-    weight = None
-    if kbsz is None and args.weight != "none":
-        weight = weight_table(args.weight, args.n)
     return _experiment.ExperimentConfig(
         name=args.name or ("%s_%s" % (bound.name, obs.name or "obs")),
         stream=bound.stream,
         observable=obs,
         sample_size=args.n,
-        weight=weight,
         checkpoints=_parse_checkpoints(args.checkpoints),
         kbsz=kbsz,
     )
@@ -230,20 +233,12 @@ def _series_config(args, kbsz=None) -> "_experiment.ExperimentConfig":
 def _report_out(report, args) -> int:
     final = report.final
     print("final = %s + %si at N = %d" % (_format_number(final.real), _format_number(final.imag), report.checkpoints[-1]))
-    if args.out:
-        data = _experiment.report_csv(report) if args.format == "csv" else _experiment.report_json(report)
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-        print("wrote %s" % args.out)
-    else:
-        text = _experiment.report_csv(report) if args.format == "csv" else _experiment.report_json(report)
-        sys.stdout.write(text.decode("ascii"))
+    _emit(_experiment.REPORTS[args.format](report), args.out)
     return 0
 
 
 def _cmd_sarnak(args) -> int:
-    config = _series_config(args)
-    return _report_out(_experiment.run_config(config), args)
+    return _report_out(_experiment.run_config(_weighted(_series_config(args), args.weight, {})), args)
 
 
 def _cmd_kbsz(args) -> int:
@@ -251,8 +246,7 @@ def _cmd_kbsz(args) -> int:
         r, s = (int(p) for p in args.primes.split(","))
     except ValueError:
         raise BindingError("--primes expects R,S, got %r" % args.primes) from None
-    config = _series_config(args, kbsz=(r, s))
-    return _report_out(_experiment.run_config(config), args)
+    return _report_out(_experiment.run_config(_series_config(args, kbsz=(r, s))), args)
 
 
 def _cmd_run(args) -> int:
@@ -260,26 +254,12 @@ def _cmd_run(args) -> int:
     experiments = doc.experiments()
     if not experiments:
         raise BindingError("no experiment declarations in %s" % args.spec)
-    tables = {}  # (kind, N) -> WeightTable: each pair is sieved once per file
+    formats = _experiment.check_formats(args.format.split(","))
+    tables = {}  # one sieve per (kind, N) in the file
     for decl in experiments:
         bound = build_system(doc, decl.system)
-        obs = bind_observable(doc, decl.observable, bound)
-        weight = None
-        if decl.kbsz is None and decl.weight != "none":
-            key = (decl.weight, decl.sample_size)
-            if key not in tables:
-                tables[key] = weight_table(*key)
-            weight = tables[key]
-        config = _experiment.ExperimentConfig(
-            name=decl.name,
-            stream=bound.stream,
-            observable=obs,
-            sample_size=decl.sample_size,
-            weight=weight,
-            checkpoints=None if decl.checkpoints == "pow2" else decl.checkpoints,
-            kbsz=decl.kbsz,
-        )
-        report, paths = _experiment.run_experiment(config, args.out, formats=tuple(args.format.split(",")))
+        config = _binding.bind_experiment(decl, bound, bind_observable(doc, decl.observable, bound))
+        report, paths = _experiment.run_experiment(_weighted(config, decl.weight, tables), args.out, formats)
         final = report.final
         print(
             "experiment %s: final = %s + %si -> %s"
@@ -288,13 +268,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _emit(text: str, out: str | None):
+def _emit(data: bytes, out: str | None):
+    """Write an ASCII report to the file out, or to stdout when out is empty."""
     if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(data)
         print("wrote %s" % out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("ascii"))
 
 
 def _pick_system(doc: SpecDocument, args) -> str:

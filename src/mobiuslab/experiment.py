@@ -136,6 +136,19 @@ class ConvergenceReport:
         return [(m, v.real, v.imag) for m, v in zip(self.checkpoints, self.values)]
 
 
+def _report(fill, checkpoints, stream: SymbolStream, obs: Observable, **tags) -> ConvergenceReport:
+    """The averages of the products fill gives, at each checkpoint."""
+    partials = _partial_sums(fill, checkpoints)
+    return ConvergenceReport(
+        checkpoints=checkpoints,
+        values=tuple(s / m for s, m in zip(partials, checkpoints)),
+        sample_size=checkpoints[-1],
+        system=stream.name,
+        observable=obs.name or obs.kind,
+        **tags,
+    )
+
+
 def sarnak_series(
     stream: SymbolStream,
     obs: Observable,
@@ -155,15 +168,7 @@ def sarnak_series(
             v *= weights.values[1 + lo : 1 + hi]
         return v
 
-    partials = _partial_sums(fill, checkpoints)
-    return ConvergenceReport(
-        checkpoints=checkpoints,
-        values=tuple(s / m for s, m in zip(partials, checkpoints)),
-        sample_size=limit,
-        system=stream.name,
-        observable=obs.name or obs.kind,
-        weight=weights.kind if weights is not None else "none",
-    )
+    return _report(fill, checkpoints, stream, obs, weight=weights.kind if weights is not None else "none")
 
 
 def kbsz_series(
@@ -183,8 +188,7 @@ def kbsz_series(
     if r < 1 or s < 1:
         raise ValueError("dilations must be positive, got r=%d s=%d" % (r, s))
     checkpoints = _validate_checkpoints(checkpoints)
-    limit = checkpoints[-1]
-    _check_reach(limit, obs.span, (r, s))
+    _check_reach(checkpoints[-1], obs.span, (r, s))
 
     def fill(lo, hi):
         idx = np.arange(1 + lo, 1 + hi, dtype=np.int64)
@@ -194,16 +198,7 @@ def kbsz_series(
         # product changes the float bits of the imaginary parts
         return obs.evaluate_at(stream, r * idx) * right
 
-    partials = _partial_sums(fill, checkpoints)
-    return ConvergenceReport(
-        checkpoints=checkpoints,
-        values=tuple(c / m for c, m in zip(partials, checkpoints)),
-        sample_size=limit,
-        system=stream.name,
-        observable=obs.name or obs.kind,
-        weight=None,
-        primes=(r, s),
-    )
+    return _report(fill, checkpoints, stream, obs, primes=(r, s))
 
 
 def block_sweep(
@@ -243,7 +238,11 @@ class ExperimentConfig:
     """One run: a stream, an observable, a weight, and the checkpoint grid.
 
     kbsz switches the run to the bilinear sums at the given prime pair, in
-    which case the weight is ignored.
+    which case the weight is ignored.  Construction makes every check a run
+    makes before it reads the stream or sieves a weight: a positive sample
+    size, the kbsz primes, the checkpoint grid against the sample size, the
+    sample-size cap and the int64 reach.  After it, checkpoints holds the
+    resolved grid; None asks for powers of two up to sample_size.
     """
 
     name: str
@@ -251,10 +250,12 @@ class ExperimentConfig:
     observable: Observable = field(repr=False)
     sample_size: int
     weight: WeightTable | None = None
-    checkpoints: tuple | None = None  # None means powers of two
+    checkpoints: tuple | None = None
     kbsz: tuple | None = None
 
     def __post_init__(self):
+        if self.sample_size < 1:
+            raise ValueError("N must be positive, got %d" % self.sample_size)
         if self.kbsz is not None:
             r, s = (int(p) for p in self.kbsz)
             try:
@@ -264,9 +265,6 @@ class ExperimentConfig:
             if not primes:
                 raise ValueError("kbsz needs two distinct primes, got (%d, %d)" % (r, s))
             object.__setattr__(self, "kbsz", (r, s))
-
-    def resolved_checkpoints(self) -> tuple:
-        """The checkpoints, after every check a run makes before it reads the stream."""
         if self.checkpoints is None:
             points = _validate_checkpoints(pow2_checkpoints(self.sample_size))
         else:
@@ -274,26 +272,30 @@ class ExperimentConfig:
             if points[-1] > self.sample_size:
                 raise ValueError("checkpoint %d beyond sample size %d" % (points[-1], self.sample_size))
         _check_reach(points[-1], self.observable.span, self.kbsz)
-        return points
+        object.__setattr__(self, "checkpoints", points)
 
 
 def run_config(config: ExperimentConfig) -> ConvergenceReport:
-    checkpoints = config.resolved_checkpoints()
     if config.kbsz is not None:
         r, s = config.kbsz
-        return kbsz_series(config.stream, config.observable, r, s, checkpoints)
-    return sarnak_series(config.stream, config.observable, config.weight, checkpoints)
+        return kbsz_series(config.stream, config.observable, r, s, config.checkpoints)
+    return sarnak_series(config.stream, config.observable, config.weight, config.checkpoints)
 
 
 def _format_number(v: float) -> str:
     return format(v + 0.0, ".12g")  # + 0.0 folds -0.0 into 0
 
 
-def report_csv(report: ConvergenceReport) -> bytes:
-    lines = ["N,real,imag"]
-    for m, re, im in report.rows():
-        lines.append("%d,%s,%s" % (m, _format_number(re), _format_number(im)))
+def csv_bytes(header: str, rows) -> bytes:
+    """CSV lines of rows (an integer, then numbers), under the header line."""
+    lines = [header]
+    for first, *numbers in rows:
+        lines.append(",".join(["%d" % first] + [_format_number(v) for v in numbers]))
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def report_csv(report: ConvergenceReport) -> bytes:
+    return csv_bytes("N,real,imag", report.rows())
 
 
 def report_json(report: ConvergenceReport) -> bytes:
@@ -312,24 +314,33 @@ def report_json(report: ConvergenceReport) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
+# The report writer of each format; a report file is named NAME.FORMAT.
+REPORTS = {"csv": report_csv, "json": report_json}
+
+
+def check_formats(formats) -> tuple:
+    """The formats as a tuple, refused with a ValueError if one has no writer."""
+    formats = tuple(formats)
+    for fmt in formats:
+        if fmt not in REPORTS:
+            raise ValueError("unknown format %r" % fmt)
+    return formats
+
+
 def run_experiment(config: ExperimentConfig, out_dir, formats=("csv", "json")):
     """Run one config and write its report files.
 
-    Returns (report, list of paths).  Identical configs produce byte
-    identical files on every rerun.
+    Returns (report, list of paths).  An unknown format is refused before
+    anything runs.  Identical configs produce byte identical files on every
+    rerun.
     """
+    formats = check_formats(formats)
     report = run_config(config)
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for fmt in formats:
-        if fmt == "csv":
-            path = out_dir / (config.name + ".csv")
-            path.write_bytes(report_csv(report))
-        elif fmt == "json":
-            path = out_dir / (config.name + ".json")
-            path.write_bytes(report_json(report))
-        else:
-            raise ValueError("unknown format %r" % fmt)
+        path = out_dir / ("%s.%s" % (config.name, fmt))
+        path.write_bytes(REPORTS[fmt](report))
         paths.append(path)
     return report, paths

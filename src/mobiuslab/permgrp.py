@@ -8,6 +8,7 @@ FiniteGroup is always its identity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ class Perm:
                 seen[a] = True
                 a = self.images[a]
                 length += 1
-            result = result * length // _gcd(result, length)
+            result = math.lcm(result, length)
         return result
 
     def cycle_string(self, names=None) -> str:
@@ -102,12 +103,6 @@ class Perm:
 
     def __repr__(self):
         return "Perm%r" % (self.images,)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class FiniteGroup:

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .binding import bind_observable, bind_system, build_group
+from .binding import bind_experiment, bind_observable, bind_system, build_group
 from .errors import CapacityError
-from .experiment import ExperimentConfig
 
 DECL_KEYWORDS = ("substitution", "morse", "rs", "veech", "observable", "experiment")
 WEIGHT_NAMES = ("moebius", "liouville", "none")
@@ -274,13 +273,19 @@ class _Parser:
         self.diagnostics.append(Diagnostic("error", message, tok.line, tok.column, tok.line_text))
         raise _ParseAbort()
 
+    def found(self) -> str:
+        """The next token as a diagnostic names it: its text, or end of input."""
+        tok = self.peek()
+        return tok.text if tok.kind != "EOF" else "end of input"
+
+    def expected(self, what):
+        self.error("expected %s, found %r" % (what, self.found()))
+
     def expect(self, kind, text=None, what=None) -> _Token:
         tok = self.peek()
         if tok.kind == kind and (text is None or tok.text == text):
             return self.advance()
-        want = what or (text if text is not None else kind.lower())
-        found = tok.text if tok.kind != "EOF" else "end of input"
-        self.error("expected %s, found %r" % (want, found))
+        self.expected(what or (text if text is not None else kind.lower()))
 
     def expect_punct(self, char) -> _Token:
         return self.expect("PUNCT", char, "'%s'" % char)
@@ -291,7 +296,7 @@ class _Parser:
     def expect_name(self, what="a name") -> str:
         tok = self.peek()
         if tok.kind != "IDENT":
-            self.error("expected %s, found %r" % (what, tok.text or "end of input"))
+            self.expected(what)
         if tok.text in DECL_KEYWORDS:
             self.error("%r is a reserved keyword" % tok.text)
         return self.advance().text
@@ -299,7 +304,7 @@ class _Parser:
     def expect_int(self, what="an integer") -> int:
         tok = self.peek()
         if tok.kind != "NUMBER" or not tok.text.isdigit():
-            self.error("expected %s, found %r" % (what, tok.text or "end of input"))
+            self.expected(what)
         try:
             return int(self.advance().text)
         except ValueError:  # past sys.get_int_max_str_digits()
@@ -308,13 +313,13 @@ class _Parser:
     def expect_string(self, what="a quoted string") -> _Token:
         tok = self.peek()
         if tok.kind != "STRING":
-            self.error("expected %s, found %r" % (what, tok.text or "end of input"))
+            self.expected(what)
         return self.advance()
 
     def expect_letter(self, what="a single-character letter") -> str:
         tok = self.peek()
         if tok.kind not in ("IDENT", "NUMBER") or len(tok.text) != 1:
-            self.error("expected %s, found %r" % (what, tok.text or "end of input"))
+            self.expected(what)
         return self.advance().text
 
     def expect_number(self) -> float:
@@ -324,7 +329,7 @@ class _Parser:
             sign = -1.0
         tok = self.peek()
         if tok.kind != "NUMBER":
-            self.error("expected a number, found %r" % (tok.text or "end of input"))
+            self.expected("a number")
         self.advance()
         try:
             return sign * float(tok.text)
@@ -355,7 +360,7 @@ class _Parser:
                 self.diagnostics.append(
                     Diagnostic(
                         "error",
-                        "expected a declaration keyword (%s), found %r" % (", ".join(DECL_KEYWORDS), tok.text),
+                        "expected a declaration keyword (%s), found %r" % (", ".join(DECL_KEYWORDS), self.found()),
                         tok.line,
                         tok.column,
                         tok.line_text,
@@ -403,7 +408,7 @@ class _Parser:
     def parse_group(self) -> GroupExpr:
         tok = self.peek()
         if tok.kind != "IDENT":
-            self.error("expected a group (Z2, Zn(k), Sym(r), cover-of NAME), found %r" % (tok.text or "end of input"))
+            self.expected("a group (Z2, Zn(k), Sym(r), cover-of NAME)")
         span = Span(tok.line, tok.column)
         word = self.advance().text
         if word == "Z2":
@@ -439,7 +444,7 @@ class _Parser:
                 if self.at("PUNCT", ","):
                     self.advance()
                     continue
-                self.error("expected ',' or 'repeat', found %r" % (self.peek().text or "end of input"))
+                self.expected("',' or 'repeat'")
             self.expect_punct("]")
         return MorseDecl(name, group, tuple(blocks), tail, Span(start.line, start.column))
 
@@ -471,7 +476,7 @@ class _Parser:
         self.expect_punct("=")
         tok = self.peek()
         if tok.kind != "IDENT":
-            self.error("expected walsh, indicator, or table, found %r" % (tok.text or "end of input"))
+            self.expected("walsh, indicator, or table")
         kind = self.advance().text
         span = Span(start.line, start.column)
         if kind == "walsh":
@@ -502,7 +507,7 @@ class _Parser:
     def parse_table_entry(self):
         tok = self.peek()
         if tok.kind not in ("IDENT", "NUMBER"):
-            self.error("expected a symbol key, found %r" % (tok.text or "end of input"))
+            self.expected("a symbol key")
         key = self.advance().text
         self.expect_punct(":")
         return (key, self.expect_number())
@@ -546,7 +551,7 @@ class _Parser:
         if key == "weight":
             tok = self.peek()
             if tok.kind != "IDENT" or tok.text not in WEIGHT_NAMES:
-                self.error("weight must be one of %s, found %r" % (", ".join(WEIGHT_NAMES), tok.text))
+                self.error("weight must be one of %s, found %r" % (", ".join(WEIGHT_NAMES), self.found()))
             return self.advance().text
         if key == "N":
             return self.expect_int("the sample size")
@@ -672,22 +677,11 @@ class _Validator:
         obs = observables.get(decl.observable)
         if obs is None:
             self.error("experiment refers to unknown observable %r" % decl.observable, decl.span)
-        if decl.sample_size < 1:
-            self.error("N must be positive, got %d" % decl.sample_size, decl.span)
-            return
         system = self.bound.get(decl.system)
         if system is None or obs is None:
             return
         try:
-            # the run-time rules: checkpoints, the sample-size cap, kbsz primes and reach
-            ExperimentConfig(
-                name=decl.name,
-                stream=system.stream,
-                observable=bind_observable(obs, system),
-                sample_size=decl.sample_size,
-                checkpoints=None if decl.checkpoints == "pow2" else decl.checkpoints,
-                kbsz=decl.kbsz,
-            ).resolved_checkpoints()
+            bind_experiment(decl, system, bind_observable(obs, system))  # building the config is the check
         except ValueError as exc:
             self.error(str(exc), decl.span)
 

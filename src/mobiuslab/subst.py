@@ -275,12 +275,15 @@ def factor_stream(cover: GroupCover, stream: SymbolStream, seed: int | None = No
 
 
 def skeleton_index(lam: int, t: int, k: int) -> int:
-    """Anchor position i_t = -(k mod lam^t) of the order-t skeleton at time k."""
+    """Anchor position i_t = -(k mod lam^t) of the order-t skeleton at time k.
+
+    lam^t > k once t reaches k's bit length, so no larger power is formed.
+    """
     if lam < 2:
         raise ValueError("lam must be at least 2, got %d" % lam)
     if t < 0 or k < 0:
         raise ValueError("t and k must be nonnegative, got t=%d k=%d" % (t, k))
-    return -(k % lam**t)
+    return -(k % lam ** min(t, k.bit_length()))
 
 
 @dataclass(frozen=True)

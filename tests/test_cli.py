@@ -370,6 +370,23 @@ def test_morse_stages_beyond_2_20_exit_two():
     assert proc.stderr == "error: Toeplitz stage at t=9 exceeds 2^20 symbols\n"
 
 
+def test_skeleton_with_a_huge_t_answers_at_once():
+    """lam^t for t = 10^11 would need 20 GB; it is never formed in full."""
+    proc = run_limited("skeleton", "--lam", "3", "--t", "100000000000", "--k", "5")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-5\n", "")
+
+
+def test_power_words_beyond_2_20_are_refused_before_they_are_built(tmp_path):
+    """Under the address-space limit: building the t=2 word of 20,000-letter rules would need 3 GB."""
+    (tmp_path / "long.spec").write_text(
+        'substitution s on {a, b} {\n  a -> "%s";\n  b -> "%s";\n}\n' % ("ab" * 10000, "ba" * 10000)
+    )
+    proc = run_limited("blocks", "long.spec", "--t", "2", cwd=str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("t=1 |word|=20000 abab") and len(proc.stdout.splitlines()) == 1
+    assert proc.stderr == "error: power word at t=2 exceeds 2^20 symbols\n"
+
+
 FAR_FLAGS = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable far = walsh {%d}\n'
 
 
@@ -464,6 +481,19 @@ def test_veech_and_rs_systems(capsys):
     assert code == 0 and out == "0001001000011101\n"
 
 
+def count_sieves(monkeypatch):
+    """The (kind, N) pairs cli sieves from now on, in order."""
+    calls = []
+    sieve = cli.weight_table
+
+    def counting(kind, limit):
+        calls.append((kind, limit))
+        return sieve(kind, limit)
+
+    monkeypatch.setattr(cli, "weight_table", counting)
+    return calls
+
+
 REUSE_SYSTEMS = """substitution tm on {0, 1} {
   0 -> "01";
   1 -> "10";
@@ -479,14 +509,7 @@ def reuse_experiment(name, weight):
 
 
 def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
-    calls = []
-    sieve = cli.weight_table
-
-    def counting(kind, limit):
-        calls.append((kind, limit))
-        return sieve(kind, limit)
-
-    monkeypatch.setattr(cli, "weight_table", counting)
+    calls = count_sieves(monkeypatch)
     spec = tmp_path / "three.spec"
     spec.write_text(REUSE_SYSTEMS + "".join(reuse_experiment(*e) for e in REUSE_EXPERIMENTS))
     code, _, err = run(capsys, "run", str(spec), "--out", str(tmp_path / "all"))
@@ -501,6 +524,27 @@ def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
         for ext in (".csv", ".json"):
             solo = (tmp_path / name / (name + ext)).read_bytes()
             assert (tmp_path / "all" / (name + ext)).read_bytes() == solo
+
+
+def test_run_refuses_an_unknown_format_before_it_sieves_or_writes(capsys, tmp_path, monkeypatch):
+    calls = count_sieves(monkeypatch)
+    code, out, err = run(capsys, "run", TM_SPEC, "--out", str(tmp_path / "out"), "--format", "csv,yaml")
+    assert (code, out, err) == (2, "", "error: unknown format 'yaml'\n")
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n, checkpoints, message", [
+    (LIMIT_CAP, "0", "checkpoints must be positive, got (0,)"),
+    (LIMIT_CAP, "5,3", "checkpoints must be strictly ascending, got (5, 3)"),
+    (LIMIT_CAP, "1,%d" % (LIMIT_CAP + 1), "N = %d is beyond the sample-size cap %d" % (LIMIT_CAP + 1, LIMIT_CAP)),
+    (0, "pow2", "N must be positive, got 0"),
+], ids=["zero", "descending", "beyond_cap", "no_samples"])
+def test_bad_checkpoints_are_refused_before_the_sieve(capsys, monkeypatch, n, checkpoints, message):
+    calls = count_sieves(monkeypatch)
+    code, out, err = run(capsys, "sarnak", TM_SPEC, "--observable", "w0", "--n", str(n),
+                         "--checkpoints", checkpoints)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert calls == []
 
 
 HERNING = """substitution h on {a, b, c} {

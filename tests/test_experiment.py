@@ -139,18 +139,16 @@ def test_run_experiment_writes_files(tmp_path):
     assert [p.name for p in paths] == ["demo.csv", "demo.json"]
     assert paths[0].read_bytes() == report_csv(report)
     assert paths[1].read_bytes() == report_json(report)
-    with pytest.raises(ValueError):
-        run_experiment(config, tmp_path, formats=("yaml",))
+    with pytest.raises(ValueError, match="unknown format 'yaml'"):
+        run_experiment(config, tmp_path / "refused", formats=("csv", "yaml"))
+    assert not (tmp_path / "refused").exists()
 
 
 def test_resolved_checkpoints():
     config = ExperimentConfig(name="x", stream=TM, observable=W0, sample_size=20)
-    assert config.resolved_checkpoints() == (1, 2, 4, 8, 16, 20)
-    bad = ExperimentConfig(
-        name="x", stream=TM, observable=W0, sample_size=20, checkpoints=(8, 32)
-    )
-    with pytest.raises(ValueError):
-        bad.resolved_checkpoints()
+    assert config.checkpoints == (1, 2, 4, 8, 16, 20)
+    with pytest.raises(ValueError, match="checkpoint 32 beyond sample size 20"):
+        ExperimentConfig(name="x", stream=TM, observable=W0, sample_size=20, checkpoints=(8, 32))
 
 
 def test_config_requires_distinct_primes():

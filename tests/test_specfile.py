@@ -287,6 +287,21 @@ def test_non_ascii_digits_are_diagnosed(text):
     assert line[diags[0].column - 1] in "²٣"
 
 
+@pytest.mark.parametrize("text, column, message", [
+    ('substitution "" on {a} {}', 14, "expected a substitution name, found ''"),
+    ('rs r pattern "11"\nobservable w = walsh {0}\nexperiment e { system: ""; }', 24, "expected a declared name, found ''"),
+    ('observable t = table { "": 1 }', 24, "expected a symbol key, found ''"),
+    ('morse m over Zn("") blocks [repeat "0"]', 17, "expected the Zn parameter, found ''"),
+    ("substitution", 13, "expected a substitution name, found 'end of input'"),
+    ("observable t = table {", 23, "expected a symbol key, found 'end of input'"),
+], ids=["substitution_name", "experiment_system", "table_key", "zn_parameter", "name_at_end", "key_at_end"])
+def test_an_empty_string_is_found_as_itself_not_as_the_end(text, column, message):
+    diags = parse_bad(text)
+    assert len(diags) == 1
+    assert (diags[0].line, diags[0].column) == (text.count("\n") + 1, column)
+    assert diags[0].message == message
+
+
 def test_integer_too_long_to_convert_is_diagnosed():
     diags = parse_bad('rs r pattern "11"\nobservable w = walsh {0}\nexperiment e { system: r; observable: w; N: %s; }\n'
                       % ("1" * 5000))

@@ -141,6 +141,10 @@ def test_skeleton_index():
         v = skeleton_index(2, 4, k)
         assert -16 < v <= 0
         assert (k + v) % 16 == 0
+    for lam in (2, 3, 7):
+        for t in range(12):
+            for k in (0, 1, 5, 63, 64, 65, 999, 3**10, 2**40 + 3):
+                assert skeleton_index(lam, t, k) == -(k % lam**t)
     with pytest.raises(ValueError):
         skeleton_index(1, 3, 5)
     with pytest.raises(ValueError):
