@@ -189,6 +189,8 @@ def _cmd_corr(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.grid < 1:  # refused before the autocorrelation is computed
+        raise ValueError("grid size must be positive, got %d" % args.grid)
     spec = _spectral.periodogram(_autocorrelation(args), args.grid)
     _emit(_experiment.csv_bytes("k,value", ((k, float(v)) for k, v in enumerate(spec))), args.out)
     return 0

@@ -319,20 +319,22 @@ REPORTS = {"csv": report_csv, "json": report_json}
 
 
 def check_formats(formats) -> tuple:
-    """The formats as a tuple, refused with a ValueError if one has no writer."""
+    """The formats as a tuple, refused with a ValueError if one has no writer or is repeated."""
     formats = tuple(formats)
-    for fmt in formats:
+    for i, fmt in enumerate(formats):
         if fmt not in REPORTS:
             raise ValueError("unknown format %r" % fmt)
+        if fmt in formats[:i]:
+            raise ValueError("format %r is given twice" % fmt)
     return formats
 
 
 def run_experiment(config: ExperimentConfig, out_dir, formats=("csv", "json")):
     """Run one config and write its report files.
 
-    Returns (report, list of paths).  An unknown format is refused before
-    anything runs.  Identical configs produce byte identical files on every
-    rerun.
+    Returns (report, list of paths).  An unknown or repeated format is
+    refused before anything runs.  Identical configs produce byte identical
+    files on every rerun.
     """
     formats = check_formats(formats)
     report = run_config(config)

@@ -15,13 +15,12 @@ the determined residues form the stage word c-hat_t = hat(c_t).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .permgrp import FiniteGroup, cyclic_group
-from .streams import INT64_MAX, LEVEL_MIN, DigitReader, SymbolStream
+from .streams import INT64_MAX, DigitReader, SymbolStream
 
 
 @dataclass(frozen=True)
@@ -94,38 +93,16 @@ def _times_block(table: np.ndarray, word: np.ndarray, block) -> np.ndarray:
     return table[word[:, None], np.asarray(block, dtype=np.int32)].T.reshape(-1).astype(np.int32)
 
 
-def _digit_levels(spec: MorseSpec):
-    """Digit levels of the limit sequence for DigitReader.
-
-    A level is a run of consecutive blocks whose product D is long enough for
-    a table T[g, i] = D[i] g of at least LEVEL_MIN entries.  By associativity
-    x = D_0 x D_1 x ..., so x[q R_0 + i] = D_0[i] y[q] with y the sequence
-    of the blocks after the first level.  Levels that start past the head
-    are all the same product c_k of k tail blocks, y[q L + i] = c_k[i] y[q],
-    so one table serves every level from there on; each table is C-ordered
-    int32, so DigitReader keeps the repeated one as one array.
-    """
-
-    def level(t):
-        """(radix, table) of the level starting at block t, and the next block."""
-        word = np.zeros(1, dtype=np.int32)
-        while True:
-            word = _times_block(spec.group.table, word, spec.block(t))
-            t += 1
-            if len(word) * spec.group.order >= LEVEL_MIN:
-                return (len(word), np.ascontiguousarray(spec.group.table[word].T, dtype=np.int32)), t
-
-    t = 0
-    while t < len(spec.head):
-        table, t = level(t)
-        yield table
-    yield from itertools.repeat(level(t)[0])
-
-
 def morse_stream(spec: MorseSpec, name: str = "morse") -> SymbolStream:
-    """The limit sequence as a stream, read through its digit levels."""
+    """The limit sequence as a stream, read through DigitReader.
+
+    Block b is the step T[g, i] = b[i] g: by associativity x = D_0 x D_1 x
+    ... for any grouping of the blocks into products, so x[q R_0 + i] =
+    D_0[i] y[q] with y the sequence of the blocks after the first level.
+    """
+    steps = [spec.group.table[list(block)].T for block in spec.head]
     return SymbolStream(
-        DigitReader(0, _digit_levels(spec)),
+        DigitReader(0, steps, spec.group.table[list(spec.tail)].T),
         name=name,
         alphabet_size=spec.group.order,
         letters=spec.group.element_names,

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import UndefinedPointError
 from .morse import MorseSpec, hat_word, morse_prefix
 from .permgrp import FiniteGroup, cyclic_group
-from .streams import SymbolStream
+from .streams import INT64_MAX, SymbolStream
 
 
 @dataclass(frozen=True)
@@ -167,29 +167,27 @@ class VeechSpec:
         return self.psi_tail[(i - len(self.psi_head)) % len(self.psi_tail)]
 
 
-def _tau_at(spec: OdometerSpec, values: np.ndarray, max_stage: int = 200) -> np.ndarray:
-    """tau(v) for each integer point v of an int64 array, vectorized over stages."""
+def _tau_at(spec: OdometerSpec, values: np.ndarray) -> np.ndarray:
+    """tau(v), 1 plus the number of trailing top digits of v, for an int64 array.
+
+    The points whose digits are all top so far are kept and divided by
+    lambda_t one stage at a time, so no n_t is formed.  Only -1 is top
+    everywhere; any other point leaves within 64 stages.
+    """
     if np.any(values == -1):
         raise UndefinedPointError("orbit passes through -theta where tau is undefined")
-    count = len(values)
-    out = np.zeros(count, dtype=np.int64)
-    remaining = np.arange(count)
-    # once n_t - 1 exceeds every point (all nonnegative), v mod n_t = v for
-    # each point left, so tau is t; stopping there keeps n_t inside int64
-    top = int(values.max()) if count and values.min() >= 0 else None
-    t = 1
-    while len(remaining) and t <= max_stage:
-        n_t = spec.n(t)
-        if top is not None and n_t - 1 > top:
-            out[remaining] = t
-            return out
-        vals = values[remaining]
-        hit = (vals % n_t) != (n_t - 1)
-        out[remaining[hit]] = t
-        remaining = remaining[~hit]
+    out = np.ones(len(values), dtype=np.uint8)  # tau <= 64 for points in int64
+    idx, q = np.arange(len(values)), values
+    t = 0
+    while len(idx):
+        lam = spec.lam(t)
+        if lam > INT64_MAX:  # only q = lam - 1 can be top, and its quotient is 0
+            out[idx[q == lam - 1]] += 1
+            break
+        top = q % lam == lam - 1
+        idx, q = idx[top], q[top] // lam
+        out[idx] += 1
         t += 1
-    if len(remaining):
-        raise UndefinedPointError("tau exceeded stage %d" % max_stage)
     return out
 
 
@@ -218,8 +216,8 @@ def veech_stream(vspec: VeechSpec, start: int = 0, name: str = "veech") -> Symbo
     """The sequence n -> Psi(tau(start + n)) along the orbit of a point.
 
     A run adds one to tau on each stage's progression of points
-    v = -1 mod n_t (_tau_run); positions evaluate tau at start + position
-    directly (_tau_at).
+    v = -1 mod n_t (_tau_run); positions count the trailing top digits of
+    start + position (_tau_at).
     """
 
     def read(key):

@@ -55,10 +55,7 @@ class Observable:
             raise ValueError("window offsets must be nonnegative, got %r" % (window,))
         if self.alphabet_size < 1:
             raise ValueError("alphabet size must be positive")
-        size = self.alphabet_size ** len(window)
-        if size > TABLE_CAP:
-            raise ValueError("window of %d symbols over %d letters needs a table of %d entries (cap %d)"
-                             % (len(window), self.alphabet_size, size, TABLE_CAP))
+        size = _table_size(window, self.alphabet_size)
         values = np.asarray(self.values, dtype=np.complex128).reshape(-1)
         if len(values) != size:
             raise ValueError("table has %d entries, expected %d" % (len(values), size))
@@ -106,15 +103,13 @@ class Observable:
         return self.values[idx]
 
 
-def _build_table(window, alphabet_size, fn):
+def _table_size(window, alphabet_size) -> int:
+    """Entries of a table over the window, refused above TABLE_CAP before any is allocated."""
     size = alphabet_size ** len(window)
     if size > TABLE_CAP:
         raise ValueError("window of %d symbols over %d letters needs %d table entries (cap %d)"
                          % (len(window), alphabet_size, size, TABLE_CAP))
-    values = np.empty(size, dtype=np.complex128)
-    for i, symbols in enumerate(itertools.product(range(alphabet_size), repeat=len(window))):
-        values[i] = fn(symbols)
-    return values
+    return size
 
 
 def make_walsh(coords, alphabet_size: int = 2, name: str | None = None) -> Observable:
@@ -126,11 +121,15 @@ def make_walsh(coords, alphabet_size: int = 2, name: str | None = None) -> Obser
         raise ValueError("walsh observables need a binary alphabet, got size %d" % alphabet_size)
     coords = tuple(sorted(int(c) for c in set(coords)))
     window = coords if coords else (0,)
-    fn = (lambda symbols: (-1.0) ** sum(symbols)) if coords else (lambda symbols: 1.0)
+    _table_size(window, 2)
+    # the Kronecker product of one factor [1, -1] per coordinate: each doubles v to [v, -v]
+    values = np.ones(1 if coords else 2, dtype=np.int8)
+    for _ in coords:
+        values = np.concatenate((values, -values))
     return Observable(
         window=window,
         alphabet_size=2,
-        values=_build_table(window, 2, fn),
+        values=values,
         kind="walsh",
         zero_mean=bool(coords),
         name=name or ("walsh{%s}" % ",".join(map(str, coords))),
@@ -142,14 +141,18 @@ def make_block_indicator(block, offset: int = 0, alphabet_size: int = 2, name: s
     block = tuple(int(b) for b in block)
     if not block:
         raise ValueError("block must be nonempty")
+    index = 0
     for b in block:
         if not 0 <= b < alphabet_size:
             raise ValueError("block symbol %d outside alphabet of size %d" % (b, alphabet_size))
+        index = index * alphabet_size + b
     window = tuple(range(offset, offset + len(block)))
+    values = np.zeros(_table_size(window, alphabet_size), dtype=np.complex128)
+    values[index] = 1.0
     return Observable(
         window=window,
         alphabet_size=alphabet_size,
-        values=_build_table(window, alphabet_size, lambda symbols: 1.0 if symbols == block else 0.0),
+        values=values,
         kind="indicator",
         zero_mean=False,
         name=name or ("indicator[%s@%d]" % ("".join(map(str, block)), offset)),
@@ -207,10 +210,12 @@ def linear_combination(terms, name: str | None = None) -> Observable:
             total += coeff * obs.value(tuple(symbols[slots[w]] for w in obs.window))
         return total
 
+    size = _table_size(window, alphabet_size)
+    symbols = itertools.product(range(alphabet_size), repeat=len(window))
     return Observable(
         window=window,
         alphabet_size=alphabet_size,
-        values=_build_table(window, alphabet_size, fn),
+        values=np.fromiter(map(fn, symbols), dtype=np.complex128, count=size),
         kind="combination",
         zero_mean=None,
         name=name or "combination",

@@ -4,12 +4,15 @@ prefix(), block() and iteration read contiguous runs (Sarnak sums,
 autocorrelations); at() reads arbitrary positions (the dilated KBSZ sums).
 Every stream reads both through its one reader: the substitution, Morse,
 RS and Veech streams compute each symbol from the digits of its position
-(see DigitReader), and composed streams (hat, factor) read their source at
-the same positions.  So a run costs memory in its length and a positional
-read in the number of positions, wherever they lie.
+(see DigitReader, the one place digit levels are built), and composed
+streams (hat, factor) read their source at the same positions.  So a run
+costs memory in its length and a positional read in the number of
+positions, wherever they lie.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -78,9 +81,13 @@ class SymbolStream:
 class DigitReader:
     """Reads a sequence through tables on the digits of a position.
 
-    levels is an iterator of (radix R_j, table T_j of shape (alphabet, R_j)),
-    pulled on the first read that needs each level and then kept.  Writing
-    p = d_0 + d_1 R_0 + d_2 R_0 R_1 + ... with 0 <= d_j < R_j,
+    A step is an (alphabet, lambda) table whose row a is the word written for
+    symbol a; the steps are head[0], head[1], ..., then tail forever.  Level
+    j, of width R_j, multiplies consecutive steps, T[S].reshape(alphabet, -1),
+    until it holds at least LEVEL_MIN entries; it is built on the first read
+    that needs it.  Every level past the head is the same product of tail
+    steps, held as one array.  Writing p = d_0 + d_1 R_0 + d_2 R_0 R_1 + ...
+    with 0 <= d_j < R_j,
 
         x[p] = T_0[T_1[... T_m[start, d_m] ..., d_1], d_0],
 
@@ -91,15 +98,14 @@ class DigitReader:
     levels above the first, gathers those rows of T_0 and slices.
     """
 
-    def __init__(self, start: int, levels):
+    def __init__(self, start: int, head, tail):
         self._start = int(start)
-        self._pending = levels
+        self._pending = _digit_levels(tuple(head), tail)
         self._levels = []
 
     def _level(self, j: int):
         while len(self._levels) <= j:
-            radix, table = next(self._pending)
-            self._levels.append((radix, np.ascontiguousarray(table, dtype=np.int32)))
+            self._levels.append(next(self._pending))
         return self._levels[j]
 
     def _at(self, q: np.ndarray, top: int, j: int) -> np.ndarray:
@@ -117,6 +123,25 @@ class DigitReader:
         first, last = key.start // radix, (key.stop - 1) // radix
         rows = table[self._at(np.arange(first, last + 1, dtype=np.int64), last, 1)]
         return rows.reshape(-1)[key.start - first * radix : key.stop - first * radix]
+
+
+def _digit_levels(head: tuple, tail: np.ndarray):
+    """(radix, table) of each digit level of DigitReader, head levels first."""
+    steps = itertools.chain(head, itertools.repeat(tail))
+    used = 0  # steps multiplied into the levels so far
+    while True:
+        past_head, table = used >= len(head), next(steps)
+        used += 1
+        while table.size < LEVEL_MIN:
+            table = table[next(steps)].reshape(len(table), -1)
+            used += 1
+        # a fresh copy that frees the product: glibc raises its mmap threshold
+        # to the largest mmapped block freed, and with the product kept the
+        # threshold stays below the pieces of a sum, which then page-fault
+        table = np.array(table, dtype=np.int32, order="C")
+        if past_head:
+            yield from itertools.repeat((table.shape[1], table))
+        yield table.shape[1], table
 
 
 def word_stream(values, name: str = "word", alphabet_size: int | None = None, letters=None) -> SymbolStream:

@@ -10,14 +10,13 @@ onto the base fixed point by evaluating each permutation at the seed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import morse as _morse
 from .permgrp import FiniteGroup, GroupEmbedding, Perm, closure
-from .streams import LEVEL_MIN, DigitReader, SymbolStream
+from .streams import DigitReader, SymbolStream
 
 
 @dataclass(frozen=True)
@@ -165,21 +164,9 @@ def fixed_point(sub: Substitution, count: int) -> np.ndarray:
     return word[:count]
 
 
-def _digit_levels(sub: Substitution):
-    """The one digit level of the fixed point, repeated: (L, theta^k).
-
-    L = lam^k is the least power of lam with r L >= LEVEL_MIN, and row a of
-    the table is theta^k(a), so x[q L + i] = theta^k(x[q])[i].
-    """
-    table = sub.rows_array()
-    while table.size < LEVEL_MIN:
-        table = sub.rows_array()[table].reshape(sub.r, -1)
-    yield from itertools.repeat((table.shape[1], table))
-
-
 def fixed_point_stream(sub: Substitution, name: str | None = None) -> SymbolStream:
-    """The fixed point as a stream, read through its digit table."""
-    reader = DigitReader(sub.seed, _digit_levels(sub))
+    """The fixed point as a stream: theta's rows are every step, and DigitReader's levels are theta^k."""
+    reader = DigitReader(sub.seed, (), sub.rows_array())
 
     def read(key):
         _check_fixed_point(sub)

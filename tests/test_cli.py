@@ -528,9 +528,29 @@ def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
 
 def test_run_refuses_an_unknown_format_before_it_sieves_or_writes(capsys, tmp_path, monkeypatch):
     calls = count_sieves(monkeypatch)
-    code, out, err = run(capsys, "run", TM_SPEC, "--out", str(tmp_path / "out"), "--format", "csv,yaml")
-    assert (code, out, err) == (2, "", "error: unknown format 'yaml'\n")
-    assert calls == [] and not (tmp_path / "out").exists()
+    for formats, message in (("csv,yaml", "unknown format 'yaml'"), ("csv,csv", "format 'csv' is given twice")):
+        code, out, err = run(capsys, "run", TM_SPEC, "--out", str(tmp_path / "out"), "--format", formats)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+        assert calls == [] and not (tmp_path / "out").exists()
+
+
+def test_spectrum_refuses_a_grid_below_one_before_the_autocorrelation(capsys, monkeypatch):
+    def failing(*args):
+        raise AssertionError("autocorrelation ran before the grid was checked")
+
+    monkeypatch.setattr(cli._spectral, "autocorrelation", failing)
+    for grid in ("0", "-3"):
+        code, out, err = run(capsys, "spectrum", TM_SPEC, "--observable", "w0", "--n", "1024", "--grid", grid)
+        assert (code, out, err) == (2, "", "error: grid size must be positive, got %s\n" % grid)
+
+
+def test_kbsz_reads_veech_positions_up_to_the_int64_reach(capsys, tmp_path):
+    """tau at 2^63 - 1 counts 63 trailing top digits; no stage length is formed."""
+    spec = tmp_path / "v.spec"
+    spec.write_text('veech v base 2 group Z2 psi repeat "10"\nobservable far = walsh {9223372036854775804}\n')
+    code, out, err = run(capsys, "kbsz", str(spec), "--observable", "far", "--n", "1", "--primes", "2,3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "final = -1 + 0i at N = 1"
 
 
 @pytest.mark.parametrize("n, checkpoints, message", [

@@ -129,6 +129,38 @@ def test_tau_run_matches_tau_at(spec, start):
     assert np.array_equal(stream.prefix(count), veech_stream(vspec, start=start).at(np.arange(count)))
 
 
+INT64_EDGES = [(1 << 63) - 1, -(1 << 63), -2, -(1 << 62) - 1]
+
+
+def tau_points(spec, rng):
+    """Random int64 points, points with many trailing top digits, and the int64 edges."""
+    points = list(rng.integers(-(1 << 63), (1 << 63) - 1, 500, dtype=np.int64, endpoint=True))
+    for t in range(1, 64):
+        n_t = spec.n(t)
+        if n_t > 1 << 62:
+            break
+        points += [n_t - 1, -n_t - 1, int(rng.integers(1, (1 << 63) // n_t)) * n_t - 1]
+    return np.array([p for p in points + INT64_EDGES if p != -1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("spec", TAU_SPECS, ids=["base2", "base3", "head253"])
+def test_tau_at_matches_veech_tau_on_all_of_int64(spec):
+    values = tau_points(spec, np.random.default_rng(2015))
+    assert _tau_at(spec, values).tolist() == [veech_tau(spec.point(int(v))) for v in values]
+    vspec = VeechSpec(spec, cyclic_group(3), psi_head=(2,), psi_tail=(1, 0))
+    for start in INT64_EDGES[1:]:  # orbits from far negative points
+        assert veech_stream(vspec, start=start).at([0]).tolist() == [vspec.psi(veech_tau(spec.point(start)))]
+    with pytest.raises(UndefinedPointError):
+        _tau_at(spec, np.array([5, -1], dtype=np.int64))
+
+
+@pytest.mark.parametrize("base", [(1 << 63) - 1, 1 << 63, 10**30])
+def test_tau_at_with_a_base_beyond_int64(base):
+    spec = OdometerSpec(tail=base)
+    values = np.array(INT64_EDGES + [0, 5, -7, (1 << 62) + 3], dtype=np.int64)
+    assert _tau_at(spec, values).tolist() == [veech_tau(spec.point(int(v))) for v in values]
+
+
 @pytest.mark.parametrize("spec", TAU_SPECS, ids=["base2", "base3", "head253"])
 def test_tau_run_through_minus_one_is_undefined(spec):
     assert _tau_run(spec, -50, 0).shape == (0,)

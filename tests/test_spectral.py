@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,43 @@ def test_walsh():
     assert const.value((0,)) == const.value((1,)) == 1.0
     with pytest.raises(ValueError):
         make_walsh((0,), alphabet_size=3)
+
+
+def per_entry_table(window, alphabet_size, fn):
+    """The table built one entry at a time, in the mixed radix of the window."""
+    values = np.empty(alphabet_size ** len(window), dtype=np.complex128)
+    for i, symbols in enumerate(itertools.product(range(alphabet_size), repeat=len(window))):
+        values[i] = fn(symbols)
+    return values
+
+
+@pytest.mark.parametrize("coords", [(), (0,), (3,), (0, 2), (1, 2, 5), tuple(range(10)), (0, 3, 4, 7, 9, 12, 20, 31, 40)])
+def test_walsh_table_matches_a_per_entry_build(coords):
+    obs = make_walsh(coords)
+    window = coords or (0,)
+    fn = (lambda symbols: (-1.0) ** sum(symbols)) if coords else (lambda symbols: 1.0)
+    want = per_entry_table(window, 2, fn)
+    assert obs.window == window and obs.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block, offset, alphabet_size", [
+    ((0,), 0, 2), ((1,), 4, 3), ((0, 1), 1, 2), ((2, 0, 1), 0, 3), ((1, 0, 1, 1, 0, 0, 1, 0, 1, 1), 2, 2),
+    ((5, 0, 3, 5, 1, 2), 0, 6),
+])
+def test_indicator_table_matches_a_per_entry_build(block, offset, alphabet_size):
+    obs = make_block_indicator(block, offset, alphabet_size)
+    window = tuple(range(offset, offset + len(block)))
+    want = per_entry_table(window, alphabet_size, lambda symbols: 1.0 if symbols == block else 0.0)
+    assert obs.window == window and obs.values.tobytes() == want.tobytes()
+
+
+def test_tables_beyond_the_cap_are_refused_with_one_message():
+    message = "window of 25 symbols over 2 letters needs 33554432 table entries (cap 16777216)"
+    for build in (lambda: make_walsh(range(25)), lambda: make_block_indicator((0,) * 25),
+                  lambda: Observable(tuple(range(25)), 2, np.zeros(1))):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_indicator_frequency():

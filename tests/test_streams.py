@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobiuslab import arith, morse, subst
+from mobiuslab import arith, morse, streams, subst
 from mobiuslab.arith import pattern_parity
 from mobiuslab.cli import build_system
 from mobiuslab.odometer import OdometerSpec, VeechSpec, veech_stream, veech_tau
@@ -212,8 +212,7 @@ def test_at_on_many_levels_matches_prefix():
     )
     def check(level_min, positions):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(subst, "LEVEL_MIN", level_min)
-            mp.setattr(morse, "LEVEL_MIN", level_min)
+            mp.setattr(streams, "LEVEL_MIN", level_min)
             for make, prefix in zip(makers, prefixes):
                 assert make().at(positions).tolist() == prefix[positions].tolist()
 
@@ -240,6 +239,8 @@ def test_levels_past_the_head_are_one_array(spec, head_levels):
     assert stream.at([(1 << 62) + 5]).tolist() == [morse_symbol(spec, (1 << 62) + 5)]
     tables = [table for _, table in stream._read._levels]
     assert len(tables) >= head_levels + 2
+    # each level is a C-ordered int32 copy, not a view of the product it came from
+    assert all(t.dtype == np.int32 and t.flags.c_contiguous and t.flags.owndata for t in tables)
     assert all(table is tables[head_levels] for table in tables[head_levels:])
     assert len({id(table) for table in tables}) == head_levels + 1
 
@@ -326,8 +327,7 @@ def test_runs_on_many_levels_match_the_builders():
     def check(level_min, start, count):
         count = min(count, horizon - start)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(subst, "LEVEL_MIN", level_min)
-            mp.setattr(morse, "LEVEL_MIN", level_min)
+            mp.setattr(streams, "LEVEL_MIN", level_min)
             for make, prefix in zip(makers, prefixes):
                 assert make().block(start, count).tolist() == prefix[start : start + count].tolist()
 

@@ -1,0 +1,98 @@
+"""Print one hash per mobiuslab CLI call, to compare two source trees byte for byte.
+
+Each call runs mobiuslab.cli.main in this process with a fresh output
+directory.  Its hash covers the exit code, stdout, stderr and the name and
+bytes of every file the call wrote, with the output directory's path
+replaced by OUT.  An exception that escapes main counts as exit 1, with its
+type and message as stderr.  The calls are:
+
+- run over specs/*.spec and tests/fixtures/specs/valid/*.spec;
+- gen, hat, blocks and cover for every system of those files;
+- corr, spectrum, sarnak (Moebius JSON, Liouville CSV) and kbsz (primes 3,7
+  and 5,2) for every system and observable of the file, at N = 100000.
+
+Spec files named on the command line join the list.  Systems and
+observables are found with a regex over the declarations, not through the
+library, so both trees get the same calls.  Run from the repository root,
+once with each tree's src on PYTHONPATH, and diff the two outputs:
+
+    PYTHONPATH=src python tools/cli_sweep.py [extra.spec ...] > after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import re
+import shutil
+import sys
+import tempfile
+import traceback
+
+from mobiuslab.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+N = "100000"
+SYSTEM = re.compile(r"^\s*(?:substitution|morse|rs|veech)\s+(\w+)", re.M)
+OBSERVABLE = re.compile(r"^\s*observable\s+(\w+)", re.M)
+
+
+def calls(spec):
+    """The argument lists for one spec file; "OUT" stands for the output directory."""
+    text = pathlib.Path(spec).read_text(encoding="utf-8")
+    yield ["run", spec, "--out", "OUT"]
+    systems, observables = SYSTEM.findall(text), OBSERVABLE.findall(text)
+    for system in systems:
+        on = [spec, "--system", system]
+        yield ["gen", *on, "--n", "1000"]
+        yield ["hat", *on, "--n", "1000"]
+        yield ["blocks", *on]
+        yield ["cover", *on]
+        for obs in observables:
+            on = [spec, "--system", system, "--observable", obs]
+            yield ["corr", *on, "--n", N, "--out", "OUT/corr.csv"]
+            yield ["spectrum", *on, "--n", N, "--out", "OUT/spectrum.csv"]
+            yield ["sarnak", *on, "--n", N, "--weight", "moebius", "--format", "json", "--out", "OUT/mu.json"]
+            yield ["sarnak", *on, "--n", N, "--weight", "liouville", "--format", "csv", "--out", "OUT/lambda.csv"]
+            for primes in ("3,7", "5,2"):
+                yield ["kbsz", *on, "--n", N, "--primes", primes]
+
+
+def digest(argv) -> str:
+    """Hash of one call's exit code, stdout, stderr and written files."""
+    out_dir = tempfile.mkdtemp(prefix="cli_sweep_")
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([out_dir + arg[3:] if arg.split("/")[0] == "OUT" else arg for arg in argv])
+            except SystemExit as exc:  # argparse refusals
+                code = exc.code
+            except Exception as exc:
+                code = 1
+                err.write("".join(traceback.format_exception_only(type(exc), exc)))
+        h = hashlib.sha256()
+        for part in (str(code), out.getvalue(), err.getvalue()):
+            h.update(part.replace(out_dir, "OUT").encode("utf-8") + b"\0")
+        for path in sorted(pathlib.Path(out_dir).rglob("*")):
+            if path.is_file():
+                h.update(path.relative_to(out_dir).as_posix().encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+        return "%s exit=%s" % (h.hexdigest()[:16], code)
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
+
+
+def main_sweep(extra) -> int:
+    extra = [os.path.abspath(spec) for spec in extra]
+    os.chdir(ROOT)
+    specs = sorted(str(p.relative_to(ROOT)) for p in ROOT.glob("specs/*.spec"))
+    specs += sorted(str(p.relative_to(ROOT)) for p in ROOT.glob("tests/fixtures/specs/valid/*.spec"))
+    for spec in specs + extra:
+        for argv in calls(spec):
+            print("%s  %s" % (digest(argv), " ".join(argv)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main_sweep(sys.argv[1:]))
