@@ -117,26 +117,21 @@ def _print_pieces(read, count: int, letters=BASE36) -> None:
 
 
 def _cmd_gen(args) -> int:
-    doc = load_document(args.spec)
-    bound = build_system(doc, _pick_system(doc, args))
+    _, bound = _load_system(args)
     _print_pieces(bound.stream.block, _symbol_count(args), bound.letters or BASE36)
     return 0
 
 
 def _cmd_hat(args) -> int:
-    doc = load_document(args.spec)
-    bound = build_system(doc, _pick_system(doc, args))
-    group = system_group(bound)
-    _print_pieces(lambda lo, k: _morse.hat_word(group, bound.stream.block(lo, k + 1)), _symbol_count(args))
+    _, bound = _load_system(args)
+    _print_pieces(_morse.hat_stream(system_group(bound), bound.stream).block, _symbol_count(args))
     return 0
 
 
 def _cmd_cover(args) -> int:
-    doc = load_document(args.spec)
-    name = _pick_system(doc, args)
-    bound = build_system(doc, name)
+    _, bound = _load_system(args)
     if bound.kind != "substitution":
-        raise BindingError("cover needs a substitution system, %r is not one" % name)
+        raise BindingError("cover needs a substitution system, %r is not one" % bound.name)
     cover = bound.cover
     print("|G| = %d" % cover.group.order)
     print("block = %s" % " ".join(str(b) for b in cover.block))
@@ -151,32 +146,29 @@ def _cmd_skeleton(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    doc = load_document(args.spec)
-    name = _pick_system(doc, args)
-    bound = build_system(doc, name)
+    """theta^t(seed) is the fixed point's first lambda^t symbols, c-hat_t the hat of the Morse sequence's first n_t."""
+    _, bound = _load_system(args)
+    spec, n = bound.definition, 1
     if bound.kind == "substitution":
-        sub = bound.definition
-        word = np.array([sub.seed], dtype=np.int32)
         for t in range(1, args.t + 1):
-            if len(word) * sub.lam > 1 << 20:  # refused before the word is built
+            n *= spec.lam
+            if n > 1 << 20:
                 raise BindingError("power word at t=%d exceeds 2^20 symbols" % t)
-            word = sub.apply(word)
-            print("t=%d |word|=%d %s" % (t, len(word), render_word(word, sub.letters)))
+            print("t=%d |word|=%d %s" % (t, n, render_word(bound.stream.prefix(n), spec.letters)))
         return 0
     if bound.kind == "morse":
         for t in range(1, args.t + 1):
-            if bound.definition.n(t) > 1 << 20:
+            n *= spec.lam(t - 1)
+            if n > 1 << 20:
                 raise BindingError("Toeplitz stage at t=%d exceeds 2^20 symbols" % t)
-            stage = _morse.toeplitz_stage(bound.definition, t)
-            values = render_word(stage.values)
-            print("t=%d n=%d hole=%d values=%s" % (t, stage.n, stage.hole_residue, values))
+            values = render_word(_morse.hat_word(spec.group, bound.stream.prefix(n)))
+            print("t=%d n=%d hole=%d values=%s" % (t, n, n - 1, values))
         return 0
-    raise BindingError("blocks needs a substitution or morse system, %r is neither" % name)
+    raise BindingError("blocks needs a substitution or morse system, %r is neither" % bound.name)
 
 
 def _autocorrelation(args) -> "_spectral.AutocorrelationEstimate":
-    doc = load_document(args.spec)
-    bound = build_system(doc, _pick_system(doc, args))
+    doc, bound = _load_system(args)
     obs = bind_observable(doc, args.observable, bound)
     _experiment._check_reach(args.n, obs.span + args.lags - 1)
     return _spectral.autocorrelation(bound.stream, obs, args.n, args.lags)
@@ -189,8 +181,7 @@ def _cmd_corr(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.grid < 1:  # refused before the autocorrelation is computed
-        raise ValueError("grid size must be positive, got %d" % args.grid)
+    _spectral.check_grid(args.grid)  # before the autocorrelation is computed
     spec = _spectral.periodogram(_autocorrelation(args), args.grid)
     _emit(_experiment.csv_bytes("k,value", ((k, float(v)) for k, v in enumerate(spec))), args.out)
     return 0
@@ -208,19 +199,19 @@ def _parse_checkpoints(text: str):
 def _weighted(config: "_experiment.ExperimentConfig", kind: str, tables: dict) -> "_experiment.ExperimentConfig":
     """config with its weight table, sieved only once building config has checked the run.
 
-    tables keeps one sieve per (kind, N); kbsz and "none" leave config unweighted.
+    The table reaches the last checkpoint, the last n the sum reads; tables
+    keeps one sieve per (kind, reach).  kbsz and "none" leave config unweighted.
     """
     if config.kbsz is not None or kind == "none":
         return config
-    key = (kind, config.sample_size)
+    key = (kind, config.checkpoints[-1])
     if key not in tables:
         tables[key] = weight_table(*key)
     return dataclasses.replace(config, weight=tables[key])
 
 
 def _series_config(args, kbsz=None) -> "_experiment.ExperimentConfig":
-    doc = load_document(args.spec)
-    bound = build_system(doc, _pick_system(doc, args))
+    doc, bound = _load_system(args)
     obs = bind_observable(doc, args.observable, bound)
     return _experiment.ExperimentConfig(
         name=args.name or ("%s_%s" % (bound.name, obs.name or "obs")),
@@ -257,7 +248,7 @@ def _cmd_run(args) -> int:
     if not experiments:
         raise BindingError("no experiment declarations in %s" % args.spec)
     formats = _experiment.check_formats(args.format.split(","))
-    tables = {}  # one sieve per (kind, N) in the file
+    tables = {}  # one sieve per (kind, reach) in the file
     for decl in experiments:
         bound = build_system(doc, decl.system)
         config = _binding.bind_experiment(decl, bound, bind_observable(doc, decl.observable, bound))
@@ -280,13 +271,13 @@ def _emit(data: bytes, out: str | None):
         sys.stdout.write(data.decode("ascii"))
 
 
-def _pick_system(doc: SpecDocument, args) -> str:
-    if args.system:
-        return args.system
+def _load_system(args) -> tuple:
+    """(document, bound system) of args.spec: --system, or the file's only system."""
+    doc = load_document(args.spec)
     systems = doc.systems()
-    if len(systems) == 1:
-        return next(iter(systems))
-    raise BindingError("--system is required when the file declares %d systems" % len(systems))
+    if not args.system and len(systems) != 1:
+        raise BindingError("--system is required when the file declares %d systems" % len(systems))
+    return doc, build_system(doc, args.system or next(iter(systems)))
 
 
 def _add_spec_args(p, observable=False):

@@ -265,9 +265,8 @@ class ExperimentConfig:
             if not primes:
                 raise ValueError("kbsz needs two distinct primes, got (%d, %d)" % (r, s))
             object.__setattr__(self, "kbsz", (r, s))
-        if self.checkpoints is None:
-            points = _validate_checkpoints(pow2_checkpoints(self.sample_size))
-        else:
+        points = _validate_checkpoints(pow2_checkpoints(self.sample_size))  # ends at N: checks N against the cap
+        if self.checkpoints is not None:
             points = _validate_checkpoints(self.checkpoints)
             if points[-1] > self.sample_size:
                 raise ValueError("checkpoint %d beyond sample size %d" % (points[-1], self.sample_size))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedPointError
-from .morse import MorseSpec, hat_word, morse_prefix
+from .morse import MorseSpec, hat_stream, morse_stream
 from .permgrp import FiniteGroup, cyclic_group
 from .streams import INT64_MAX, SymbolStream
 
@@ -109,32 +109,35 @@ def tower_index(point: OdometerPoint, t: int) -> int:
     return point.value % point.spec.n(t)
 
 
-def morse_cocycle_eval(mspec: MorseSpec, point: OdometerPoint, max_stage: int = 10_000) -> int:
+def morse_cocycle_eval(mspec: MorseSpec, point: OdometerPoint) -> int:
     """Value of the Morse cocycle at an odometer point.
 
-    Reads the first stage word whose tower index is a determined residue.
-    The all-top point never lands on one and raises UndefinedPointError.
+    Reads the hat of the Morse sequence at the first tower index that is a
+    determined residue.  The all-top point never lands on one and raises
+    UndefinedPointError; a residue past the int64 reach raises ValueError.
     """
     if point.is_all_top:
         raise UndefinedPointError("the cocycle is undefined at the all-top point -theta")
-    for t in range(1, max_stage + 1):
-        n_t = mspec.n(t)
-        i = point.value % n_t
-        if i <= n_t - 2:
-            word = morse_prefix(mspec, i + 2)
-            return int(hat_word(mspec.group, word)[i])
-    raise UndefinedPointError("no stage up to %d determines the point" % max_stage)
+    t, n_t = _trailing_top_digits(mspec, point.value)
+    i = point.value % (n_t * mspec.lam(t))
+    if i > INT64_MAX:
+        raise ValueError("the cocycle at %d reads residue %d, beyond the int64 limit %d" % (point.value, i, INT64_MAX))
+    return int(hat_stream(mspec.group, morse_stream(mspec)).at([i])[0])
 
 
-def veech_tau(point: OdometerPoint, max_stage: int = 10_000) -> int:
+def veech_tau(point: OdometerPoint) -> int:
     """Least t >= 1 with x mod n_t != n_t - 1; undefined at -theta."""
     if point.is_all_top:
         raise UndefinedPointError("tau is undefined at -theta")
-    for t in range(1, max_stage + 1):
-        n_t = point.spec.n(t)
-        if point.value % n_t != n_t - 1:
-            return t
-    raise UndefinedPointError("tau exceeded stage %d" % max_stage)
+    return _trailing_top_digits(point.spec, point.value)[0] + 1
+
+
+def _trailing_top_digits(spec, value: int) -> tuple:
+    """(t, n_t) for the t trailing top digits of an integer other than -1, peeled off one at a time."""
+    t, n_t = 0, 1
+    while value % spec.lam(t) == spec.lam(t) - 1:
+        value, n_t, t = value // spec.lam(t), n_t * spec.lam(t), t + 1
+    return t, n_t
 
 
 @dataclass(frozen=True)

@@ -65,34 +65,24 @@ class Perm:
             inv[b] = a
         return Perm(inv)
 
-    def order(self) -> int:
+    def _cycles(self):
+        """Each cycle as a list of points from its least point, fixed points included."""
         seen = [False] * self.degree
-        result = 1
         for a in range(self.degree):
-            if seen[a]:
-                continue
-            length = 0
+            cycle = []
             while not seen[a]:
                 seen[a] = True
+                cycle.append(a)
                 a = self.images[a]
-                length += 1
-            result = math.lcm(result, length)
-        return result
+            if cycle:
+                yield cycle
+
+    def order(self) -> int:
+        return math.lcm(*(len(cycle) for cycle in self._cycles()))
 
     def cycle_string(self, names=None) -> str:
         names = names or [str(a) for a in range(self.degree)]
-        seen = [False] * self.degree
-        parts = []
-        for a in range(self.degree):
-            if seen[a] or self.images[a] == a:
-                seen[a] = True
-                continue
-            cyc = []
-            while not seen[a]:
-                seen[a] = True
-                cyc.append(names[a])
-                a = self.images[a]
-            parts.append("(" + " ".join(cyc) + ")")
+        parts = ["(" + " ".join(names[a] for a in cycle) + ")" for cycle in self._cycles() if len(cycle) > 1]
         return "".join(parts) or "e"
 
     def __eq__(self, other):

@@ -338,6 +338,14 @@ class _Parser:
 
     # recovery
 
+    def comma_list(self, parse) -> list:
+        """parse() once, then once more after each ','."""
+        items = [parse()]
+        while self.at("PUNCT", ","):
+            self.advance()
+            items.append(parse())
+        return items
+
     def skip_to_next_declaration(self):
         depth = 0
         while not self.at("EOF"):
@@ -380,10 +388,7 @@ class _Parser:
         name = self.expect_name("a substitution name")
         self.expect_keyword("on")
         self.expect_punct("{")
-        letters = [self.expect_letter()]
-        while self.at("PUNCT", ","):
-            self.advance()
-            letters.append(self.expect_letter())
+        letters = self.comma_list(self.expect_letter)
         self.expect_punct("}")
         self.expect_punct("{")
         rules = []
@@ -483,10 +488,7 @@ class _Parser:
             self.expect_punct("{")
             coords = []
             if not self.at("PUNCT", "}"):
-                coords.append(self.expect_int("a window coordinate"))
-                while self.at("PUNCT", ","):
-                    self.advance()
-                    coords.append(self.expect_int("a window coordinate"))
+                coords = self.comma_list(lambda: self.expect_int("a window coordinate"))
             self.expect_punct("}")
             return ObservableDecl(name, "walsh", coords=tuple(coords), span=span)
         if kind == "indicator":
@@ -496,10 +498,7 @@ class _Parser:
             return ObservableDecl(name, "indicator", block=block.text, offset=offset, span=span)
         if kind == "table":
             self.expect_punct("{")
-            entries = [self.parse_table_entry()]
-            while self.at("PUNCT", ","):
-                self.advance()
-                entries.append(self.parse_table_entry())
+            entries = self.comma_list(self.parse_table_entry)
             self.expect_punct("}")
             return ObservableDecl(name, "table", entries=tuple(entries), span=span)
         self.error("unknown observable kind %r (expected walsh, indicator, or table)" % kind, tok)
@@ -560,10 +559,7 @@ class _Parser:
                 self.advance()
                 return "pow2"
             self.expect_punct("[")
-            points = [self.expect_int("a checkpoint")]
-            while self.at("PUNCT", ","):
-                self.advance()
-                points.append(self.expect_int("a checkpoint"))
+            points = self.comma_list(lambda: self.expect_int("a checkpoint"))
             self.expect_punct("]")
             return tuple(points)
         if key == "kbsz":
@@ -582,6 +578,7 @@ class _Validator:
         self.source_lines = source_lines
         self.diagnostics = []
         self.bound = {}  # system name -> BoundSystem
+        self.groups = {}  # GroupExpr -> (group, cover) built once for the document
 
     def error(self, message, span):
         excerpt = ""
@@ -625,7 +622,9 @@ class _Validator:
             if not self.check_cover_target(decl.group, systems):
                 return
             try:
-                group, cover = build_group(decl.group, self.bound)
+                if decl.group not in self.groups:  # a failed build is retried, so each declaration is located
+                    self.groups[decl.group] = build_group(decl.group, self.bound)
+                group, cover = self.groups[decl.group]
             except (ValueError, CapacityError) as exc:
                 self.error(str(exc), decl.group.span)
                 return

@@ -26,7 +26,8 @@ import numpy as np
 from .arith import LIMIT_CAP
 from .streams import SymbolStream
 
-TABLE_CAP = 1 << 24
+TABLE_CAP = 1 << 24  # below 2^31, so an int32 index reaches every table entry
+GRID_CAP = 1 << 22  # spectrum at this grid peaks near 600 MiB, most of it the CSV text
 
 
 @dataclass(frozen=True)
@@ -78,13 +79,17 @@ class Observable:
             idx = idx * self.alphabet_size + s
         return complex(self.values[idx])
 
+    def _gather(self, read) -> np.ndarray:
+        """Table values of the windows whose symbols at offset w are read(w), a fresh int32 array."""
+        idx = read(self.window[0])
+        for off in self.window[1:]:
+            idx *= self.alphabet_size
+            idx += read(off)
+        return self.values[idx]
+
     def evaluate(self, stream: SymbolStream, start: int, count: int) -> np.ndarray:
         """v(start), ..., v(start + count - 1) as a complex vector."""
-        idx = np.zeros(count, dtype=np.int64)
-        for off in self.window:
-            idx *= self.alphabet_size
-            idx += stream.block(start + off, count)
-        return self.values[idx]
+        return self._gather(lambda off: stream.block(start + off, count))
 
     def evaluate_at(self, stream: SymbolStream, positions) -> np.ndarray:
         """v at arbitrary nonnegative positions.
@@ -97,10 +102,7 @@ class Observable:
             return np.zeros(0, dtype=np.complex128)
         if positions.min() < 0:
             raise ValueError("positions must be nonnegative")
-        idx = stream.at(positions + self.window[0])
-        for off in self.window[1:]:
-            idx = idx * self.alphabet_size + stream.at(positions + off)
-        return self.values[idx]
+        return self._gather(lambda off: stream.at(positions + off))
 
 
 def _table_size(window, alphabet_size) -> int:
@@ -256,10 +258,17 @@ def autocorrelation(stream: SymbolStream, obs: Observable, sample_size: int, max
     )
 
 
-def periodogram(estimate: AutocorrelationEstimate, grid_size: int) -> np.ndarray:
-    """Fejer-weighted spectral density on the grid j/M, clamped at zero."""
+def check_grid(grid_size: int) -> None:
+    """Refuse a periodogram grid below 1 or above GRID_CAP."""
     if grid_size < 1:
         raise ValueError("grid size must be positive, got %d" % grid_size)
+    if grid_size > GRID_CAP:
+        raise ValueError("grid size %d is beyond the cap %d" % (grid_size, GRID_CAP))
+
+
+def periodogram(estimate: AutocorrelationEstimate, grid_size: int) -> np.ndarray:
+    """Fejer-weighted spectral density on the grid j/M, clamped at zero."""
+    check_grid(grid_size)
     L = estimate.max_lag
     weights = 1.0 - np.arange(L + 1) / (L + 1.0)
     weighted = weights * estimate.values

@@ -20,6 +20,9 @@ import numpy as np
 # for a binary alphabet, which reads any position below 2^32 in two gathers,
 # and a few MiB per table however many symbols the alphabet has.
 LEVEL_MIN = 1 << 17
+# Most entries of a product of steps (64 MiB as int32): a step too wide to
+# multiply by the next without passing it is a level of its own.
+LEVEL_MAX = 1 << 24
 
 INT64_MAX = (1 << 63) - 1  # the last position a stream can read
 
@@ -84,10 +87,10 @@ class DigitReader:
     A step is an (alphabet, lambda) table whose row a is the word written for
     symbol a; the steps are head[0], head[1], ..., then tail forever.  Level
     j, of width R_j, multiplies consecutive steps, T[S].reshape(alphabet, -1),
-    until it holds at least LEVEL_MIN entries; it is built on the first read
-    that needs it.  Every level past the head is the same product of tail
-    steps, held as one array.  Writing p = d_0 + d_1 R_0 + d_2 R_0 R_1 + ...
-    with 0 <= d_j < R_j,
+    until it holds at least LEVEL_MIN entries or the next product would hold
+    more than LEVEL_MAX; it is built on the first read that needs it.  Every
+    level past the head is the same product of tail steps, held as one array.
+    Writing p = d_0 + d_1 R_0 + d_2 R_0 R_1 + ... with 0 <= d_j < R_j,
 
         x[p] = T_0[T_1[... T_m[start, d_m] ..., d_1], d_0],
 
@@ -127,13 +130,16 @@ class DigitReader:
 
 def _digit_levels(head: tuple, tail: np.ndarray):
     """(radix, table) of each digit level of DigitReader, head levels first."""
-    steps = itertools.chain(head, itertools.repeat(tail))
+
+    def step(i):
+        return head[i] if i < len(head) else tail
+
     used = 0  # steps multiplied into the levels so far
     while True:
-        past_head, table = used >= len(head), next(steps)
+        past_head, table = used >= len(head), step(used)
         used += 1
-        while table.size < LEVEL_MIN:
-            table = table[next(steps)].reshape(len(table), -1)
+        while table.size < LEVEL_MIN and table.size * step(used).shape[1] <= LEVEL_MAX:
+            table = table[step(used)].reshape(len(table), -1)
             used += 1
         # a fresh copy that frees the product: glibc raises its mmap threshold
         # to the largest mmapped block freed, and with the product kept the

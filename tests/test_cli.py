@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import pathlib
@@ -11,6 +12,7 @@ from mobiuslab.arith import LIMIT_CAP, pattern_parity, weight_table
 from mobiuslab.binding import BindingError
 from mobiuslab.cli import main
 from mobiuslab.experiment import _format_number
+from mobiuslab.spectral import GRID_CAP
 
 REPO = pathlib.Path(__file__).parent.parent
 SPECS = REPO / "specs"
@@ -387,6 +389,104 @@ def test_power_words_beyond_2_20_are_refused_before_they_are_built(tmp_path):
     assert proc.stderr == "error: power word at t=2 exceeds 2^20 symbols\n"
 
 
+LONG_RULES = {
+    "subst": 'substitution s on {a, b} {\n  a -> "%s";\n  b -> "%s";\n}\nobservable f = table {a: 1, b: -1}\n'
+             % ("ab" * 10000, "ba" * 10000),
+    "morse": 'morse m over Z2 blocks [repeat "%s"]\nobservable f = walsh {0, 1}\n' % ("0110" * 5000),
+}
+# x[20000 q + i] = x[q] + b[i] mod 2: b[i] = i mod 2 for the substitution
+# (a -> abab..., b -> baba...), the bits of 0110... for the Morse block
+LONG_BLOCK = {"subst": lambda i: i % 2, "morse": lambda i: (0, 1, 1, 0)[i % 4]}
+
+
+@functools.lru_cache(maxsize=None)
+def long_symbols(kind, count):
+    out = []
+    for n in range(count):
+        total = 0
+        while n:
+            n, i = divmod(n, 20000)
+            total += LONG_BLOCK[kind](i)
+        out.append(total % 2)
+    return out
+
+
+def long_rule_lines(kind, command, n):
+    """The lines a call on LONG_RULES[kind] prints, from the digits of each position."""
+    x = long_symbols(kind, 5 * n + 2)
+    hat = "".join(str((b - a) % 2) for a, b in zip(x, x[1:]))
+    v = [1 - 2 * a for a in x] if kind == "subst" else [(-1) ** (a + b) for a, b in zip(x, x[1:])]
+    if command == "gen":
+        return ["".join(("ab" if kind == "subst" else "01")[a] for a in x[:n])]
+    if command == "hat":
+        return [hat[:n]]
+    if command == "blocks" and kind == "subst":
+        return ["t=1 |word|=20000 " + "ab" * 10000]
+    if command == "blocks":
+        return ["t=1 n=20000 hole=19999 values=" + hat[:19999]]
+    if command == "corr":
+        return ["lag,real,imag"] + [
+            "%d,%s,0" % (lag, _format_number(sum(v[k + lag] * v[k] for k in range(n)) / n)) for lag in range(5)
+        ]
+    if command == "sarnak":
+        total = sum(v[k] for k in range(1, n + 1))
+    else:
+        total = sum(v[3 * k] * v[5 * k] for k in range(1, n + 1))
+    return ["final = %s + 0i at N = %d" % (_format_number(total / n), n)]
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("gen", ["--n", "50000"]),
+    ("hat", ["--n", "50000"]),
+    ("blocks", ["--t", "1"]),
+    ("sarnak", ["--observable", "f", "--n", "50000", "--weight", "none"]),
+    ("kbsz", ["--observable", "f", "--n", "50000", "--primes", "3,5"]),
+    ("corr", ["--observable", "f", "--n", "50000", "--lags", "4"]),
+], ids=["gen", "hat", "blocks", "sarnak", "kbsz", "corr"])
+@pytest.mark.parametrize("kind", ["subst", "morse"])
+def test_long_rules_read_in_bounded_levels(tmp_path, kind, command, argv):
+    """Run under the address-space limit: two 20,000-symbol steps multiplied would be a 3 GiB level.
+
+    Each step stays a level of its own, so every call reads through tables of 40,000 entries.
+    """
+    (tmp_path / "long.spec").write_text(LONG_RULES[kind])
+    proc = run_limited(command, "long.spec", *argv, cwd=str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    want = long_rule_lines(kind, command, int(argv[argv.index("--n") + 1]) if "--n" in argv else 20000)
+    assert proc.stdout.splitlines()[: len(want)] == want
+
+
+COCYCLE_READS = """
+from mobiuslab.morse import hat_stream, kakutani_spec, morse_stream
+from mobiuslab.odometer import OdometerSpec, morse_cocycle_eval
+
+spec, dyadic = kakutani_spec([1, 0, 1]), OdometerSpec(tail=2)
+hat = hat_stream(spec.group, morse_stream(spec))
+
+def x(n):  # blocks 01, 00, then 01 forever: every bit of n but bit 1
+    return (bin(n).count("1") - (n >> 1 & 1)) % 2
+
+for v in (2**27 - 1, 2**34 - 1, -2, -5, -2**20 - 3, -2**40 + 7):
+    bits = bin(v % 2**70)
+    residue = v % 2 ** (len(bits) - len(bits.rstrip("1")) + 1)  # the first stage past the trailing ones
+    got = morse_cocycle_eval(spec, dyadic.point(v))
+    assert got == hat.at([residue])[0] == (x(residue + 1) - x(residue)) % 2, v
+try:
+    morse_cocycle_eval(spec, dyadic.point(2**64 - 1))
+except ValueError as exc:
+    assert "int64 limit" in str(exc), exc
+else:
+    raise AssertionError("the residue of 2^64 - 1 is 2^64 - 1")
+print("ok")
+"""
+
+
+def test_cocycle_reads_the_hat_at_its_residue_in_bounded_memory():
+    """Points up to 2^34 - 1 read one hat symbol, not a prefix of n_t symbols (64 GiB at 2^34 - 1)."""
+    proc = run_limited(python=("-c", COCYCLE_READS))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
 FAR_FLAGS = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable far = walsh {%d}\n'
 
 
@@ -539,9 +639,14 @@ def test_spectrum_refuses_a_grid_below_one_before_the_autocorrelation(capsys, mo
         raise AssertionError("autocorrelation ran before the grid was checked")
 
     monkeypatch.setattr(cli._spectral, "autocorrelation", failing)
-    for grid in ("0", "-3"):
+    for grid, message in (
+        ("0", "grid size must be positive, got 0"),
+        ("-3", "grid size must be positive, got -3"),
+        (str(GRID_CAP + 1), "grid size %d is beyond the cap %d" % (GRID_CAP + 1, GRID_CAP)),
+        ("1099511627776", "grid size 1099511627776 is beyond the cap %d" % GRID_CAP),
+    ):
         code, out, err = run(capsys, "spectrum", TM_SPEC, "--observable", "w0", "--n", "1024", "--grid", grid)
-        assert (code, out, err) == (2, "", "error: grid size must be positive, got %s\n" % grid)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_kbsz_reads_veech_positions_up_to_the_int64_reach(capsys, tmp_path):
@@ -558,13 +663,28 @@ def test_kbsz_reads_veech_positions_up_to_the_int64_reach(capsys, tmp_path):
     (LIMIT_CAP, "5,3", "checkpoints must be strictly ascending, got (5, 3)"),
     (LIMIT_CAP, "1,%d" % (LIMIT_CAP + 1), "N = %d is beyond the sample-size cap %d" % (LIMIT_CAP + 1, LIMIT_CAP)),
     (0, "pow2", "N must be positive, got 0"),
-], ids=["zero", "descending", "beyond_cap", "no_samples"])
+    (10**12, "100", "N = 1000000000000 is beyond the sample-size cap %d" % LIMIT_CAP),
+], ids=["zero", "descending", "beyond_cap", "no_samples", "n_beyond_cap"])
 def test_bad_checkpoints_are_refused_before_the_sieve(capsys, monkeypatch, n, checkpoints, message):
     calls = count_sieves(monkeypatch)
     code, out, err = run(capsys, "sarnak", TM_SPEC, "--observable", "w0", "--n", str(n),
                          "--checkpoints", checkpoints)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
     assert calls == []
+
+
+def test_sieves_reach_the_last_checkpoint(capsys, tmp_path, monkeypatch):
+    """A sum at checkpoints 10, 100 reads 100 weights, whatever N is."""
+    calls = count_sieves(monkeypatch)
+    argv = ["sarnak", TM_SPEC, "--observable", "w0", "--checkpoints", "10,100"]
+    far = run(capsys, *argv, "--n", str(LIMIT_CAP))
+    assert calls == [("moebius", 100)]
+    assert far[0] == 0 and far == run(capsys, *argv, "--n", "100")
+    spec = tmp_path / "few.spec"
+    spec.write_text(REUSE_SYSTEMS + "experiment e { system: tm; observable: w0; weight: liouville; N: 5000; "
+                    "checkpoints: [10, 100]; }\n")
+    assert run(capsys, "run", str(spec), "--out", str(tmp_path / "out"))[0] == 0
+    assert calls[2:] == [("liouville", 100)]
 
 
 HERNING = """substitution h on {a, b, c} {
@@ -587,7 +707,10 @@ AB = 'substitution s on {a, b} {\n  a -> "ab";\n  b -> "ba";\n}\nobservable t = 
     (AB + "experiment e { system: s; observable: t; N: %d; }\n" % (LIMIT_CAP + 1), 6, 1, str(LIMIT_CAP)),
     (AB + "experiment e { system: s; observable: t; N: 1048576; kbsz: (3, 100000000000031); }\n",
      6, 1, "beyond the int64 limit"),
-], ids=["cover_table_key", "cover_walsh", "cover_psi", "no_fixed_letter", "n_above_cap", "kbsz_reach"])
+    (AB + "experiment e { system: s; observable: t; weight: moebius; N: 1000000000000; checkpoints: [100]; }\n",
+     6, 1, "N = 1000000000000 is beyond the sample-size cap %d" % LIMIT_CAP),
+], ids=["cover_table_key", "cover_walsh", "cover_psi", "no_fixed_letter", "n_above_cap", "kbsz_reach",
+        "n_above_cap_few_checkpoints"])
 def test_spec_errors_found_while_binding_exit_one(capsys, tmp_path, text, line, column, fragment):
     spec = tmp_path / "bad.spec"
     spec.write_text(text)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,13 @@ def test_veech_tau_trailing_ones():
         assert veech_tau(DYADIC.point(n)) == expected
     with pytest.raises(UndefinedPointError):
         veech_tau(DYADIC.all_top())
+
+
+def test_veech_tau_far_past_ten_thousand_stages():
+    start = time.perf_counter()
+    assert veech_tau(DYADIC.point(2**10001 - 1)) == 10002
+    assert veech_tau(DYADIC.point(-(2**10001) - 1)) == 10002  # ...1 0 1^10001: the trailing ones are top
+    assert time.perf_counter() - start < 1
 
 
 def test_morse_cocycle_eval_matches_hat():

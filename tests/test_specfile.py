@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from mobiuslab import binding
 from mobiuslab.specfile import (
     Diagnostic,
     ExperimentDecl,
@@ -339,6 +340,24 @@ def test_group_expression_limits():
     assert (diags[0].line, diags[0].column) == (1, 14)
     diags = parse_bad('rs r pattern "11"\nmorse m over cover-of r\n')
     assert (diags[0].line, diags[0].column) == (2, 14) and "needs a substitution" in diags[0].message
+
+
+def test_each_group_expression_is_built_once_per_document(monkeypatch):
+    built, build = [], binding.cyclic_group
+
+    def counting(n):
+        built.append(n)
+        return build(n)
+
+    monkeypatch.setattr(binding, "cyclic_group", counting)
+    doc = parse_ok('morse a over Zn(50) blocks [repeat "01"]\nveech b base 3 group Zn( 50 ) psi repeat "12"\n')
+    assert built == [50]
+    assert doc.bound["a"].group is doc.bound["b"].group
+
+
+def test_a_group_that_fails_to_build_is_located_at_each_use():
+    diags = parse_bad('morse a over Sym(7) blocks [repeat "01"]\nmorse b over Sym(7) blocks [repeat "01"]\n')
+    assert [(d.line, d.column) for d in diags] == [(1, 14), (2, 14)]
 
 
 def test_cover_of_a_substitution_that_fails_to_bind_is_reported_once():

@@ -7,6 +7,7 @@ from mobiuslab.arith import LIMIT_CAP
 from mobiuslab.morse import MorseSpec, hat_stream, morse_stream
 from mobiuslab.permgrp import cyclic_group
 from mobiuslab.spectral import (
+    GRID_CAP,
     Observable,
     atom_mass,
     autocorrelation,
@@ -216,6 +217,12 @@ def test_periodogram_mean_and_sign():
         assert spec.mean() == pytest.approx(est.values[0].real, abs=1e-9)
     with pytest.raises(ValueError):
         periodogram(est, 0)
+
+
+def test_periodogram_refuses_a_grid_beyond_the_cap():
+    est = autocorrelation(TM, make_walsh((0,)), 1024, 4)
+    with pytest.raises(ValueError, match="grid size %d is beyond the cap %d" % (GRID_CAP + 1, GRID_CAP)):
+        periodogram(est, GRID_CAP + 1)
 
 
 def test_periodogram_dyadic_peaks():

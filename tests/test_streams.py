@@ -7,7 +7,7 @@ from mobiuslab.cli import build_system
 from mobiuslab.odometer import OdometerSpec, VeechSpec, veech_stream, veech_tau
 from mobiuslab.permgrp import cyclic_group
 from mobiuslab.specfile import parse_spec
-from mobiuslab.streams import LEVEL_MIN, SymbolStream, periodic_stream, word_stream
+from mobiuslab.streams import LEVEL_MAX, LEVEL_MIN, SymbolStream, periodic_stream, word_stream
 
 
 def test_prefix_and_block_reads():
@@ -208,15 +208,33 @@ def test_at_on_many_levels_matches_prefix():
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(
         level_min=st.integers(1, 40),
+        level_max=st.integers(1, 120),
         positions=st.lists(st.integers(0, horizon - 1), min_size=1, max_size=50),
     )
-    def check(level_min, positions):
+    def check(level_min, level_max, positions):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(streams, "LEVEL_MIN", level_min)
+            mp.setattr(streams, "LEVEL_MAX", level_max)
             for make, prefix in zip(makers, prefixes):
                 assert make().at(positions).tolist() == prefix[positions].tolist()
 
     check()
+
+
+@pytest.mark.parametrize("head, first", [
+    ((), 20000),
+    (((0, 1, 1),), 3 * 20000),
+    (((0,) + (1,) * 20000,), 20001),
+], ids=["tail", "narrow_head", "wide_head"])
+def test_a_step_too_wide_to_multiply_is_a_level_of_its_own(head, first):
+    """A 20,000-symbol block times another would pass LEVEL_MAX, so every level holds at most one of them."""
+    spec = morse.MorseSpec(cyclic_group(2), head, (0, 1) * 10000)
+    stream = morse.morse_stream(spec)
+    positions = [0, 19999, 20000, 123456789, 1 << 40, (1 << 62) + 5]
+    assert stream.at(positions).tolist() == [morse_symbol(spec, n) for n in positions]
+    levels = stream._read._levels
+    assert [radix for radix, _ in levels] == [first] + [20000] * (len(levels) - 1)
+    assert max(table.size for _, table in levels) <= LEVEL_MAX
 
 
 def test_head_longer_than_a_level_is_split():
@@ -323,11 +341,13 @@ def test_runs_on_many_levels_match_the_builders():
     prefixes = [REFERENCES[name](horizon) for name in names]
 
     @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(level_min=st.integers(1, 40), start=st.integers(0, horizon), count=st.integers(0, 300))
-    def check(level_min, start, count):
+    @hypothesis.given(level_min=st.integers(1, 40), level_max=st.integers(1, 120), start=st.integers(0, horizon),
+                      count=st.integers(0, 300))
+    def check(level_min, level_max, start, count):
         count = min(count, horizon - start)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(streams, "LEVEL_MIN", level_min)
+            mp.setattr(streams, "LEVEL_MAX", level_max)
             for make, prefix in zip(makers, prefixes):
                 assert make().block(start, count).tolist() == prefix[start : start + count].tolist()
 
