@@ -223,9 +223,12 @@ def _series_config(args, kbsz=None) -> "_experiment.ExperimentConfig":
     )
 
 
+def _final(report) -> str:
+    return "final = %s + %si" % (_format_number(report.final.real), _format_number(report.final.imag))
+
+
 def _report_out(report, args) -> int:
-    final = report.final
-    print("final = %s + %si at N = %d" % (_format_number(final.real), _format_number(final.imag), report.checkpoints[-1]))
+    print("%s at N = %d" % (_final(report), report.checkpoints[-1]))
     _emit(_experiment.REPORTS[args.format](report), args.out)
     return 0
 
@@ -253,11 +256,8 @@ def _cmd_run(args) -> int:
         bound = build_system(doc, decl.system)
         config = _binding.bind_experiment(decl, bound, bind_observable(doc, decl.observable, bound))
         report, paths = _experiment.run_experiment(_weighted(config, decl.weight, tables), args.out, formats)
-        final = report.final
-        print(
-            "experiment %s: final = %s + %si -> %s"
-            % (decl.name, _format_number(final.real), _format_number(final.imag), ", ".join(str(p) for p in paths))
-        )
+        del config  # so the next experiment's observable table is not built beside this one
+        print("experiment %s: %s -> %s" % (decl.name, _final(report), ", ".join(str(p) for p in paths)))
     return 0
 
 

@@ -8,15 +8,13 @@ and the bilinear test sums compare two prime dilations of the same orbit,
 
     C_M = (1/M) sum_{n=1..M} v(r n) conj(v(s n)).
 
-Partial sums are evaluated at ascending checkpoints with one reduction,
-which asks for the products one piece of at most _LEAF values at a time and
-drops each piece once it is summed.  Each segment between consecutive
-checkpoints is summed in the order np.add.reduceat would sum the whole
-products vector, and a cumulative sum over those segment sums gives each
-partial sum.  The order is fixed, so reports are bit-identical on every
-rerun, and sums of integer-valued products (below 2^53) are exact.
-Everything runs on one thread; the CLI's --workers flag is accepted and has
-no effect.
+Partial sums at ascending checkpoints come from spectral._partial_sums,
+the one reduction (atom masses use it too).  It asks for the products one
+piece of at most _LEAF values at a time and sums them in the fixed order
+of np.cumsum(np.add.reduceat(products, starts)), so reports are
+bit-identical on every rerun and sums of integer-valued products (below
+2^53) are exact.  Everything runs on one thread; the CLI's --workers flag
+is accepted and has no effect.
 
 Sarnak sums read each piece as a run of the stream and weight it from the
 table; the bilinear sums read the stream at the dilated positions rn and sn
@@ -28,6 +26,7 @@ its N-entry weight table (one byte per n).
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 from dataclasses import dataclass, field
@@ -35,15 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import LIMIT_CAP, WeightTable, is_prime
-from .spectral import Observable
+from .spectral import _LEAF, Observable, _partial_sums, make_block_indicator
 from .streams import INT64_MAX, SymbolStream
-
-
-# Most values the reduction asks for at once.  A piece's int64 positions,
-# digits and table indices (256 KiB each) stay in a core's L2 cache; pieces
-# of 2^19 ran the KBSZ sums 2x slower.
-_LEAF = 1 << 15
-_NEG_ZERO = complex(-0.0, -0.0)  # adds nothing to any value, -0.0 included
+from .subst import _distinct_blocks
 
 
 def pow2_checkpoints(limit: int) -> tuple:
@@ -86,36 +79,6 @@ def _check_reach(limit: int, span: int, kbsz: tuple | None = None) -> None:
         raise ValueError(
             "%s at N = %d reads position %d, beyond the int64 limit %d" % (what, limit, last, INT64_MAX)
         )
-
-
-def _pairwise(fill, lo: int, hi: int) -> complex:
-    """Sum of the values on [lo, hi) in np.add.reduce's pairwise order.
-
-    numpy splits n complex values (2n doubles) after the largest multiple of
-    8 doubles not above n, so the left half holds (n - n % 8) // 2 values.
-    A node of at most _LEAF values is one np.add.reduce started at -0.0,
-    which sums it exactly as numpy sums that node of the whole vector.
-    """
-    n = hi - lo
-    if n <= _LEAF:
-        return complex(np.add.reduce(fill(lo, hi), initial=_NEG_ZERO)) if n else _NEG_ZERO
-    mid = lo + (n - n % 8) // 2
-    return _pairwise(fill, lo, mid) + _pairwise(fill, mid, hi)
-
-
-def _partial_sums(fill, checkpoints):
-    """Sums of the products x[0:M] at each checkpoint M, one piece at a time.
-
-    fill(lo, hi) returns x[lo:hi] as a new complex128 array.  A segment
-    [a, b) between checkpoints is x[a] + pairwise(x[a+1:b]), the order of
-    np.add.reduceat, and the running sum over the few segment sums gives
-    the partial sums, bit for bit np.cumsum(np.add.reduceat(x, starts)).
-    """
-    segments, a = [], 0
-    for b in checkpoints:
-        segments.append(complex(fill(a, a + 1)[0]) + _pairwise(fill, a + 1, b))
-        a = b
-    return [complex(v) for v in np.cumsum(segments)]
 
 
 @dataclass(frozen=True)
@@ -208,13 +171,12 @@ def block_sweep(
     checkpoints,
     alphabet_size: int | None = None,
 ):
-    """One Sarnak report per length-k block appearing in the scanned prefix.
+    """One Sarnak report per length-k block appearing in the scanned windows.
 
-    Returns a dict keyed by the block tuple.  Blocks are collected from the
-    prefix covering every window the reports read.
+    Returns a dict keyed by the block tuple.  The windows start at 0..N, so
+    they cover every window the reports read; they are scanned one run of
+    _LEAF windows at a time.
     """
-    from .spectral import make_block_indicator
-
     if k < 1:
         raise ValueError("block length must be positive, got %d" % k)
     checkpoints = _validate_checkpoints(checkpoints)
@@ -223,11 +185,11 @@ def block_sweep(
         alphabet_size = stream.alphabet_size
     if alphabet_size is None:
         raise ValueError("alphabet size unknown, pass alphabet_size")
-    prefix = stream.prefix(limit + k)
-    windows = np.lib.stride_tricks.sliding_window_view(prefix, k)
-    blocks = sorted(map(tuple, np.unique(windows, axis=0).tolist()))
+    blocks = set()
+    for lo in range(0, limit + 1, _LEAF):
+        blocks |= _distinct_blocks(stream.block(lo, min(_LEAF, limit + 1 - lo) + k - 1), k)
     reports = {}
-    for block in blocks:
+    for block in sorted(blocks):
         obs = make_block_indicator(block, 0, alphabet_size)
         reports[block] = sarnak_series(stream, obs, weights, checkpoints)
     return reports
@@ -285,12 +247,17 @@ def _format_number(v: float) -> str:
     return format(v + 0.0, ".12g")  # + 0.0 folds -0.0 into 0
 
 
+_CSV_ROWS = 1 << 16  # rows formatted as str objects at once; only their encoded bytes outlive the piece
+
+
 def csv_bytes(header: str, rows) -> bytes:
     """CSV lines of rows (an integer, then numbers), under the header line."""
-    lines = [header]
-    for first, *numbers in rows:
-        lines.append(",".join(["%d" % first] + [_format_number(v) for v in numbers]))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    rows = iter(rows)
+    pieces = [header.encode("ascii") + b"\n"]
+    for piece in iter(lambda: list(itertools.islice(rows, _CSV_ROWS)), []):
+        lines = (",".join(["%d" % first] + [_format_number(v) for v in numbers]) for first, *numbers in piece)
+        pieces.append(("\n".join(lines) + "\n").encode("ascii"))
+    return b"".join(pieces)
 
 
 def report_csv(report: ConvergenceReport) -> bytes:

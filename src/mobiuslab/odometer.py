@@ -21,6 +21,7 @@ n -> Psi(tau(point + n)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,7 @@ class OdometerSpec:
         return self.head[t] if t < len(self.head) else self.tail
 
     def n(self, t: int) -> int:
-        out = 1
-        for j in range(t):
-            out *= self.lam(j)
-        return out
+        return math.prod(self.lam(j) for j in range(t))
 
     def point(self, value: int) -> "OdometerPoint":
         return OdometerPoint(self, int(value))
@@ -90,7 +88,12 @@ class OdometerPoint:
         return (self.value // self.spec.n(t)) % self.spec.lam(t)
 
     def digits(self, count: int) -> tuple:
-        return tuple(self.digit(t) for t in range(count))
+        """x_0, ..., x_{count-1}, peeled off one stage at a time."""
+        out, value = [], self.value
+        for t in range(count):
+            value, d = divmod(value, self.spec.lam(t))
+            out.append(d)
+        return tuple(out)
 
     @property
     def is_all_top(self) -> bool:

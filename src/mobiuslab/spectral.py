@@ -14,11 +14,13 @@ with gamma-hat(-n) = conj(gamma-hat(n)).  The Fejer weights make the
 periodogram of an exact autocorrelation sequence nonnegative; the windowed
 estimate can dip below zero by a boundary term of order L^2/N, which is
 clamped at zero so downstream consumers may rely on the sign.
+
+Atom masses and the series of mobiuslab.experiment are summed by
+_partial_sums, in a fixed order that does not depend on BLAS threads.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,43 @@ from .arith import LIMIT_CAP
 from .streams import SymbolStream
 
 TABLE_CAP = 1 << 24  # below 2^31, so an int32 index reaches every table entry
-GRID_CAP = 1 << 22  # spectrum at this grid peaks near 600 MiB, most of it the CSV text
+GRID_CAP = 1 << 22  # spectrum at this grid peaks near 260 MiB: the periodogram, then its CSV bytes
+
+# Most values the reduction asks for at once.  A piece's int64 positions,
+# digits and table indices (256 KiB each) stay in a core's L2 cache; pieces
+# of 2^19 ran the KBSZ sums 2x slower.
+_LEAF = 1 << 15
+_NEG_ZERO = complex(-0.0, -0.0)  # adds nothing to any value, -0.0 included
+
+
+def _pairwise(fill, lo: int, hi: int) -> complex:
+    """Sum of the values on [lo, hi) in np.add.reduce's pairwise order.
+
+    numpy splits n complex values (2n doubles) after the largest multiple of
+    8 doubles not above n, so the left half holds (n - n % 8) // 2 values.
+    A node of at most _LEAF values is one np.add.reduce started at -0.0,
+    which sums it exactly as numpy sums that node of the whole vector.
+    """
+    n = hi - lo
+    if n <= _LEAF:
+        return complex(np.add.reduce(fill(lo, hi), initial=_NEG_ZERO)) if n else _NEG_ZERO
+    mid = lo + (n - n % 8) // 2
+    return _pairwise(fill, lo, mid) + _pairwise(fill, mid, hi)
+
+
+def _partial_sums(fill, checkpoints):
+    """Sums of the products x[0:M] at each checkpoint M, one piece at a time.
+
+    fill(lo, hi) returns x[lo:hi] as a new complex128 array.  A segment
+    [a, b) between checkpoints is x[a] + pairwise(x[a+1:b]), the order of
+    np.add.reduceat, and the running sum over the few segment sums gives
+    the partial sums, bit for bit np.cumsum(np.add.reduceat(x, starts)).
+    """
+    segments, a = [], 0
+    for b in checkpoints:
+        segments.append(complex(fill(a, a + 1)[0]) + _pairwise(fill, a + 1, b))
+        a = b
+    return [complex(v) for v in np.cumsum(segments)]
 
 
 @dataclass(frozen=True)
@@ -72,12 +110,10 @@ class Observable:
         symbols = tuple(int(s) for s in symbols)
         if len(symbols) != len(self.window):
             raise ValueError("expected %d symbols, got %d" % (len(self.window), len(symbols)))
-        idx = 0
         for s in symbols:
             if not 0 <= s < self.alphabet_size:
                 raise ValueError("symbol %d outside alphabet of size %d" % (s, self.alphabet_size))
-            idx = idx * self.alphabet_size + s
-        return complex(self.values[idx])
+        return complex(self.values.reshape((self.alphabet_size,) * len(symbols))[symbols])
 
     def _gather(self, read) -> np.ndarray:
         """Table values of the windows whose symbols at offset w are read(w), a fresh int32 array."""
@@ -98,9 +134,7 @@ class Observable:
         len(positions), not the largest position.
         """
         positions = np.asarray(positions, dtype=np.int64)
-        if len(positions) == 0:
-            return np.zeros(0, dtype=np.complex128)
-        if positions.min() < 0:
+        if len(positions) and positions.min() < 0:
             raise ValueError("positions must be nonnegative")
         return self._gather(lambda off: stream.at(positions + off))
 
@@ -114,13 +148,11 @@ def _table_size(window, alphabet_size) -> int:
     return size
 
 
-def make_walsh(coords, alphabet_size: int = 2, name: str | None = None) -> Observable:
-    """f(x) = (-1)^(sum of x at the coordinates); binary alphabets only.
+def make_walsh(coords, name: str | None = None) -> Observable:
+    """f(x) = (-1)^(sum of x at the coordinates) on the binary alphabet.
 
     The empty coordinate set gives the constant 1 observable on window {0}.
     """
-    if alphabet_size != 2:
-        raise ValueError("walsh observables need a binary alphabet, got size %d" % alphabet_size)
     coords = tuple(sorted(int(c) for c in set(coords)))
     window = coords if coords else (0,)
     _table_size(window, 2)
@@ -143,14 +175,12 @@ def make_block_indicator(block, offset: int = 0, alphabet_size: int = 2, name: s
     block = tuple(int(b) for b in block)
     if not block:
         raise ValueError("block must be nonempty")
-    index = 0
     for b in block:
         if not 0 <= b < alphabet_size:
             raise ValueError("block symbol %d outside alphabet of size %d" % (b, alphabet_size))
-        index = index * alphabet_size + b
     window = tuple(range(offset, offset + len(block)))
     values = np.zeros(_table_size(window, alphabet_size), dtype=np.complex128)
-    values[index] = 1.0
+    values.reshape((alphabet_size,) * len(block))[block] = 1.0
     return Observable(
         window=window,
         alphabet_size=alphabet_size,
@@ -204,20 +234,18 @@ def linear_combination(terms, name: str | None = None) -> Observable:
         raise ValueError("terms use different alphabets: %s" % sorted(alphabet))
     alphabet_size = alphabet.pop()
     window = tuple(sorted({w for _, obs in terms for w in obs.window}))
-    slots = {w: i for i, w in enumerate(window)}
-
-    def fn(symbols):
-        total = 0.0 + 0.0j
-        for coeff, obs in terms:
-            total += coeff * obs.value(tuple(symbols[slots[w]] for w in obs.window))
-        return total
-
-    size = _table_size(window, alphabet_size)
-    symbols = itertools.product(range(alphabet_size), repeat=len(window))
+    _table_size(window, alphabet_size)
+    values = np.zeros((alphabet_size,) * len(window), dtype=np.complex128)
+    for coeff, obs in terms:
+        # the term's table over the union window: its own offsets as axes, length 1 at the others
+        table = obs.values.reshape([alphabet_size if w in obs.window else 1 for w in window])
+        # parts apart, so each entry is Python's complex product and sum, bit for bit
+        values.real += coeff.real * table.real - coeff.imag * table.imag
+        values.imag += coeff.real * table.imag + coeff.imag * table.real
     return Observable(
         window=window,
         alphabet_size=alphabet_size,
-        values=np.fromiter(map(fn, symbols), dtype=np.complex128, count=size),
+        values=values,
         kind="combination",
         zero_mean=None,
         name=name or "combination",
@@ -287,12 +315,14 @@ def atom_mass(stream: SymbolStream, obs: Observable, frequency, sample_size: int
         raise ValueError("denominator must be positive, got %d" % q)
     if sample_size < q:
         raise ValueError("need at least one full period, N=%d < q=%d" % (sample_size, q))
-    v = obs.evaluate(stream, 0, sample_size)
-    phase_period = np.exp(-2j * np.pi * p * np.arange(q) / q)
-    reps = -(-sample_size // q)
-    phases = np.tile(phase_period, reps)[:sample_size]
-    coeff = np.dot(v, phases) / sample_size
-    return float(abs(coeff) ** 2)
+    # one period and one piece more, so every piece's phases are one slice
+    period = np.resize(np.exp(-2j * np.pi * p * np.arange(q) / q), q + _LEAF)
+
+    def fill(lo, hi):
+        return obs.evaluate(stream, lo, hi - lo) * period[lo % q : lo % q + hi - lo]
+
+    (total,) = _partial_sums(fill, (sample_size,))
+    return float(abs(total / sample_size) ** 2)
 
 
 def wiener_average(estimate: AutocorrelationEstimate) -> float:

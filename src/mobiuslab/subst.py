@@ -304,8 +304,7 @@ def language(sub: Substitution, k: int, horizon: int | None = None) -> LanguageS
 
 
 def _distinct_blocks(word: np.ndarray, k: int) -> frozenset:
-    if len(word) < k:
-        return frozenset()
+    """The k-blocks of a word at least k long."""
     windows = np.lib.stride_tricks.sliding_window_view(word, k)
     return frozenset(map(tuple, np.unique(windows, axis=0).tolist()))
 

@@ -626,6 +626,29 @@ def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
             assert (tmp_path / "all" / (name + ext)).read_bytes() == solo
 
 
+RUN_MAXRSS = """
+import resource, sys
+from mobiuslab import cli
+
+code = cli.main(["run", "wide.spec", "--out", "out"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_run_keeps_one_observable_table_alive(tmp_path):
+    """Two experiments over a 24-coordinate Walsh table (256 MiB): the first is freed before the second is built."""
+    (tmp_path / "wide.spec").write_text(
+        REUSE_SYSTEMS.replace("walsh {0}", "walsh {%s}" % ", ".join(map(str, range(24))))
+        + "".join("experiment %s { system: tm; observable: w0; weight: none; N: 1024; }\n" % name for name in "ab")
+    )
+    proc = run_limited(python=("-c", RUN_MAXRSS), cwd=str(tmp_path))
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0 and lines[:2] == ["experiment a: final = 0.6640625 + 0i -> out/a.csv, out/a.json",
+                                                   "experiment b: final = 0.6640625 + 0i -> out/b.csv, out/b.json"], proc
+    code, maxrss_kib = map(int, lines[2].split())
+    assert code == 0 and maxrss_kib < 450 << 10, maxrss_kib
+
+
 def test_run_refuses_an_unknown_format_before_it_sieves_or_writes(capsys, tmp_path, monkeypatch):
     calls = count_sieves(monkeypatch)
     for formats, message in (("csv,yaml", "unknown format 'yaml'"), ("csv,csv", "format 'csv' is given twice")):

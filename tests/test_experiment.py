@@ -7,7 +7,9 @@ import pytest
 from mobiuslab.arith import weight_table
 from mobiuslab.experiment import (
     ExperimentConfig,
+    _format_number,
     block_sweep,
+    csv_bytes,
     kbsz_series,
     pow2_checkpoints,
     report_csv,
@@ -17,7 +19,8 @@ from mobiuslab.experiment import (
     sarnak_series,
 )
 from mobiuslab.spectral import make_symbol_table, make_walsh
-from mobiuslab.streams import periodic_stream
+from mobiuslab.spectral import _LEAF, make_block_indicator
+from mobiuslab.streams import periodic_stream, word_stream
 from mobiuslab.subst import Substitution, fixed_point_stream
 
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "golden"
@@ -94,6 +97,41 @@ def test_block_sweep_partition():
     assert total == 1.0 + 0.0j
     with pytest.raises(ValueError):
         block_sweep(TM, 0, None, (64,))
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+@pytest.mark.parametrize("n", [1000, _LEAF - 1, _LEAF, 2 * _LEAF + 3])
+def test_block_sweep_matches_a_whole_prefix_scan(k, n):
+    """Blocks collected a run at a time are those of every window starting at 0..N.
+
+    The word ends in the only 1, so one block appears in the last window
+    alone, and a read past that window fails.
+    """
+    late = word_stream([0] * (n + k - 1) + [1], alphabet_size=2)
+    for stream, weights in ((TM, None), (late, None), (TM, weight_table("moebius", n))):
+        windows = np.lib.stride_tricks.sliding_window_view(stream.prefix(n + k), k)
+        blocks = sorted(map(tuple, np.unique(windows, axis=0).tolist()))
+        got = block_sweep(stream, k, weights, pow2_checkpoints(n))
+        assert list(got) == blocks
+        for block in blocks:
+            want = sarnak_series(stream, make_block_indicator(block, 0, 2), weights, pow2_checkpoints(n))
+            assert report_json(got[block]) == report_json(want)
+
+
+def joined_csv(header, rows):
+    """The CSV text joined whole, one str per line."""
+    lines = [header] + [",".join(["%d" % first] + [_format_number(v) for v in numbers]) for first, *numbers in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("count", [0, 1, 3 * (1 << 16) + 5])
+def test_csv_bytes_equal_the_whole_join(count):
+    rng = np.random.default_rng(count)
+    values = rng.normal(size=(count, 2)) * 10.0 ** rng.integers(-20, 20, size=(count, 2))
+    rows = [(k, float(re), float(im)) for k, (re, im) in enumerate(values)]
+    if rows:
+        rows[0] = (0, -0.0, 1e300)
+    assert csv_bytes("N,real,imag", iter(rows)) == joined_csv("N,real,imag", rows)
 
 
 def test_report_csv_matches_golden():

@@ -41,6 +41,19 @@ def test_digits():
     mixed = OdometerSpec(head=(2, 3), tail=4)
     q = mixed.point(17)  # 17 = 1 + 2*2 + 6*2
     assert q.digits(3) == (1, 2, 2)
+    # negative and mixed-base points: digits agree with digit(t) one stage at a time
+    for spec in (DYADIC, mixed, OdometerSpec((3, 5), 2)):
+        for value in (-1, -2, -17, -12345, -(2**70) + 3, 0, 5, 2**70 - 9):
+            p = spec.point(value)
+            assert p.digits(40) == tuple(p.digit(t) for t in range(40)), (spec, value)
+    # linear in the stage count: 4000 digits of a 4000-bit point well under a second
+    spec = OdometerSpec((3, 5), 2)
+    p = spec.point(2**4000 - 7)
+    start = time.perf_counter()
+    digits = p.digits(4000)
+    assert time.perf_counter() - start < 1.0
+    assert spec.from_digits(digits).value == p.value
+    assert [digits[t] for t in (0, 1, 2, 999, 3997, 3998, 3999)] == [p.digit(t) for t in (0, 1, 2, 999, 3997, 3998, 3999)]
 
 
 def test_all_top_point():

