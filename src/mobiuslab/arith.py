@@ -159,10 +159,6 @@ class DigitPattern:
         if bad:
             raise ValueError("interior characters must be 1 or *, got %r in %r" % ("".join(sorted(bad)), p))
 
-    @property
-    def terminal_bit(self) -> int:
-        return int(self.pattern[-1])
-
     def __len__(self) -> int:
         return len(self.pattern)
 

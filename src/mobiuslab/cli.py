@@ -35,10 +35,10 @@ from . import spectral as _spectral
 from . import subst as _subst
 from .arith import LIMIT_CAP, weight_table
 from .binding import BASE36, BindingError, BoundSystem
-from .errors import CapacityError, UndefinedPointError
+from .errors import CapacityError
 from .experiment import _format_number
-from .permgrp import FiniteGroup, cyclic_group
-from .specfile import SpecDocument, parse_spec
+from .permgrp import CLOSURE_CAP, FiniteGroup, cyclic_group
+from .specfile import WEIGHT_NAMES, SpecDocument, parse_spec
 
 
 def load_document(path: str) -> SpecDocument:
@@ -66,9 +66,11 @@ def build_system(doc: SpecDocument, name: str) -> BoundSystem:
 
 
 def system_group(bound: BoundSystem) -> FiniteGroup:
-    """Group used by hat: declared group, or Z/r with letter a as residue a."""
+    """Group used by hat: declared group, or Z/r with letter a as residue a, capped as Zn(n) is."""
     if bound.group is not None:
         return bound.group
+    if bound.alphabet_size > CLOSURE_CAP:  # the table has r^2 entries
+        raise BindingError("hat over Z/%d is beyond the group cap %d" % (bound.alphabet_size, CLOSURE_CAP))
     return cyclic_group(bound.alphabet_size)
 
 
@@ -169,9 +171,7 @@ def _cmd_blocks(args) -> int:
 
 def _autocorrelation(args) -> "_spectral.AutocorrelationEstimate":
     doc, bound = _load_system(args)
-    obs = bind_observable(doc, args.observable, bound)
-    _experiment._check_reach(args.n, obs.span + args.lags - 1)
-    return _spectral.autocorrelation(bound.stream, obs, args.n, args.lags)
+    return _spectral.autocorrelation(bound.stream, bind_observable(doc, args.observable, bound), args.n, args.lags)
 
 
 def _cmd_corr(args) -> int:
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--name", default="")
         p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
         if cmd == "sarnak":
-            p.add_argument("--weight", choices=("moebius", "liouville", "none"), default="moebius")
+            p.add_argument("--weight", choices=WEIGHT_NAMES, default="moebius")
         else:
             p.add_argument("--primes", default="3,5")
         p.set_defaults(fn=fn)
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
         for d in exc.diagnostics:
             print(d.render(), file=sys.stderr)
         return 1
-    except (BindingError, ValueError, CapacityError, UndefinedPointError, OSError) as exc:
+    except (ValueError, CapacityError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -9,7 +9,8 @@ and the bilinear test sums compare two prime dilations of the same orbit,
     C_M = (1/M) sum_{n=1..M} v(r n) conj(v(s n)).
 
 Partial sums at ascending checkpoints come from spectral._partial_sums,
-the one reduction (atom masses use it too).  It asks for the products one
+the one reduction, after spectral._check_reach, the one rule for the cap
+and the int64 reach (atom masses use both).  It asks for the products one
 piece of at most _LEAF values at a time and sums them in the fixed order
 of np.cumsum(np.add.reduceat(products, starts)), so reports are
 bit-identical on every rerun and sums of integer-valued products (below
@@ -33,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import LIMIT_CAP, WeightTable, is_prime
-from .spectral import _LEAF, Observable, _partial_sums, make_block_indicator
-from .streams import INT64_MAX, SymbolStream
+from .arith import WeightTable, is_prime
+from .spectral import _LEAF, Observable, _check_reach, _partial_sums, make_block_indicator
+from .streams import SymbolStream
 from .subst import _distinct_blocks
 
 
@@ -61,24 +62,7 @@ def _validate_checkpoints(checkpoints) -> tuple:
         raise ValueError("checkpoints must be positive, got %s" % (points,))
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError("checkpoints must be strictly ascending, got %s" % (points,))
-    if points[-1] > LIMIT_CAP:
-        raise ValueError("N = %d is beyond the sample-size cap %d" % (points[-1], LIMIT_CAP))
     return points
-
-
-def _check_reach(limit: int, span: int, kbsz: tuple | None = None) -> None:
-    """The positions a sum reads must fit in int64.
-
-    A Sarnak sum at N reads up to N + span - 1 and a KBSZ pair (r, s) up to
-    max(r, s) N + span - 1; an autocorrelation up to lag L reads as far as
-    a Sarnak sum whose window is L - 1 longer.
-    """
-    last = (max(kbsz) if kbsz else 1) * limit + span - 1
-    if last > INT64_MAX:
-        what = "kbsz pair (%d, %d)" % kbsz if kbsz else "the observable window"
-        raise ValueError(
-            "%s at N = %d reads position %d, beyond the int64 limit %d" % (what, limit, last, INT64_MAX)
-        )
 
 
 @dataclass(frozen=True)
@@ -121,9 +105,9 @@ def sarnak_series(
     """Weighted averages S_M at each checkpoint; orbit positions start at 1."""
     checkpoints = _validate_checkpoints(checkpoints)
     limit = checkpoints[-1]
+    _check_reach(limit, obs.span)
     if weights is not None and weights.limit < limit:
         raise ValueError("weight table reaches %d, need %d" % (weights.limit, limit))
-    _check_reach(limit, obs.span)
 
     def fill(lo, hi):
         v = obs.evaluate(stream, 1 + lo, hi - lo)  # a fresh vector, so it is weighted in place
@@ -181,6 +165,7 @@ def block_sweep(
         raise ValueError("block length must be positive, got %d" % k)
     checkpoints = _validate_checkpoints(checkpoints)
     limit = checkpoints[-1]
+    _check_reach(limit, k)  # the windows start at 0..N, as far as a Sarnak sum at N reads
     if alphabet_size is None:
         alphabet_size = stream.alphabet_size
     if alphabet_size is None:
@@ -202,9 +187,10 @@ class ExperimentConfig:
     kbsz switches the run to the bilinear sums at the given prime pair, in
     which case the weight is ignored.  Construction makes every check a run
     makes before it reads the stream or sieves a weight: a positive sample
-    size, the kbsz primes, the checkpoint grid against the sample size, the
-    sample-size cap and the int64 reach.  After it, checkpoints holds the
-    resolved grid; None asks for powers of two up to sample_size.
+    size, the kbsz primes, the sample-size cap, the checkpoint grid, the
+    int64 reach, and the grid against the sample size.  After it,
+    checkpoints holds the resolved grid; None asks for powers of two up to
+    sample_size.
     """
 
     name: str
@@ -227,12 +213,13 @@ class ExperimentConfig:
             if not primes:
                 raise ValueError("kbsz needs two distinct primes, got (%d, %d)" % (r, s))
             object.__setattr__(self, "kbsz", (r, s))
-        points = _validate_checkpoints(pow2_checkpoints(self.sample_size))  # ends at N: checks N against the cap
+        _check_reach(self.sample_size, 1)  # the cap on N, whatever the checkpoints
+        points = pow2_checkpoints(self.sample_size)
         if self.checkpoints is not None:
             points = _validate_checkpoints(self.checkpoints)
-            if points[-1] > self.sample_size:
-                raise ValueError("checkpoint %d beyond sample size %d" % (points[-1], self.sample_size))
         _check_reach(points[-1], self.observable.span, self.kbsz)
+        if points[-1] > self.sample_size:
+            raise ValueError("checkpoint %d beyond sample size %d" % (points[-1], self.sample_size))
         object.__setattr__(self, "checkpoints", points)
 
 

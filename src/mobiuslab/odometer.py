@@ -123,8 +123,6 @@ def morse_cocycle_eval(mspec: MorseSpec, point: OdometerPoint) -> int:
         raise UndefinedPointError("the cocycle is undefined at the all-top point -theta")
     t, n_t = _trailing_top_digits(mspec, point.value)
     i = point.value % (n_t * mspec.lam(t))
-    if i > INT64_MAX:
-        raise ValueError("the cocycle at %d reads residue %d, beyond the int64 limit %d" % (point.value, i, INT64_MAX))
     return int(hat_stream(mspec.group, morse_stream(mspec)).at([i])[0])
 
 

@@ -39,11 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .arith import WEIGHT_KINDS
 from .binding import bind_experiment, bind_observable, bind_system, build_group
 from .errors import CapacityError
 
 DECL_KEYWORDS = ("substitution", "morse", "rs", "veech", "observable", "experiment")
-WEIGHT_NAMES = ("moebius", "liouville", "none")
+WEIGHT_NAMES = WEIGHT_KINDS + ("none",)
 _PUNCT = set("{}[](),;:=")
 _DIGITS = "0123456789"
 
@@ -389,6 +390,7 @@ class _Parser:
         self.expect_keyword("on")
         self.expect_punct("{")
         letters = self.comma_list(self.expect_letter)
+        known = set(letters)
         self.expect_punct("}")
         self.expect_punct("{")
         rules = []
@@ -398,7 +400,7 @@ class _Parser:
                 self.error("unterminated substitution body")
             letter_tok = self.peek()
             letter = self.expect_letter("a letter on the left of '->'")
-            if letter not in letters:
+            if letter not in known:
                 self.error("unknown letter %r (alphabet is {%s})" % (letter, ", ".join(letters)), letter_tok)
             self.expect("ARROW", what="'->'")
             image = self.expect_string("a quoted image word")
@@ -635,9 +637,9 @@ class _Validator:
 
     def check_substitution(self, decl) -> bool:
         """Rule-level checks located at the rule; the binder checks the rest."""
-        ruled = [letter for letter, _ in decl.rules]
-        for i, letter in enumerate(ruled):
-            if letter in ruled[:i]:
+        ruled = {}  # letter -> index of its first rule
+        for i, (letter, _) in enumerate(decl.rules):
+            if ruled.setdefault(letter, i) != i:
                 self.error("letter %r has more than one rule" % letter, decl.rule_span(i))
                 return False
         missing = [l for l in decl.letters if l not in ruled]
@@ -646,7 +648,7 @@ class _Validator:
             return False
         for i, (letter, image) in enumerate(decl.rules):
             for c in image:
-                if c not in decl.letters:
+                if c not in ruled:  # the alphabet: every letter has a rule, and the parser refused rules for others
                     self.error("rule for %r uses unknown letter %r" % (letter, c), decl.rule_span(i))
                     return False
         first = len(decl.rules[0][1])

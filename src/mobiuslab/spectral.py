@@ -15,8 +15,8 @@ periodogram of an exact autocorrelation sequence nonnegative; the windowed
 estimate can dip below zero by a boundary term of order L^2/N, which is
 clamped at zero so downstream consumers may rely on the sign.
 
-Atom masses and the series of mobiuslab.experiment are summed by
-_partial_sums, in a fixed order that does not depend on BLAS threads.
+Every statistic passes _check_reach before it reads; atom masses and the
+Sarnak and KBSZ series sum through _partial_sums, whatever the BLAS threads.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import LIMIT_CAP
-from .streams import SymbolStream
+from .streams import INT64_MAX, SymbolStream, check_positions
 
 TABLE_CAP = 1 << 24  # below 2^31, so an int32 index reaches every table entry
 GRID_CAP = 1 << 22  # spectrum at this grid peaks near 260 MiB: the periodogram, then its CSV bytes
@@ -66,6 +66,16 @@ def _partial_sums(fill, checkpoints):
         segments.append(complex(fill(a, a + 1)[0]) + _pairwise(fill, a + 1, b))
         a = b
     return [complex(v) for v in np.cumsum(segments)]
+
+
+def _check_reach(limit: int, span: int, kbsz: tuple | None = None) -> None:
+    """Refuse N = limit above LIMIT_CAP, then a last read s N + span - 1 past int64 (s: larger kbsz prime, or 1)."""
+    if limit > LIMIT_CAP:
+        raise ValueError("N = %d is beyond the sample-size cap %d" % (limit, LIMIT_CAP))
+    last = (max(kbsz) if kbsz else 1) * limit + span - 1
+    if last > INT64_MAX:
+        what = "kbsz pair (%d, %d)" % kbsz if kbsz else "the observable window"
+        raise ValueError("%s at N = %d reads position %d, beyond the int64 limit %d" % (what, limit, last, INT64_MAX))
 
 
 @dataclass(frozen=True)
@@ -133,9 +143,7 @@ class Observable:
         Each window offset is read with stream.at, so the cost follows
         len(positions), not the largest position.
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        if len(positions) and positions.min() < 0:
-            raise ValueError("positions must be nonnegative")
+        positions = check_positions(positions)
         return self._gather(lambda off: stream.at(positions + off))
 
 
@@ -267,12 +275,11 @@ class AutocorrelationEstimate:
 
 def autocorrelation(stream: SymbolStream, obs: Observable, sample_size: int, max_lag: int) -> AutocorrelationEstimate:
     """gamma-hat(n) for n = 0..max_lag from N consecutive window reads."""
+    _check_reach(sample_size, obs.span + max_lag - 1)  # v(0..N+L-1), L - 1 past a Sarnak sum's reach
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative, got %d" % max_lag)
     if sample_size < 4 * max_lag or sample_size < 1:
         raise ValueError("need sample_size >= 4 * max_lag >= 0, got N=%d L=%d" % (sample_size, max_lag))
-    if sample_size > LIMIT_CAP:
-        raise ValueError("N = %d is beyond the sample-size cap %d" % (sample_size, LIMIT_CAP))
     v = obs.evaluate(stream, 0, sample_size + max_lag)
     base = v[:sample_size]
     values = np.array(
@@ -309,12 +316,12 @@ def periodogram(estimate: AutocorrelationEstimate, grid_size: int) -> np.ndarray
 
 def atom_mass(stream: SymbolStream, obs: Observable, frequency, sample_size: int) -> float:
     """Squared Fourier coefficient of the observable at a rational frequency p/q."""
-    p, q = frequency
-    p, q = int(p), int(q)
+    p, q = (int(v) for v in frequency)
     if q < 1:
         raise ValueError("denominator must be positive, got %d" % q)
     if sample_size < q:
         raise ValueError("need at least one full period, N=%d < q=%d" % (sample_size, q))
+    _check_reach(sample_size, obs.span - 1)  # v(0..N-1), one short of a Sarnak sum's reach
     # one period and one piece more, so every piece's phases are one slice
     period = np.resize(np.exp(-2j * np.pi * p * np.arange(q) / q), q + _LEAF)
 

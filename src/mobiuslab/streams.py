@@ -27,6 +27,17 @@ LEVEL_MAX = 1 << 24
 INT64_MAX = (1 << 63) - 1  # the last position a stream can read
 
 
+def check_positions(positions) -> np.ndarray:
+    """positions as an int64 array, refused with a ValueError unless each is in 0..INT64_MAX."""
+    try:
+        positions = np.asarray(positions, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("positions must not pass the int64 limit %d" % INT64_MAX) from None
+    if positions.size and positions.min() < 0:
+        raise ValueError("positions must be nonnegative")
+    return positions
+
+
 class SymbolStream:
     """Deterministic sequence over {0..alphabet_size-1}, read through read(key).
 
@@ -58,12 +69,10 @@ class SymbolStream:
         return self._get(slice(start, start + count))
 
     def at(self, positions) -> np.ndarray:
-        """Symbols at arbitrary nonnegative positions, as int32."""
-        positions = np.asarray(positions, dtype=np.int64)
+        """Symbols at arbitrary positions in 0..INT64_MAX, as int32."""
+        positions = check_positions(positions)
         if positions.size == 0:
             return np.zeros(positions.shape, dtype=np.int32)
-        if positions.min() < 0:
-            raise ValueError("positions must be nonnegative")
         return self._get(positions)
 
     def __iter__(self):

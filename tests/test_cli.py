@@ -270,6 +270,27 @@ def test_sums_at_the_cap_run_in_flat_memory(command):
     assert proc.stdout.splitlines()[-1].startswith("%d," % LIMIT_CAP)
 
 
+HAT_MAXRSS = """
+import resource, sys
+from mobiuslab import cli
+
+letters = [chr(0x4E00 + i) for i in range(10001)]
+rules = "".join('  %s -> "%s%s";\\n' % (c, c, letters[(i + 1) % len(letters)]) for i, c in enumerate(letters))
+with open("wide.spec", "w", encoding="utf-8") as fh:
+    fh.write("substitution wide on {%s} {\\n%s}\\n" % (", ".join(letters), rules))
+code = cli.main(["hat", "wide.spec", "--n", "8"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_hat_refuses_z_r_above_the_closure_cap(tmp_path):
+    """A 10,001-letter substitution would need a 10,001^2 Z/r table (400 MB); it is refused before it is built."""
+    proc = run_limited(python=("-c", HAT_MAXRSS), cwd=str(tmp_path))
+    assert proc.stderr == "error: hat over Z/10001 is beyond the group cap 10000\n", proc.stderr
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 2 and maxrss_kib < 200 << 10, maxrss_kib
+
+
 PEAK_AT_N = """
 import os, sys
 from mobiuslab import cli
@@ -516,6 +537,14 @@ def test_autocorrelation_reach_counts_the_lags(tmp_path):
                            cwd=str(tmp_path))
         assert proc.returncode == 2 and proc.stdout == ""
         assert "reads position %d, beyond the int64 limit" % ((1 << 63) + 1) in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["sarnak", "kbsz", "corr", "spectrum"])
+def test_n_beyond_the_cap_is_named_before_the_int64_reach(capsys, tmp_path, command):
+    """N above the cap and a window past int64: every statistic names the cap first."""
+    (tmp_path / "far.spec").write_text(FAR_FLAGS % 9223372036854775000)
+    code, out, err = run(capsys, command, str(tmp_path / "far.spec"), "--observable", "far", "--n", str(LIMIT_CAP + 1))
+    assert (code, out, err) == (2, "", "error: N = %d is beyond the sample-size cap %d\n" % (LIMIT_CAP + 1, LIMIT_CAP))
 
 
 @pytest.mark.parametrize("offset, weight, last", [

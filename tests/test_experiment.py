@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from mobiuslab.arith import weight_table
+from mobiuslab.arith import LIMIT_CAP, weight_table
 from mobiuslab.experiment import (
     ExperimentConfig,
     _format_number,
@@ -20,7 +20,7 @@ from mobiuslab.experiment import (
 )
 from mobiuslab.spectral import make_symbol_table, make_walsh
 from mobiuslab.spectral import _LEAF, make_block_indicator
-from mobiuslab.streams import periodic_stream, word_stream
+from mobiuslab.streams import SymbolStream, periodic_stream, word_stream
 from mobiuslab.subst import Substitution, fixed_point_stream
 
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "golden"
@@ -97,6 +97,14 @@ def test_block_sweep_partition():
     assert total == 1.0 + 0.0j
     with pytest.raises(ValueError):
         block_sweep(TM, 0, None, (64,))
+
+
+def test_block_sweep_refuses_n_beyond_the_cap_before_reading():
+    def read(key):
+        raise AssertionError("read at %r before the sweep was refused" % (key,))
+
+    with pytest.raises(ValueError, match="^N = %d is beyond the sample-size cap %d$" % (LIMIT_CAP + 1, LIMIT_CAP)):
+        block_sweep(SymbolStream(read, alphabet_size=2), 2, None, (64, LIMIT_CAP + 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 6])

@@ -1,5 +1,6 @@
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -148,6 +149,28 @@ def test_duplicate_names():
 def test_row_length_mismatch():
     d = expect_one("length_mismatch.spec", 3, 8, "has length 3, others have 2")
     assert '"bab"' in d.excerpt
+
+
+@pytest.mark.parametrize("rules, line, column, message", [
+    ('  a -> "ab";\n  a -> "ba";\n', 3, 8, "letter 'a' has more than one rule"),
+    ('  a -> "ab";\n', 1, 1, "missing rules for letters b"),
+    ('  a -> "ab";\n  b -> "bc";\n', 3, 8, "rule for 'b' uses unknown letter 'c'"),
+    ('  a -> "ab";\n  b -> "b";\n', 3, 8, "rule for 'b' has length 1, others have 2"),
+    ('  a -> "ab";\n  c -> "ba";\n', 3, 3, "unknown letter 'c' (alphabet is {a, b})"),
+], ids=["duplicate_rule", "missing_rule", "unknown_image_letter", "length", "unknown_rule_letter"])
+def test_substitution_rule_diagnostics(rules, line, column, message):
+    (d,) = parse_bad("substitution bad on {a, b} {\n%s}\n" % rules)
+    assert (d.line, d.column, d.message) == (line, column, message)
+
+
+def test_a_wide_alphabet_parses_in_linear_time():
+    """12,000 letters with rules of length 2: each check builds its letter set once (9 s when it scanned lists)."""
+    letters = [chr(0x4E00 + i) for i in range(12000)]
+    rules = "".join('  %s -> "%s%s";\n' % (c, c, letters[(i + 1) % len(letters)]) for i, c in enumerate(letters))
+    start = time.perf_counter()
+    doc = parse_ok("substitution big on {%s} {\n%s}\n" % (", ".join(letters), rules))
+    assert time.perf_counter() - start < 4.0
+    assert doc.bound["big"].alphabet_size == 12000
 
 
 def test_dangling_references():

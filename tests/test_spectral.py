@@ -22,7 +22,7 @@ from mobiuslab.spectral import (
     periodogram,
     wiener_average,
 )
-from mobiuslab.streams import periodic_stream, word_stream
+from mobiuslab.streams import INT64_MAX, SymbolStream, periodic_stream, word_stream
 from mobiuslab.subst import Substitution, fixed_point_stream
 
 Z2 = cyclic_group(2)
@@ -285,6 +285,50 @@ def test_atom_mass():
         atom_mass(PD, w0, (1, 0), 64)
     with pytest.raises(ValueError):
         atom_mass(PD, w0, (0, 128), 64)
+
+
+def unread_stream():
+    """A stream whose first read fails the test, so a refusal that comes too late fails at once."""
+
+    def read(key):
+        raise AssertionError("read at %r before the statistic was refused" % (key,))
+
+    return SymbolStream(read, name="unread", alphabet_size=2)
+
+
+@pytest.mark.parametrize("n, frequency", [
+    (LIMIT_CAP + 1, (0, 1)),
+    (1 << 40, (1, 3)),
+    (1 << 40, (1, 1 << 40)),
+], ids=["cap_plus_one", "q_3", "q_2_40"])
+def test_atom_mass_refuses_n_beyond_the_cap_before_reading(n, frequency):
+    with pytest.raises(ValueError, match="^N = %d is beyond the sample-size cap %d$" % (n, LIMIT_CAP)):
+        atom_mass(unread_stream(), make_walsh((0,)), frequency, n)
+
+
+def test_atom_mass_reads_up_to_the_int64_reach():
+    """v(0..N-1) over a window ending at offset w reads as far as N - 1 + w."""
+    assert atom_mass(TM, make_walsh((INT64_MAX - 3,)), (0, 1), 4) == 0.0  # positions 2^63 - 4 .. 2^63 - 1
+    message = "^the observable window at N = 4 reads position %d, beyond the int64 limit %d$" % (INT64_MAX + 1, INT64_MAX)
+    with pytest.raises(ValueError, match=message):
+        atom_mass(unread_stream(), make_walsh((INT64_MAX - 2,)), (0, 1), 4)
+
+
+def test_autocorrelation_refuses_a_window_past_int64():
+    """N + L + span - 2 = 2^63 + 1: the reach rule names it before any read."""
+    far = make_walsh(((1 << 63) - 66,))
+    with pytest.raises(ValueError, match="^the observable window at N = 64 reads position %d, beyond the int64 limit"
+                       % ((1 << 63) + 1)):
+        autocorrelation(TM, far, 64, 4)
+
+
+def test_evaluate_at_refuses_positions_outside_int64():
+    w0 = make_walsh((0,))
+    for positions in ([1 << 63], [5, 1 << 64]):
+        with pytest.raises(ValueError, match="positions must not pass the int64 limit %d" % INT64_MAX):
+            w0.evaluate_at(TM, positions)
+    with pytest.raises(ValueError, match="positions must be nonnegative"):
+        w0.evaluate_at(TM, [3, -1])
 
 
 ATOM_BITS = """

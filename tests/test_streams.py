@@ -64,6 +64,17 @@ def test_negative_reads_rejected():
         s.block(-1, 2)
 
 
+def test_at_refuses_positions_outside_int64():
+    """A position past 2^63 - 1 is a ValueError, like a negative one, not numpy's OverflowError."""
+    s = subst.fixed_point_stream(subst.Substitution.from_words({"0": "01", "1": "10"}))
+    assert s.at([(1 << 63) - 1]).tolist() == [1]  # 63 ones: odd popcount
+    for positions in ([1 << 63], [0, 1 << 64]):
+        with pytest.raises(ValueError, match="positions must not pass the int64 limit %d" % ((1 << 63) - 1)):
+            s.at(positions)
+    with pytest.raises(ValueError, match="positions must be nonnegative"):
+        s.at([-1])
+
+
 # ---------------------------------------------------------------------------
 # positional reads: at() against the prefix and against the digit definitions
 

@@ -9,7 +9,11 @@ type and message as stderr.  The calls are:
 - run over specs/*.spec and tests/fixtures/specs/valid/*.spec;
 - gen, hat, blocks and cover for every system of those files;
 - corr, spectrum, sarnak (Moebius JSON, Liouville CSV) and kbsz (primes 3,7
-  and 5,2) for every system and observable of the file, at N = 100000.
+  and 5,2) for every system and observable of the file, at N = 100000;
+- a fixed list of refusals (see refusals()): N one past the sample-size cap,
+  a window past int64 (from far.spec, which the sweep writes to a
+  temporary directory, printed as FAR), both at once, bad lags and N for
+  corr, a checkpoint past the cap and a prime pair past int64.
 
 Spec files named on the command line join the list.  Systems and
 observables are found with a regex over the declarations, not through the
@@ -34,6 +38,9 @@ from mobiuslab.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 N = "100000"
+TM_SPEC = "specs/thue_morse.spec"
+FAR_SPEC = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable far = walsh {9223372036854775000}\n'
+BEYOND_CAP = "67108865"  # arith.LIMIT_CAP + 1
 SYSTEM = re.compile(r"^\s*(?:substitution|morse|rs|veech)\s+(\w+)", re.M)
 OBSERVABLE = re.compile(r"^\s*observable\s+(\w+)", re.M)
 
@@ -57,6 +64,19 @@ def calls(spec):
             yield ["sarnak", *on, "--n", N, "--weight", "liouville", "--format", "csv", "--out", "OUT/lambda.csv"]
             for primes in ("3,7", "5,2"):
                 yield ["kbsz", *on, "--n", N, "--primes", primes]
+
+
+def refusals(far):
+    """The refusal calls; far is the path of the file holding FAR_SPEC."""
+    for cmd in ("corr", "spectrum", "sarnak", "kbsz"):
+        n = [] if cmd in ("corr", "spectrum") else ["--n", N]
+        yield [cmd, TM_SPEC, "--observable", "w0", "--n", BEYOND_CAP]
+        yield [cmd, far, "--observable", "far", *n]
+        yield [cmd, far, "--observable", "far", "--n", BEYOND_CAP]
+    yield ["corr", TM_SPEC, "--observable", "w0", "--lags", "-1"]
+    yield ["corr", TM_SPEC, "--observable", "w0", "--n", "0"]
+    yield ["sarnak", TM_SPEC, "--observable", "w0", "--n", "67108864", "--checkpoints", "1," + BEYOND_CAP]
+    yield ["kbsz", TM_SPEC, "--observable", "w0", "--n", N, "--primes", "4611686018427387847,3"]
 
 
 def digest(argv) -> str:
@@ -91,6 +111,14 @@ def main_sweep(extra) -> int:
     for spec in specs + extra:
         for argv in calls(spec):
             print("%s  %s" % (digest(argv), " ".join(argv)), flush=True)
+    far_dir = tempfile.mkdtemp(prefix="cli_sweep_far_")
+    try:
+        far = os.path.join(far_dir, "far.spec")
+        pathlib.Path(far).write_text(FAR_SPEC, encoding="utf-8")
+        for argv in refusals(far):
+            print("%s  %s" % (digest(argv), " ".join(argv).replace(far, "FAR")), flush=True)
+    finally:
+        shutil.rmtree(far_dir, ignore_errors=True)
     return 0
 
 
