@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
+import stat
 import sys
 
 import numpy as np
@@ -171,7 +174,9 @@ def _cmd_blocks(args) -> int:
 
 def _autocorrelation(args) -> "_spectral.AutocorrelationEstimate":
     doc, bound = _load_system(args)
-    return _spectral.autocorrelation(bound.stream, bind_observable(doc, args.observable, bound), args.n, args.lags)
+    obs = bind_observable(doc, args.observable, bound)
+    _check_out(args.out)
+    return _spectral.autocorrelation(bound.stream, obs, args.n, args.lags)
 
 
 def _cmd_corr(args) -> int:
@@ -213,7 +218,7 @@ def _weighted(config: "_experiment.ExperimentConfig", kind: str, tables: dict) -
 def _series_config(args, kbsz=None) -> "_experiment.ExperimentConfig":
     doc, bound = _load_system(args)
     obs = bind_observable(doc, args.observable, bound)
-    return _experiment.ExperimentConfig(
+    config = _experiment.ExperimentConfig(
         name=args.name or ("%s_%s" % (bound.name, obs.name or "obs")),
         stream=bound.stream,
         observable=obs,
@@ -221,6 +226,8 @@ def _series_config(args, kbsz=None) -> "_experiment.ExperimentConfig":
         checkpoints=_parse_checkpoints(args.checkpoints),
         kbsz=kbsz,
     )
+    _check_out(args.out)
+    return config
 
 
 def _final(report) -> str:
@@ -259,6 +266,19 @@ def _cmd_run(args) -> int:
         del config  # so the next experiment's observable table is not built beside this one
         print("experiment %s: %s -> %s" % (decl.name, _final(report), ", ".join(str(p) for p in paths)))
     return 0
+
+
+def _check_out(out: str | None) -> None:
+    """Raise, before any sieve or sum, the OSError _emit would meet: out is a directory, or its parent is not one."""
+    if not out:
+        return
+    try:
+        if not stat.S_ISDIR(os.stat(os.path.dirname(out) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
 
 
 def _emit(data: bytes, out: str | None):

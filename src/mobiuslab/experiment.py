@@ -18,11 +18,14 @@ bit-identical on every rerun and sums of integer-valued products (below
 is accepted and has no effect.
 
 Sarnak sums read each piece as a run of the stream and weight it from the
-table; the bilinear sums read the stream at the dilated positions rn and sn
-with SymbolStream.at.  Every system the CLI binds is read from the digits
-of each position, so the sums hold a few pieces, not an N-long vector, and
-the dilation s costs nothing in memory.  A weighted Sarnak sum still holds
-its N-entry weight table (one byte per n).
+table.  The bilinear sums read v(pn) for a piece of n through
+Observable.evaluate with step p: up to spectral._STRIDE_MAX as one run of
+p (count - 1) + 1 symbols, kept every p-th, and above it at the positions
+pn with SymbolStream.at.  Every system the CLI binds is read from the
+digits of each position, so the sums hold a few pieces, not an N-long
+vector, and a run holds at most _STRIDE_MAX pieces of symbols whatever s
+is.  A weighted Sarnak sum still holds its N-entry weight table (one byte
+per n).
 """
 
 from __future__ import annotations
@@ -127,9 +130,11 @@ def kbsz_series(
 ) -> ConvergenceReport:
     """Bilinear averages C_M = (1/M) sum v(rn) conj(v(sn)) at each checkpoint.
 
-    Each piece of products is read through Observable.evaluate_at at r n
-    and s n; the reduction fixes the order, so the sums do not depend on
-    the piece size.  Positions must fit in int64.
+    Each piece of products reads v at r n and s n through
+    Observable.evaluate with steps r and s: a strided run for a step up to
+    _STRIDE_MAX, positions above it.  The reduction fixes the order, so the
+    sums depend neither on the piece size nor on the read.  Positions must
+    fit in int64.
     """
     r, s = int(r), int(s)
     if r < 1 or s < 1:
@@ -138,12 +143,11 @@ def kbsz_series(
     _check_reach(checkpoints[-1], obs.span, (r, s))
 
     def fill(lo, hi):
-        idx = np.arange(1 + lo, 1 + hi, dtype=np.int64)
-        right = obs.evaluate_at(stream, s * idx)  # a fresh vector, conjugated in place
+        right = obs.evaluate(stream, s * (1 + lo), hi - lo, s)  # a fresh vector, conjugated in place
         np.conjugate(right, out=right)
         # r first, into a new array: another operand order or an in-place
         # product changes the float bits of the imaginary parts
-        return obs.evaluate_at(stream, r * idx) * right
+        return obs.evaluate(stream, r * (1 + lo), hi - lo, r) * right
 
     return _report(fill, checkpoints, stream, obs, primes=(r, s))
 

@@ -1,7 +1,9 @@
 """Lazy one-sided symbol sequences, read in runs and at positions.
 
 prefix(), block() and iteration read contiguous runs (Sarnak sums,
-autocorrelations); at() reads arbitrary positions (the dilated KBSZ sums).
+autocorrelations, and the KBSZ sums at a dilation up to
+spectral._STRIDE_MAX, which keep every p-th symbol of a run); at() reads
+arbitrary positions (KBSZ sums at a wider dilation).
 Every stream reads both through its one reader: the substitution, Morse,
 RS and Veech streams compute each symbol from the digits of its position
 (see DigitReader, the one place digit levels are built), and composed

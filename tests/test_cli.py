@@ -13,6 +13,7 @@ from mobiuslab.binding import BindingError
 from mobiuslab.cli import main
 from mobiuslab.experiment import _format_number
 from mobiuslab.spectral import GRID_CAP
+from mobiuslab.streams import SymbolStream
 
 REPO = pathlib.Path(__file__).parent.parent
 SPECS = REPO / "specs"
@@ -581,6 +582,25 @@ def test_run_matches_golden_csv(capsys, tmp_path):
     assert produced.read_bytes() == (GOLDEN / "sarnak_tm_moebius_pow2.csv").read_bytes()
     assert (tmp_path / "kbsz_tm_3_5.json").exists()
     assert "experiment sarnak_tm_moebius: final = 0.000138282775879" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["sarnak", "--n", "4096"],
+    ["kbsz", "--n", "4096"],
+    ["corr"],
+    ["spectrum"],
+], ids=lambda c: c[0])
+def test_an_unwritable_out_is_refused_before_the_work(capsys, tmp_path, monkeypatch, command):
+    """A missing directory or a directory as --out exits 2 with open's message, before any sieve or stream read."""
+    def refuse(*args):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "weight_table", refuse)
+    monkeypatch.setattr(SymbolStream, "_get", refuse)
+    for out, message in ((tmp_path / "nodir" / "x.json", "[Errno 2] No such file or directory"),
+                         (tmp_path, "[Errno 21] Is a directory")):
+        code, stdout, err = run(capsys, command[0], TM_SPEC, "--observable", "w0", *command[1:], "--out", str(out))
+        assert (code, stdout, err) == (2, "", "error: %s: %r\n" % (message, str(out)))
 
 
 def test_bad_spec_exits_one(capsys, tmp_path):

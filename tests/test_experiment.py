@@ -19,7 +19,7 @@ from mobiuslab.experiment import (
     sarnak_series,
 )
 from mobiuslab.spectral import make_symbol_table, make_walsh
-from mobiuslab.spectral import _LEAF, make_block_indicator
+from mobiuslab.spectral import _LEAF, _STRIDE_MAX, make_block_indicator
 from mobiuslab.streams import SymbolStream, periodic_stream, word_stream
 from mobiuslab.subst import Substitution, fixed_point_stream
 
@@ -304,12 +304,29 @@ def test_pieces_sum_in_numpys_order():
 
 
 def test_kbsz_reads_positions_without_a_prefix():
+    """No read is s N long: each run holds at most _STRIDE_MAX _LEAF + span symbols.
+
+    At (3, 5) every value comes from a strided run; a pair above the bound
+    reads only positions, so prefix and block both fail there.
+    """
     stream = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
+    block, lengths = stream.block, []
 
     def refuse(*args):
         raise AssertionError("kbsz built a prefix")
 
-    stream.prefix = stream.block = refuse
+    def recorded(start, count):
+        lengths.append(count)
+        return block(start, count)
+
+    stream.prefix, stream.block = refuse, recorded
     frozen = json.loads((GOLDEN / "kbsz_tm_3_5.json").read_text())
     final = kbsz_series(stream, W0, 3, 5, (1 << 18,)).final
     assert final.real == frozen["value"] and final.imag == 0.0
+    assert lengths and max(lengths) <= _STRIDE_MAX * _LEAF + W0.span
+    stream.block = refuse
+    r, s, n = 17, 19, 1 << 12
+    assert min(r, s) > _STRIDE_MAX
+    # Thue-Morse is popcount parity, so the final is a direct sum
+    want = sum((-1) ** (bin(r * k).count("1") + bin(s * k).count("1")) for k in range(1, n + 1)) / n
+    assert kbsz_series(stream, W0, r, s, (n,)).final == want

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from mobiuslab.arith import LIMIT_CAP
+from mobiuslab.cli import build_system
 from mobiuslab.morse import MorseSpec, hat_stream, morse_stream
 from mobiuslab.permgrp import cyclic_group
+from mobiuslab.specfile import parse_spec
 from mobiuslab.spectral import (
+    _STRIDE_MAX,
     GRID_CAP,
     Observable,
     atom_mass,
@@ -23,7 +26,7 @@ from mobiuslab.spectral import (
     wiener_average,
 )
 from mobiuslab.streams import INT64_MAX, SymbolStream, periodic_stream, word_stream
-from mobiuslab.subst import Substitution, fixed_point_stream
+from mobiuslab.subst import Substitution, factor_stream, fixed_point_stream
 
 Z2 = cyclic_group(2)
 TM = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
@@ -329,6 +332,77 @@ def test_evaluate_at_refuses_positions_outside_int64():
             w0.evaluate_at(TM, positions)
     with pytest.raises(ValueError, match="positions must be nonnegative"):
         w0.evaluate_at(TM, [3, -1])
+
+
+def test_reads_whose_window_passes_int64_are_refused_before_any_offset():
+    """max(position) + span - 1 past 2^63 - 1 is named as such, not as a wrapped negative position."""
+    limit = "beyond the int64 limit %d$" % INT64_MAX
+    with pytest.raises(ValueError, match="^window at position %d reads position %d, %s" % (INT64_MAX - 1, INT64_MAX + 4, limit)):
+        make_walsh((5,)).evaluate_at(unread_stream(), [3, INT64_MAX - 1])
+    with pytest.raises(ValueError, match="^window at position %d reads position %d, %s" % (INT64_MAX - 3, INT64_MAX + 2, limit)):
+        make_walsh((0, 5)).evaluate(unread_stream(), INT64_MAX - 4, 2)
+    for step in (3, _STRIDE_MAX + 1):  # a run and positions
+        start = INT64_MAX - 1 - 99 * step  # the 100th window ends at 2^63 - 1
+        assert make_walsh((0, 1)).evaluate(TM, start, 100, step).shape == (100,)
+        with pytest.raises(ValueError, match="^window at position %d reads position %d, %s" % (INT64_MAX, INT64_MAX + 1, limit)):
+            make_walsh((0, 1)).evaluate(unread_stream(), start + 1, 100, step)
+    with pytest.raises(ValueError, match="^read out of range: start=0 count=4 step=0$"):
+        make_walsh((0,)).evaluate(unread_stream(), 0, 4, 0)
+
+
+SPEC_KINDS = "".join([
+    'substitution h on {a, b, c} {\n  a -> "aabaa";\n  b -> "bcabb";\n  c -> "cbccc";\n}\n',
+    "morse hc over cover-of h\n",
+    'morse kak over Zn(4) blocks ["01", "02", repeat "0123"]\n',
+    'rs rs1 pattern "1*10"\n',
+    'veech v base 2 group Z2 psi repeat "10"\n',
+])
+
+
+def _kind_stream(kind):
+    """The stream of a system kind and the last position it can read; hat reads its source one further on."""
+    doc = parse_spec(SPEC_KINDS)
+    if kind == "hat":
+        return hat_stream(Z2, morse_stream(MorseSpec(Z2, (), (0, 1)))), INT64_MAX - 1
+    if kind == "factor":
+        cover = build_system(doc, "h").cover
+        return factor_stream(cover, cover.stream()), INT64_MAX
+    name = {"substitution": "h", "cover": "hc", "morse": "kak", "rs": "rs1", "veech": "v"}[kind]
+    return build_system(doc, name).stream, INT64_MAX
+
+
+@pytest.mark.parametrize("kind", ["substitution", "cover", "morse", "rs", "veech", "hat", "factor"])
+def test_strided_reads_equal_positional_reads(kind):
+    """evaluate(start, count, step) is evaluate_at on start + step k, value for value, on each side of _STRIDE_MAX."""
+    stream, top = _kind_stream(kind)
+    rng = np.random.default_rng(5)
+    size = stream.alphabet_size
+    obs = Observable(window=(0, 3), alphabet_size=size, values=rng.normal(size=size * size) + 1j * rng.normal(size=size * size))
+    count = 100
+    for step in (1, 2, _STRIDE_MAX, _STRIDE_MAX + 1):
+        near_top = top - (obs.span - 1) - step * (count - 1)  # the last window ends at top
+        for start in (0, 5, (1 << 40) + 3, near_top):
+            want = obs.evaluate_at(stream, start + step * np.arange(count, dtype=np.int64))
+            got = obs.evaluate(stream, start, count, step)
+            assert got.dtype == np.complex128 and np.array_equal(got, want), (step, start)
+
+
+def test_strided_reads_use_runs_up_to_the_bound_and_positions_above_it():
+    calls = []
+    stream = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
+    stream.block = lambda start, count: calls.append(("block", count)) or TM.block(start, count)
+    stream.at = lambda positions: calls.append(("at", len(positions))) or TM.at(positions)
+    w = make_walsh((0, 2))
+    for step in (_STRIDE_MAX, _STRIDE_MAX + 1):
+        calls.clear()
+        w.evaluate(stream, 7, 50, step)
+        kind = "block" if step <= _STRIDE_MAX else "at"
+        assert calls == [(kind, step * 49 + 1 if kind == "block" else 50)] * 2
+    calls.clear()
+    for step in (1, 3, _STRIDE_MAX + 1):
+        empty = w.evaluate(stream, INT64_MAX, 0, step)  # no read, and no block of negative length
+        assert empty.shape == (0,) and empty.dtype == np.complex128
+    assert calls == []
 
 
 ATOM_BITS = """

@@ -9,7 +9,9 @@ type and message as stderr.  The calls are:
 - run over specs/*.spec and tests/fixtures/specs/valid/*.spec;
 - gen, hat, blocks and cover for every system of those files;
 - corr, spectrum, sarnak (Moebius JSON, Liouville CSV) and kbsz (primes 3,7
-  and 5,2) for every system and observable of the file, at N = 100000;
+  and 5,2, read as strided runs; 13,17, one run and one positional read;
+  19,23, positional reads only) for every system and observable of the
+  file, at N = 100000;
 - a fixed list of refusals (see refusals()): N one past the sample-size cap,
   a window past int64 (from far.spec, which the sweep writes to a
   temporary directory, printed as FAR), both at once, bad lags and N for
@@ -62,7 +64,7 @@ def calls(spec):
             yield ["spectrum", *on, "--n", N, "--out", "OUT/spectrum.csv"]
             yield ["sarnak", *on, "--n", N, "--weight", "moebius", "--format", "json", "--out", "OUT/mu.json"]
             yield ["sarnak", *on, "--n", N, "--weight", "liouville", "--format", "csv", "--out", "OUT/lambda.csv"]
-            for primes in ("3,7", "5,2"):
+            for primes in ("3,7", "5,2", "13,17", "19,23"):
                 yield ["kbsz", *on, "--n", N, "--primes", primes]
 
 
