@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import errno
 import os
+import pathlib
 import stat
 import sys
 
@@ -41,7 +42,7 @@ from .binding import BASE36, BindingError, BoundSystem
 from .errors import CapacityError
 from .experiment import _format_number
 from .permgrp import CLOSURE_CAP, FiniteGroup, cyclic_group
-from .specfile import WEIGHT_NAMES, SpecDocument, parse_spec
+from .specfile import WEIGHT_NAMES, ExperimentDecl, SpecDocument, parse_spec
 
 
 def load_document(path: str) -> SpecDocument:
@@ -173,8 +174,7 @@ def _cmd_blocks(args) -> int:
 
 
 def _autocorrelation(args) -> "_spectral.AutocorrelationEstimate":
-    doc, bound = _load_system(args)
-    obs = bind_observable(doc, args.observable, bound)
+    bound, obs = _load_observable(args)
     _check_out(args.out)
     return _spectral.autocorrelation(bound.stream, obs, args.n, args.lags)
 
@@ -194,54 +194,46 @@ def _cmd_spectrum(args) -> int:
 
 def _parse_checkpoints(text: str):
     if text == "pow2":
-        return None
+        return text
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise BindingError("checkpoints must be 'pow2' or comma-separated integers, got %r" % text) from None
 
 
-def _weighted(config: "_experiment.ExperimentConfig", kind: str, tables: dict) -> "_experiment.ExperimentConfig":
-    """config with its weight table, sieved only once building config has checked the run.
+def _experiment_config(decl, bound: BoundSystem, obs, tables: dict, out=None) -> "_experiment.ExperimentConfig":
+    """decl's config: bound (checking every run rule), then out checked, then weighted from tables.
 
-    The table reaches the last checkpoint, the last n the sum reads; tables
-    keeps one sieve per (kind, reach).  kbsz and "none" leave config unweighted.
+    tables keeps the widest table of each kind, which serves every sum that reaches no further, since mu(n)
+    and lambda(n) do not depend on its length; a sum reaching past it drops it, then sieves its own.
     """
-    if config.kbsz is not None or kind == "none":
+    config = _binding.bind_experiment(decl, bound, obs)
+    _check_out(out)
+    if config.kbsz is not None or decl.weight == "none":
         return config
-    key = (kind, config.checkpoints[-1])
-    if key not in tables:
-        tables[key] = weight_table(*key)
-    return dataclasses.replace(config, weight=tables[key])
-
-
-def _series_config(args, kbsz=None) -> "_experiment.ExperimentConfig":
-    doc, bound = _load_system(args)
-    obs = bind_observable(doc, args.observable, bound)
-    config = _experiment.ExperimentConfig(
-        name=args.name or ("%s_%s" % (bound.name, obs.name or "obs")),
-        stream=bound.stream,
-        observable=obs,
-        sample_size=args.n,
-        checkpoints=_parse_checkpoints(args.checkpoints),
-        kbsz=kbsz,
-    )
-    _check_out(args.out)
-    return config
+    reach = config.checkpoints[-1]
+    if decl.weight not in tables or tables[decl.weight].limit < reach:
+        tables.pop(decl.weight, None)
+        tables[decl.weight] = weight_table(decl.weight, reach)
+    return dataclasses.replace(config, weight=tables[decl.weight])
 
 
 def _final(report) -> str:
     return "final = %s + %si" % (_format_number(report.final.real), _format_number(report.final.imag))
 
 
-def _report_out(report, args) -> int:
+def _cmd_series(args, weight: str, kbsz=None) -> int:
+    """sarnak and kbsz: the one experiment the flags declare, configured as run configures each of a file's."""
+    bound, obs = _load_observable(args)
+    decl = ExperimentDecl(args.name, bound.name, obs.name, weight, args.n, _parse_checkpoints(args.checkpoints), kbsz)
+    report = _experiment.run_config(_experiment_config(decl, bound, obs, {}, args.out))
     print("%s at N = %d" % (_final(report), report.checkpoints[-1]))
     _emit(_experiment.REPORTS[args.format](report), args.out)
     return 0
 
 
 def _cmd_sarnak(args) -> int:
-    return _report_out(_experiment.run_config(_weighted(_series_config(args), args.weight, {})), args)
+    return _cmd_series(args, args.weight)
 
 
 def _cmd_kbsz(args) -> int:
@@ -249,7 +241,7 @@ def _cmd_kbsz(args) -> int:
         r, s = (int(p) for p in args.primes.split(","))
     except ValueError:
         raise BindingError("--primes expects R,S, got %r" % args.primes) from None
-    return _report_out(_experiment.run_config(_series_config(args, kbsz=(r, s))), args)
+    return _cmd_series(args, "none", (r, s))
 
 
 def _cmd_run(args) -> int:
@@ -258,11 +250,12 @@ def _cmd_run(args) -> int:
     if not experiments:
         raise BindingError("no experiment declarations in %s" % args.spec)
     formats = _experiment.check_formats(args.format.split(","))
-    tables = {}  # one sieve per (kind, reach) in the file
+    pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)  # as run_experiment would, before any sieve
+    tables = {}  # weight kind -> the widest table sieved so far
     for decl in experiments:
         bound = build_system(doc, decl.system)
-        config = _binding.bind_experiment(decl, bound, bind_observable(doc, decl.observable, bound))
-        report, paths = _experiment.run_experiment(_weighted(config, decl.weight, tables), args.out, formats)
+        config = _experiment_config(decl, bound, bind_observable(doc, decl.observable, bound), tables)
+        report, paths = _experiment.run_experiment(config, args.out, formats)
         del config  # so the next experiment's observable table is not built beside this one
         print("experiment %s: %s -> %s" % (decl.name, _final(report), ", ".join(str(p) for p in paths)))
     return 0
@@ -298,6 +291,12 @@ def _load_system(args) -> tuple:
     if not args.system and len(systems) != 1:
         raise BindingError("--system is required when the file declares %d systems" % len(systems))
     return doc, build_system(doc, args.system or next(iter(systems)))
+
+
+def _load_observable(args) -> tuple:
+    """(bound system, bound --observable) of args.spec, for corr, spectrum, sarnak and kbsz."""
+    doc, bound = _load_system(args)
+    return bound, bind_observable(doc, args.observable, bound)
 
 
 def _add_spec_args(p, observable=False):
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoints", default="pow2")
         p.add_argument("--out")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--name", default="")
+        p.add_argument("--name", default="", help="accepted for compatibility; has no effect (no output carries it)")
         p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
         if cmd == "sarnak":
             p.add_argument("--weight", choices=WEIGHT_NAMES, default="moebius")

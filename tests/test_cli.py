@@ -584,23 +584,58 @@ def test_run_matches_golden_csv(capsys, tmp_path):
     assert "experiment sarnak_tm_moebius: final = 0.000138282775879" in out
 
 
+# The files whose experiments the flags can declare: every valid file that has one
+VALID_SPECS = [spec for spec in [SPECS / "thue_morse.spec", *sorted((REPO / "tests/fixtures/specs/valid").glob("*.spec"))]
+               if "\nexperiment " in spec.read_text()]
+
+
+@pytest.mark.parametrize("spec", VALID_SPECS, ids=lambda p: str(p.relative_to(REPO)))
+def test_flags_and_a_declaration_write_the_same_reports(capsys, tmp_path, spec):
+    """sarnak or kbsz given the fields of a file's experiment write the CSV and JSON bytes run writes for it."""
+    assert run(capsys, "run", str(spec), "--out", str(tmp_path))[:3:2] == (0, "")
+    for decl in cli.load_document(str(spec)).experiments():
+        checkpoints = decl.checkpoints if decl.checkpoints == "pow2" else ",".join(map(str, decl.checkpoints))
+        argv = [str(spec), "--system", decl.system, "--observable", decl.observable,
+                "--n", str(decl.sample_size), "--checkpoints", checkpoints]
+        if decl.kbsz is None:
+            argv = ["sarnak", *argv, "--weight", decl.weight]
+        else:
+            argv = ["kbsz", *argv, "--primes", "%d,%d" % decl.kbsz]
+        for fmt in ("csv", "json"):
+            out = tmp_path / ("flags." + fmt)
+            assert run(capsys, *argv, "--format", fmt, "--out", str(out))[:3:2] == (0, "")
+            assert out.read_bytes() == (tmp_path / ("%s.%s" % (decl.name, fmt))).read_bytes(), (decl.name, fmt)
+
+
 @pytest.mark.parametrize("command", [
-    ["sarnak", "--n", "4096"],
-    ["kbsz", "--n", "4096"],
-    ["corr"],
-    ["spectrum"],
+    ["sarnak", "--observable", "w0", "--n", "4096"],
+    ["kbsz", "--observable", "w0", "--n", "4096"],
+    ["corr", "--observable", "w0"],
+    ["spectrum", "--observable", "w0"],
+    ["run"],
 ], ids=lambda c: c[0])
 def test_an_unwritable_out_is_refused_before_the_work(capsys, tmp_path, monkeypatch, command):
-    """A missing directory or a directory as --out exits 2 with open's message, before any sieve or stream read."""
+    """An --out open or mkdir would refuse exits 2 with their message, before any sieve or stream read.
+
+    The report file of sarnak, kbsz, corr and spectrum must not be a
+    directory or sit in a missing one; run's report directory must not be a
+    file or sit under one.
+    """
     def refuse(*args):
         raise AssertionError("the work ran before --out was checked")
 
     monkeypatch.setattr(cli, "weight_table", refuse)
     monkeypatch.setattr(SymbolStream, "_get", refuse)
-    for out, message in ((tmp_path / "nodir" / "x.json", "[Errno 2] No such file or directory"),
-                         (tmp_path, "[Errno 21] Is a directory")):
-        code, stdout, err = run(capsys, command[0], TM_SPEC, "--observable", "w0", *command[1:], "--out", str(out))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cases = ((tmp_path / "nodir" / "x.json", "[Errno 2] No such file or directory"),
+             (tmp_path, "[Errno 21] Is a directory"))
+    if command[0] == "run":
+        cases = ((afile, "[Errno 17] File exists"), (afile / "sub", "[Errno 20] Not a directory"))
+    for out, message in cases:
+        code, stdout, err = run(capsys, command[0], TM_SPEC, *command[1:], "--out", str(out))
         assert (code, stdout, err) == (2, "", "error: %s: %r\n" % (message, str(out)))
+    assert afile.read_text() == ""
 
 
 def test_bad_spec_exits_one(capsys, tmp_path):
@@ -650,29 +685,43 @@ REUSE_SYSTEMS = """substitution tm on {0, 1} {
 observable w0 = walsh {0}
 """
 
-REUSE_EXPERIMENTS = (("mu_a", "moebius"), ("lam", "liouville"), ("mu_b", "moebius"))
+REUSE_EXPERIMENTS = (("mu_a", "moebius", 5000), ("lam", "liouville", 5000), ("mu_b", "moebius", 5000))
 
 
-def reuse_experiment(name, weight):
-    return "experiment %s {\n  system: tm;\n  observable: w0;\n  weight: %s;\n  N: 5000;\n}\n" % (name, weight)
+def reuse_experiment(name, weight, n=5000):
+    return "experiment %s {\n  system: tm;\n  observable: w0;\n  weight: %s;\n  N: %d;\n}\n" % (name, weight, n)
+
+
+# Reaches that go down (each kind is sieved once, at its first and widest
+# reach) and reaches that go up (each step up sieves again)
+DESCENDING = (("mu_5000", "moebius", 5000), ("lam_5000", "liouville", 5000), ("mu_3000", "moebius", 3000),
+              ("lam_1000", "liouville", 1000), ("mu_1000", "moebius", 1000))
+ASCENDING = (("mu_1000", "moebius", 1000), ("mu_3000", "moebius", 3000), ("lam_2000", "liouville", 2000),
+             ("mu_3000b", "moebius", 3000), ("mu_5000", "moebius", 5000))
 
 
 def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
     calls = count_sieves(monkeypatch)
-    spec = tmp_path / "three.spec"
-    spec.write_text(REUSE_SYSTEMS + "".join(reuse_experiment(*e) for e in REUSE_EXPERIMENTS))
-    code, _, err = run(capsys, "run", str(spec), "--out", str(tmp_path / "all"))
-    assert (code, err) == (0, "")
-    assert calls == [("moebius", 5000), ("liouville", 5000)]
+    for label, experiments, sieves in (
+        ("three", REUSE_EXPERIMENTS, [("moebius", 5000), ("liouville", 5000)]),
+        ("descending", DESCENDING, [("moebius", 5000), ("liouville", 5000)]),
+        ("ascending", ASCENDING, [("moebius", 1000), ("moebius", 3000), ("liouville", 2000), ("moebius", 5000)]),
+    ):
+        spec = tmp_path / (label + ".spec")
+        spec.write_text(REUSE_SYSTEMS + "".join(reuse_experiment(*e) for e in experiments))
+        calls.clear()
+        code, _, err = run(capsys, "run", str(spec), "--out", str(tmp_path / label))
+        assert (code, err) == (0, "")
+        assert calls == sieves, label
 
-    for name, weight in REUSE_EXPERIMENTS:
-        alone = tmp_path / (name + ".spec")
-        alone.write_text(REUSE_SYSTEMS + reuse_experiment(name, weight))
-        code, _, _ = run(capsys, "run", str(alone), "--out", str(tmp_path / name))
-        assert code == 0
-        for ext in (".csv", ".json"):
-            solo = (tmp_path / name / (name + ext)).read_bytes()
-            assert (tmp_path / "all" / (name + ext)).read_bytes() == solo
+        for name, weight, n in experiments:
+            alone = tmp_path / (name + ".spec")
+            alone.write_text(REUSE_SYSTEMS + reuse_experiment(name, weight, n))
+            code, _, _ = run(capsys, "run", str(alone), "--out", str(tmp_path / "alone"))
+            assert code == 0
+            for ext in (".csv", ".json"):
+                solo = (tmp_path / "alone" / (name + ext)).read_bytes()
+                assert (tmp_path / label / (name + ext)).read_bytes() == solo, (label, name)
 
 
 RUN_MAXRSS = """
@@ -696,6 +745,21 @@ def test_run_keeps_one_observable_table_alive(tmp_path):
                                                    "experiment b: final = 0.6640625 + 0i -> out/b.csv, out/b.json"], proc
     code, maxrss_kib = map(int, lines[2].split())
     assert code == 0 and maxrss_kib < 450 << 10, maxrss_kib
+
+
+def test_run_keeps_one_weight_table_per_kind_alive(tmp_path):
+    """Six Moebius sums reaching up from 2^22 - 5 hold one 4 MiB table at a time, as one sum does."""
+    peaks = []
+    for reaches in ([1 << 22], range((1 << 22) - 5, (1 << 22) + 1)):
+        (tmp_path / "wide.spec").write_text(REUSE_SYSTEMS + "".join(
+            "experiment e%d { system: tm; observable: w0; weight: moebius; N: %d; }\n" % (i, n)
+            for i, n in enumerate(reaches)))
+        proc = run_limited(python=("-c", RUN_MAXRSS), cwd=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        code, maxrss_kib = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0
+        peaks.append(maxrss_kib)
+    assert peaks[1] - peaks[0] <= 3 << 10, peaks  # each table held beside another adds 4 MiB
 
 
 def test_run_refuses_an_unknown_format_before_it_sieves_or_writes(capsys, tmp_path, monkeypatch):

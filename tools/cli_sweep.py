@@ -15,7 +15,11 @@ type and message as stderr.  The calls are:
 - a fixed list of refusals (see refusals()): N one past the sample-size cap,
   a window past int64 (from far.spec, which the sweep writes to a
   temporary directory, printed as FAR), both at once, bad lags and N for
-  corr, a checkpoint past the cap and a prime pair past int64.
+  corr, a checkpoint past the cap and a prime pair past int64; calls with
+  two faults at once, whose message shows which check comes first; and run
+  with --out at a file and at a path under a file;
+- run over reaches.spec (written beside far.spec, printed as REACHES),
+  whose weighted experiments reach down and then up.
 
 Spec files named on the command line join the list.  Systems and
 observables are found with a regex over the declarations, not through the
@@ -42,6 +46,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 N = "100000"
 TM_SPEC = "specs/thue_morse.spec"
 FAR_SPEC = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable far = walsh {9223372036854775000}\n'
+REACHES_SPEC = "".join(
+    ['substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable w0 = walsh {0}\n']
+    + ["experiment %s { system: tm; observable: w0; weight: %s; N: %d; }\n" % e for e in (
+        ("mu_wide", "moebius", 65536), ("mu_narrow", "moebius", 1000), ("lam_narrow", "liouville", 4096),
+        ("mu_wider", "moebius", 100000), ("lam_wide", "liouville", 100000), ("mu_mid", "moebius", 70000))]
+)
 BEYOND_CAP = "67108865"  # arith.LIMIT_CAP + 1
 SYSTEM = re.compile(r"^\s*(?:substitution|morse|rs|veech)\s+(\w+)", re.M)
 OBSERVABLE = re.compile(r"^\s*observable\s+(\w+)", re.M)
@@ -79,6 +89,15 @@ def refusals(far):
     yield ["corr", TM_SPEC, "--observable", "w0", "--n", "0"]
     yield ["sarnak", TM_SPEC, "--observable", "w0", "--n", "67108864", "--checkpoints", "1," + BEYOND_CAP]
     yield ["kbsz", TM_SPEC, "--observable", "w0", "--n", N, "--primes", "4611686018427387847,3"]
+    # two faults at once: system, observable, checkpoint text, run rules, --out (kbsz reads --primes first)
+    for cmd in ("sarnak", "kbsz"):
+        yield [cmd, TM_SPEC, "--system", "nope", "--observable", "nope", "--n", N]
+        yield [cmd, TM_SPEC, "--observable", "nope", "--n", N, "--checkpoints", "1,x"]
+        yield [cmd, TM_SPEC, "--observable", "w0", "--n", "0", "--checkpoints", "x"]
+        yield [cmd, TM_SPEC, "--observable", "w0", "--n", "0", "--out", "OUT"]
+    yield ["kbsz", TM_SPEC, "--system", "nope", "--observable", "w0", "--n", N, "--primes", "3"]
+    yield ["run", TM_SPEC, "--out", TM_SPEC]
+    yield ["run", TM_SPEC, "--out", TM_SPEC + "/sub"]
 
 
 def digest(argv) -> str:
@@ -115,10 +134,11 @@ def main_sweep(extra) -> int:
             print("%s  %s" % (digest(argv), " ".join(argv)), flush=True)
     far_dir = tempfile.mkdtemp(prefix="cli_sweep_far_")
     try:
-        far = os.path.join(far_dir, "far.spec")
+        far, reaches = os.path.join(far_dir, "far.spec"), os.path.join(far_dir, "reaches.spec")
         pathlib.Path(far).write_text(FAR_SPEC, encoding="utf-8")
-        for argv in refusals(far):
-            print("%s  %s" % (digest(argv), " ".join(argv).replace(far, "FAR")), flush=True)
+        pathlib.Path(reaches).write_text(REACHES_SPEC, encoding="utf-8")
+        for argv in [*refusals(far), ["run", reaches, "--out", "OUT"]]:
+            print("%s  %s" % (digest(argv), " ".join(argv).replace(far, "FAR").replace(reaches, "REACHES")), flush=True)
     finally:
         shutil.rmtree(far_dir, ignore_errors=True)
     return 0
