@@ -201,20 +201,20 @@ def _parse_checkpoints(text: str):
         raise BindingError("checkpoints must be 'pow2' or comma-separated integers, got %r" % text) from None
 
 
-def _experiment_config(decl, bound: BoundSystem, obs, tables: dict, out=None) -> "_experiment.ExperimentConfig":
+def _experiment_config(decl, bound: BoundSystem, obs, experiments, tables, out=None) -> "_experiment.ExperimentConfig":
     """decl's config: bound (checking every run rule), then out checked, then weighted from tables.
 
-    tables keeps the widest table of each kind, which serves every sum that reaches no further, since mu(n)
-    and lambda(n) do not depend on its length; a sum reaching past it drops it, then sieves its own.
+    Each kind is sieved once, on first use, to the widest reach (N under pow2, else the last checkpoint) of
+    the Sarnak sums of that kind in experiments; each slices it, as mu(n) and lambda(n) ignore its length.
     """
     config = _binding.bind_experiment(decl, bound, obs)
     _check_out(out)
     if config.kbsz is not None or decl.weight == "none":
         return config
-    reach = config.checkpoints[-1]
-    if decl.weight not in tables or tables[decl.weight].limit < reach:
-        tables.pop(decl.weight, None)
-        tables[decl.weight] = weight_table(decl.weight, reach)
+    if decl.weight not in tables:
+        tables[decl.weight] = weight_table(decl.weight, max(
+            e.sample_size if e.checkpoints == "pow2" else e.checkpoints[-1]
+            for e in experiments if e.weight == decl.weight and e.kbsz is None))
     return dataclasses.replace(config, weight=tables[decl.weight])
 
 
@@ -226,7 +226,7 @@ def _cmd_series(args, weight: str, kbsz=None) -> int:
     """sarnak and kbsz: the one experiment the flags declare, configured as run configures each of a file's."""
     bound, obs = _load_observable(args)
     decl = ExperimentDecl(args.name, bound.name, obs.name, weight, args.n, _parse_checkpoints(args.checkpoints), kbsz)
-    report = _experiment.run_config(_experiment_config(decl, bound, obs, {}, args.out))
+    report = _experiment.run_config(_experiment_config(decl, bound, obs, (decl,), {}, args.out))
     print("%s at N = %d" % (_final(report), report.checkpoints[-1]))
     _emit(_experiment.REPORTS[args.format](report), args.out)
     return 0
@@ -251,10 +251,10 @@ def _cmd_run(args) -> int:
         raise BindingError("no experiment declarations in %s" % args.spec)
     formats = _experiment.check_formats(args.format.split(","))
     pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)  # as run_experiment would, before any sieve
-    tables = {}  # weight kind -> the widest table sieved so far
+    tables = {}  # weight kind -> its one table, sieved to the widest reach of the file
     for decl in experiments:
         bound = build_system(doc, decl.system)
-        config = _experiment_config(decl, bound, bind_observable(doc, decl.observable, bound), tables)
+        config = _experiment_config(decl, bound, bind_observable(doc, decl.observable, bound), experiments, tables)
         report, paths = _experiment.run_experiment(config, args.out, formats)
         del config  # so the next experiment's observable table is not built beside this one
         print("experiment %s: %s -> %s" % (decl.name, _final(report), ", ".join(str(p) for p in paths)))

@@ -581,6 +581,7 @@ class _Validator:
         self.diagnostics = []
         self.bound = {}  # system name -> BoundSystem
         self.groups = {}  # GroupExpr -> (group, cover) built once for the document
+        self.kept = (None, None)  # the last (observable, system) pair checked and its bound observable
 
     def error(self, message, span):
         excerpt = ""
@@ -611,9 +612,10 @@ class _Validator:
         # substitutions first: cover-of systems are built from bound ones
         for decl in sorted(systems.values(), key=lambda d: d.kind != "substitution"):
             self.bind(decl, systems)
-        for decl in self.declarations:
-            if isinstance(decl, ExperimentDecl):
-                self.check_experiment(decl, systems, observables)
+        # in (observable, system) order, so each pair's observable is bound once
+        every_experiment = [decl for decl in self.declarations if isinstance(decl, ExperimentDecl)]
+        for decl in sorted(every_experiment, key=lambda d: (d.observable, d.system)):
+            self.check_experiment(decl, systems, observables)
         return sorted(self.diagnostics, key=lambda d: (d.line, d.column))
 
     def bind(self, decl, systems):
@@ -682,7 +684,10 @@ class _Validator:
         if system is None or obs is None:
             return
         try:
-            bind_experiment(decl, system, bind_observable(obs, system))  # building the config is the check
+            if self.kept[0] != (decl.observable, decl.system):  # a failed bind is retried, so each is located
+                self.kept = (None, None)  # the last pair's table is freed before this one is built
+                self.kept = ((decl.observable, decl.system), bind_observable(obs, system))
+            bind_experiment(decl, system, self.kept[1])  # building the config is the check
         except ValueError as exc:
             self.error(str(exc), decl.span)
 

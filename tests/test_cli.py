@@ -688,16 +688,23 @@ observable w0 = walsh {0}
 REUSE_EXPERIMENTS = (("mu_a", "moebius", 5000), ("lam", "liouville", 5000), ("mu_b", "moebius", 5000))
 
 
-def reuse_experiment(name, weight, n=5000):
-    return "experiment %s {\n  system: tm;\n  observable: w0;\n  weight: %s;\n  N: %d;\n}\n" % (name, weight, n)
+def reuse_experiment(name, weight, n=5000, fields=""):
+    return "experiment %s {\n  system: tm;\n  observable: w0;\n  weight: %s;\n  N: %d;\n%s}\n" % (
+        name, weight, n, fields)
 
 
-# Reaches that go down (each kind is sieved once, at its first and widest
-# reach) and reaches that go up (each step up sieves again)
+# Each kind is sieved once, on its first use, to the widest reach any Sarnak
+# sum of that kind declares: N under pow2, else the last checkpoint
 DESCENDING = (("mu_5000", "moebius", 5000), ("lam_5000", "liouville", 5000), ("mu_3000", "moebius", 3000),
               ("lam_1000", "liouville", 1000), ("mu_1000", "moebius", 1000))
 ASCENDING = (("mu_1000", "moebius", 1000), ("mu_3000", "moebius", 3000), ("lam_2000", "liouville", 2000),
              ("mu_3000b", "moebius", 3000), ("mu_5000", "moebius", 5000))
+DOUBLING = (("mu_500", "moebius", 500), ("lam_1000", "liouville", 1000), ("mu_1000", "moebius", 1000),
+            ("lam_2000", "liouville", 2000), ("mu_2000", "moebius", 2000), ("mu_4000", "moebius", 4000))
+CUT_SHORT = (("mu_2000", "moebius", 2000), ("mu_cut", "moebius", 6000, "  checkpoints: [10, 100, 3000];\n"),
+             ("lam_cut", "liouville", 6000, "  checkpoints: [7, 2500];\n"), ("mu_1000", "moebius", 1000))
+KBSZ_WIDEST = (("mu_1000", "moebius", 1000), ("kbsz_mu", "moebius", 9000, "  kbsz: (3, 5);\n"),
+               ("mu_3000", "moebius", 3000))
 
 
 def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
@@ -705,7 +712,10 @@ def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
     for label, experiments, sieves in (
         ("three", REUSE_EXPERIMENTS, [("moebius", 5000), ("liouville", 5000)]),
         ("descending", DESCENDING, [("moebius", 5000), ("liouville", 5000)]),
-        ("ascending", ASCENDING, [("moebius", 1000), ("moebius", 3000), ("liouville", 2000), ("moebius", 5000)]),
+        ("ascending", ASCENDING, [("moebius", 5000), ("liouville", 2000)]),
+        ("doubling", DOUBLING, [("moebius", 4000), ("liouville", 2000)]),
+        ("cut_short", CUT_SHORT, [("moebius", 3000), ("liouville", 2500)]),
+        ("kbsz_widest", KBSZ_WIDEST, [("moebius", 3000)]),
     ):
         spec = tmp_path / (label + ".spec")
         spec.write_text(REUSE_SYSTEMS + "".join(reuse_experiment(*e) for e in experiments))
@@ -714,9 +724,9 @@ def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
         assert (code, err) == (0, "")
         assert calls == sieves, label
 
-        for name, weight, n in experiments:
+        for name, *fields in experiments:
             alone = tmp_path / (name + ".spec")
-            alone.write_text(REUSE_SYSTEMS + reuse_experiment(name, weight, n))
+            alone.write_text(REUSE_SYSTEMS + reuse_experiment(name, *fields))
             code, _, _ = run(capsys, "run", str(alone), "--out", str(tmp_path / "alone"))
             assert code == 0
             for ext in (".csv", ".json"):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from mobiuslab import binding
+from mobiuslab import binding, specfile
 from mobiuslab.specfile import (
     Diagnostic,
     ExperimentDecl,
@@ -381,6 +381,45 @@ def test_each_group_expression_is_built_once_per_document(monkeypatch):
 def test_a_group_that_fails_to_build_is_located_at_each_use():
     diags = parse_bad('morse a over Sym(7) blocks [repeat "01"]\nmorse b over Sym(7) blocks [repeat "01"]\n')
     assert [(d.line, d.column) for d in diags] == [(1, 14), (2, 14)]
+
+
+PAIRS_SPEC = """substitution tm on {0, 1} {
+  0 -> "01";
+  1 -> "10";
+}
+rs r pattern "11"
+observable w0 = walsh {0}
+observable w1 = walsh {0, 1}
+experiment a { system: tm; observable: w1; N: 64; }
+experiment b { system: r; observable: w0; N: 64; }
+experiment c { system: tm; observable: w0; weight: moebius; N: 64; }
+experiment d { system: tm; observable: w1; N: 32; }
+experiment e { system: r; observable: w0; N: 16; kbsz: (3, 5); }
+experiment f { system: tm; observable: w0; N: 8; }
+"""
+
+
+def test_each_observable_and_system_pair_is_bound_once_while_parsing(monkeypatch):
+    """Experiments are checked in (observable, system) order, one pair's table at a time."""
+    pairs, bind = [], specfile.bind_observable
+
+    def counting(decl, bound):
+        pairs.append((decl.name, bound.name))
+        return bind(decl, bound)
+
+    monkeypatch.setattr(specfile, "bind_observable", counting)
+    parse_ok(PAIRS_SPEC)
+    assert pairs == [("w0", "r"), ("w0", "tm"), ("w1", "tm")]
+
+    # a pair that fails to bind is retried, so each of its experiments is located at its own line
+    herning = (SPECS / "valid" / "herning.spec").read_text()
+    top = len(herning.splitlines())
+    diags = parse_bad(herning + "observable w = walsh {0}\n"
+                      "experiment e1 { system: herning; observable: w; N: 64; }\n"
+                      "experiment ok { system: herning; observable: first_a; N: 64; }\n"
+                      "experiment e2 { system: herning; observable: w; N: 32; }\n")
+    assert [(d.line, d.column) for d in diags] == [(top + 2, 1), (top + 4, 1)]
+    assert all(d.message == diags[0].message and "binary" in d.message for d in diags)
 
 
 def test_cover_of_a_substitution_that_fails_to_bind_is_reported_once():

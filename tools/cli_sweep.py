@@ -19,7 +19,10 @@ type and message as stderr.  The calls are:
   two faults at once, whose message shows which check comes first; and run
   with --out at a file and at a path under a file;
 - run over reaches.spec (written beside far.spec, printed as REACHES),
-  whose weighted experiments reach down and then up.
+  whose weighted experiments reach down and then up, and over rising.spec
+  (printed as RISING), whose weighted reaches only go up, for both kinds,
+  and which holds a checkpoint list ending below its N and a kbsz
+  experiment that declares weight: moebius.
 
 Spec files named on the command line join the list.  Systems and
 observables are found with a regex over the declarations, not through the
@@ -27,6 +30,9 @@ library, so both trees get the same calls.  Run from the repository root,
 once with each tree's src on PYTHONPATH, and diff the two outputs:
 
     PYTHONPATH=src python tools/cli_sweep.py [extra.spec ...] > after.txt
+
+tools/compare_sweeps.py REV does this, and the same for level_sweep.py,
+against the src of the git revision REV.
 """
 
 import contextlib
@@ -46,11 +52,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 N = "100000"
 TM_SPEC = "specs/thue_morse.spec"
 FAR_SPEC = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable far = walsh {9223372036854775000}\n'
-REACHES_SPEC = "".join(
-    ['substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable w0 = walsh {0}\n']
-    + ["experiment %s { system: tm; observable: w0; weight: %s; N: %d; }\n" % e for e in (
+TM_W0 = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable w0 = walsh {0}\n'
+REACHES_SPEC = TM_W0 + "".join(
+    "experiment %s { system: tm; observable: w0; weight: %s; N: %d; }\n" % e for e in (
         ("mu_wide", "moebius", 65536), ("mu_narrow", "moebius", 1000), ("lam_narrow", "liouville", 4096),
-        ("mu_wider", "moebius", 100000), ("lam_wide", "liouville", 100000), ("mu_mid", "moebius", 70000))]
+        ("mu_wider", "moebius", 100000), ("lam_wide", "liouville", 100000), ("mu_mid", "moebius", 70000))
+)
+RISING_SPEC = TM_W0 + "".join(
+    "experiment %s { system: tm; observable: w0; weight: %s; N: %d;%s }\n" % e for e in (
+        ("mu_low", "moebius", 1000, ""), ("lam_low", "liouville", 2048, ""), ("mu_mid", "moebius", 4096, ""),
+        ("lam_high", "liouville", 70000, ""), ("kbsz_mu", "moebius", 100000, " kbsz: (3, 5);"),
+        ("mu_cut", "moebius", 100000, " checkpoints: [10, 1000, 65536];"))
 )
 BEYOND_CAP = "67108865"  # arith.LIMIT_CAP + 1
 SYSTEM = re.compile(r"^\s*(?:substitution|morse|rs|veech)\s+(\w+)", re.M)
@@ -134,11 +146,12 @@ def main_sweep(extra) -> int:
             print("%s  %s" % (digest(argv), " ".join(argv)), flush=True)
     far_dir = tempfile.mkdtemp(prefix="cli_sweep_far_")
     try:
-        far, reaches = os.path.join(far_dir, "far.spec"), os.path.join(far_dir, "reaches.spec")
-        pathlib.Path(far).write_text(FAR_SPEC, encoding="utf-8")
-        pathlib.Path(reaches).write_text(REACHES_SPEC, encoding="utf-8")
-        for argv in [*refusals(far), ["run", reaches, "--out", "OUT"]]:
-            print("%s  %s" % (digest(argv), " ".join(argv).replace(far, "FAR").replace(reaches, "REACHES")), flush=True)
+        far, reaches, rising = (os.path.join(far_dir, name) for name in ("far.spec", "reaches.spec", "rising.spec"))
+        for path, text in ((far, FAR_SPEC), (reaches, REACHES_SPEC), (rising, RISING_SPEC)):
+            pathlib.Path(path).write_text(text, encoding="utf-8")
+        for argv in [*refusals(far), ["run", reaches, "--out", "OUT"], ["run", rising, "--out", "OUT"]]:
+            line = " ".join(argv).replace(far, "FAR").replace(reaches, "REACHES").replace(rising, "RISING")
+            print("%s  %s" % (digest(argv), line), flush=True)
     finally:
         shutil.rmtree(far_dir, ignore_errors=True)
     return 0

@@ -11,6 +11,9 @@ the command line, then those of the three benchmark workloads
 once with each tree's src on PYTHONPATH, and diff the two outputs:
 
     PYTHONPATH=src python tools/level_sweep.py [extra.spec ...] > after.txt
+
+tools/compare_sweeps.py REV does this, and the same for cli_sweep.py,
+against the src of the git revision REV.
 """
 
 import hashlib
