@@ -279,8 +279,9 @@ def closure(generators, degree=None, size_cap: int = CLOSURE_CAP):
 def centralizer_in_sym(perms, degree=None):
     """Centralizer of a set of permutations inside the ambient symmetric group.
 
-    Enumerates the whole symmetric group, so degree is capped at 8.
-    Returns (FiniteGroup, GroupEmbedding).
+    Enumerates the whole symmetric group, so degree is capped at 8, and
+    raises CapacityError before building the table of a centralizer with more
+    than CLOSURE_CAP elements.  Returns (FiniteGroup, GroupEmbedding).
     """
     perms = [p if isinstance(p, Perm) else Perm(p) for p in perms]
     degrees = {p.degree for p in perms}
@@ -305,6 +306,8 @@ def centralizer_in_sym(perms, degree=None):
         c = np.array(cand)
         if all(np.array_equal(c[f], f[c]) for f in fixed):
             commuting.append(Perm(cand))
+    if len(commuting) > CLOSURE_CAP:
+        raise CapacityError("centralizer of order %d exceeds the cap of %d elements" % (len(commuting), CLOSURE_CAP))
     # lexicographic enumeration starts at the identity
     return _group_from_perms(commuting)
 

@@ -25,11 +25,12 @@ element symbols are base-36 digits of the element index):
                  | "checkpoints" ":" ("pow2" | "[" INT {"," INT} "]")
                  | "kbsz" ":" "(" INT "," INT ")"
 
-Parsing is all or nothing: parse_spec returns a SpecDocument only when no
-diagnostic was raised, otherwise the list of diagnostics.  Every diagnostic
-carries the line, column, and source line of the offending token.  The
-validator binds each system once through the binding module, and each
-experiment's observable and limits against it, so a document that parses
+The lexer is one compiled pattern with a named group per token kind, matched
+over each source line.  Parsing is all or nothing: parse_spec returns a
+SpecDocument only when no diagnostic was raised, otherwise the list of
+diagnostics, each with the line, column and source line of the offending
+token.  The validator binds each system once through the binding module, and
+each experiment's observable and limits against it, so a document that parses
 also binds and runs within the sample-size cap; the document keeps its bound
 systems, each with its stream.  Document equality ignores source positions
 and bound systems, so parse(print_spec(doc)) == doc.
@@ -37,6 +38,7 @@ and bound systems, so parse(print_spec(doc)) == doc.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .arith import WEIGHT_KINDS
@@ -45,8 +47,6 @@ from .errors import CapacityError
 
 DECL_KEYWORDS = ("substitution", "morse", "rs", "veech", "observable", "experiment")
 WEIGHT_NAMES = WEIGHT_KINDS + ("none",)
-_PUNCT = set("{}[](),;:=")
-_DIGITS = "0123456789"
 
 
 @dataclass(frozen=True)
@@ -181,67 +181,46 @@ class _Token:
     text: str
     line: int
     column: int
-    line_text: str
+
+
+# One named group per token kind; blanks and comments match unnamed, BAD any other
+# character.  IDENT also admits numerics such as '²' first; _tokenize refuses those.
+_TOKEN = re.compile(
+    r"""[ \t\r]+|\#.*
+    |"(?P<STRING>[^"]*)"
+    |(?P<IDENT>[^\W\d]\w*)
+    |(?P<NUMBER>[0-9](?:[eE][+-]?|[0-9.])*)
+    |(?P<ARROW>->)|(?P<MINUS>-)
+    |(?P<PUNCT>[{}\[\](),;:=])
+    |(?P<BAD>.)""",
+    re.VERBOSE,
+)
 
 
 class _LexError(Exception):
-    def __init__(self, message, line, column, line_text):
-        super().__init__(message)
-        self.diagnostic = Diagnostic("error", message, line, column, line_text)
+    """Raised by _tokenize with the arguments (message, line, column)."""
 
 
-def _tokenize(text: str):
+def _tokenize(lines):
     tokens = []
-    lines = text.split("\n")
     for lineno, line in enumerate(lines, start=1):
-        i = 0
-        while i < len(line):
-            c = line[i]
-            col = i + 1
-            if c in " \t\r":
-                i += 1
+        for m in _TOKEN.finditer(line):
+            kind = m.lastgroup
+            if kind is None:
                 continue
-            if c == "#":
-                break
-            if c == '"':
-                j = line.find('"', i + 1)
-                if j < 0:
-                    raise _LexError("unterminated string", lineno, col, line)
-                tokens.append(_Token("STRING", line[i + 1 : j], lineno, col, line))
-                i = j + 1
-                continue
-            if c.isalpha() or c == "_":
-                j = i + 1
-                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
-                    j += 1
-                tokens.append(_Token("IDENT", line[i:j], lineno, col, line))
-                i = j
-                continue
-            if c in _DIGITS:
-                j = i + 1
-                while j < len(line) and (line[j] in _DIGITS or line[j] in ".eE"):
-                    if line[j] in "eE" and j + 1 < len(line) and line[j + 1] in "+-":
-                        j += 1
-                    j += 1
-                tokens.append(_Token("NUMBER", line[i:j], lineno, col, line))
-                i = j
-                continue
-            if c == "-":
-                if i + 1 < len(line) and line[i + 1] == ">":
-                    tokens.append(_Token("ARROW", "->", lineno, col, line))
-                    i += 2
-                else:
-                    tokens.append(_Token("MINUS", "-", lineno, col, line))
-                    i += 1
-                continue
-            if c in _PUNCT:
-                tokens.append(_Token("PUNCT", c, lineno, col, line))
-                i += 1
-                continue
-            raise _LexError("unexpected character %r" % c, lineno, col, line)
-    last_line = lines[-1] if lines else ""
-    tokens.append(_Token("EOF", "", len(lines), len(last_line) + 1, last_line))
+            text = m[kind]
+            if kind == "BAD" or (kind == "IDENT" and not (text[0].isalpha() or text[0] == "_")):
+                message = "unterminated string" if text == '"' else "unexpected character %r" % text[0]
+                raise _LexError(message, lineno, m.start() + 1)
+            tokens.append(_Token(kind, text, lineno, m.start() + 1))
+    tokens.append(_Token("EOF", "", len(lines), len(lines[-1]) + 1))
     return tokens
+
+
+def _diagnostic(message, line, column, lines) -> Diagnostic:
+    """An error at (line, column), with that source line as its excerpt."""
+    excerpt = lines[line - 1] if 1 <= line <= len(lines) else ""
+    return Diagnostic("error", message, line, column, excerpt)
 
 
 class _ParseAbort(Exception):
@@ -249,8 +228,9 @@ class _ParseAbort(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, lines):
         self.tokens = tokens
+        self.lines = lines
         self.pos = 0
         self.diagnostics = []
 
@@ -271,7 +251,7 @@ class _Parser:
 
     def error(self, message, tok=None):
         tok = tok or self.peek()
-        self.diagnostics.append(Diagnostic("error", message, tok.line, tok.column, tok.line_text))
+        self.diagnostics.append(_diagnostic(message, tok.line, tok.column, self.lines))
         raise _ParseAbort()
 
     def found(self) -> str:
@@ -364,23 +344,15 @@ class _Parser:
     def parse_document(self):
         decls = []
         while not self.at("EOF"):
-            tok = self.peek()
-            if tok.kind != "IDENT" or tok.text not in DECL_KEYWORDS:
-                self.diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        "expected a declaration keyword (%s), found %r" % (", ".join(DECL_KEYWORDS), self.found()),
-                        tok.line,
-                        tok.column,
-                        tok.line_text,
-                    )
-                )
-                self.advance()
-                self.skip_to_next_declaration()
-                continue
+            start = self.pos
             try:
+                tok = self.peek()
+                if tok.kind != "IDENT" or tok.text not in DECL_KEYWORDS:
+                    self.expected("a declaration keyword (%s)" % ", ".join(DECL_KEYWORDS))
                 decls.append(getattr(self, "parse_" + tok.text)())
             except _ParseAbort:
+                if self.pos == start:
+                    self.advance()
                 self.skip_to_next_declaration()
         return decls
 
@@ -584,10 +556,7 @@ class _Validator:
         self.kept = (None, None)  # the last (observable, system) pair checked and its bound observable
 
     def error(self, message, span):
-        excerpt = ""
-        if 1 <= span.line <= len(self.source_lines):
-            excerpt = self.source_lines[span.line - 1]
-        self.diagnostics.append(Diagnostic("error", message, span.line, span.column, excerpt))
+        self.diagnostics.append(_diagnostic(message, span.line, span.column, self.source_lines))
 
     def run(self):
         systems = {}
@@ -694,15 +663,16 @@ class _Validator:
 
 def parse_spec(text: str):
     """Parse a document; returns SpecDocument or the list of Diagnostics."""
+    lines = text.split("\n")
     try:
-        tokens = _tokenize(text)
+        tokens = _tokenize(lines)
     except _LexError as exc:
-        return [exc.diagnostic]
-    parser = _Parser(tokens)
+        return [_diagnostic(*exc.args, lines)]
+    parser = _Parser(tokens, lines)
     decls = parser.parse_document()
     if parser.diagnostics:
         return parser.diagnostics
-    validator = _Validator(decls, text.split("\n"))
+    validator = _Validator(decls, lines)
     diagnostics = validator.run()
     if diagnostics:
         return diagnostics

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,15 @@ def test_centralizer_examples():
     assert g.order == 5
     with pytest.raises(CapacityError):
         centralizer_in_sym([], degree=9)
+
+
+@pytest.mark.parametrize("perms, degree", [([], 8), ([Perm.identity(8)], None)], ids=["no_constraint", "identity"])
+def test_a_centralizer_past_the_closure_cap_is_refused_before_its_table(perms, degree):
+    # all 40,320 permutations of degree 8 commute; their table would take 6.5 GB
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="centralizer of order 40320 exceeds the cap of 10000 elements"):
+        centralizer_in_sym(perms, degree=degree)
+    assert time.perf_counter() - start < 5
 
 
 def test_centralizer_really_commutes():

@@ -10,6 +10,7 @@ from mobiuslab.specfile import (
     ExperimentDecl,
     GroupExpr,
     MorseDecl,
+    ObservableDecl,
     SpecDocument,
     SubstitutionDecl,
     parse_spec,
@@ -333,6 +334,41 @@ def test_integer_too_long_to_convert_is_diagnosed():
     assert "too long" in diags[0].message
 
 
+TM_HEAD = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\n'
+TM = SubstitutionDecl("tm", ("0", "1"), (("0", "01"), ("1", "10")))
+
+
+def tm_and(*args, **kwargs):
+    return SpecDocument((TM, ObservableDecl(*args, **kwargs)))
+
+
+@pytest.mark.parametrize("text, expected", [
+    (TM_HEAD + "observable t = table {0: 1e+5, 1: -2.5E-1}\n",
+     tm_and("t", "table", entries=(("0", 100000.0), ("1", -0.25)))),
+    (TM_HEAD + "observable t = table {0: 1.2.3, 1: 1}\n", (5, 26, "malformed number '1.2.3'")),
+    (TM_HEAD + "observable \u00b2 = walsh {0}\n", (5, 12, "unexpected character '\u00b2'")),
+    (TM_HEAD + "observable\fw = walsh {0}\n", (5, 11, "unexpected character '\\x0c'")),
+    (TM_HEAD + "observable\u00a0w = walsh {0}\n", (5, 11, "unexpected character '\\xa0'")),
+    (TM_HEAD + "observable 12abc = walsh {0}\n", (5, 12, "expected an observable name, found '12'")),
+    ('rs r pattern "11', (1, 14, "unterminated string")),
+    ((TM_HEAD + "observable w = walsh {0}  # first\n").replace("\n", "\r\n"), tm_and("w", "walsh", coords=(0,))),
+    (TM_HEAD + "observable caf\u00e9 = walsh {0}\n", tm_and("caf\u00e9", "walsh", coords=(0,))),
+    (TM_HEAD + "observable w = walsh {0, \u0663}\n", (5, 26, "unexpected character '\u0663'")),
+    (TM_HEAD + "observable w = walsh {", (5, 23, "expected a window coordinate, found 'end of input'")),
+    (TM_HEAD + 'observable i = indicator "0#1" at 0\n', tm_and("i", "indicator", block="0#1", offset=0)),
+    (TM_HEAD + 'observable i = indicator "01"# at 9 "x\n  at 0\n', tm_and("i", "indicator", block="01", offset=0)),
+], ids=["exponents", "two_points", "superscript_name", "form_feed", "no_break_space", "digits_then_letters",
+        "unterminated_string", "crlf", "accented_letter", "arabic_indic_digit", "end_inside_walsh",
+        "hash_in_word", "hash_after_word"])
+def test_lexer_rules(text, expected):
+    """A document, or one diagnostic (line, column, message) excerpting its line."""
+    result = parse_spec(text)
+    if isinstance(expected, SpecDocument):
+        assert result == expected, result
+        return
+    (d,) = result
+    assert (d.line, d.column, d.message) == expected
+    assert d.excerpt == text.split("\n")[d.line - 1]
 AB = 'substitution s on {a, b} {\n  a -> "ab";\n  b -> "ba";\n}\n'
 
 

@@ -22,7 +22,14 @@ type and message as stderr.  The calls are:
   whose weighted experiments reach down and then up, and over rising.spec
   (printed as RISING), whose weighted reaches only go up, for both kinds,
   and which holds a checkpoint list ending below its N and a kbsz
-  experiment that declares weight: moebius.
+  experiment that declares weight: moebius;
+- run and gen over every tests/fixtures/specs/malformed/*.spec, and run
+  over the LEX specs (see LEX_SPECS; written beside far.spec, printed as
+  LEX:name): a form feed, '\u00b2' as a name, an unterminated string in
+  the middle of a line, the number 1.2.3, a CRLF file and a file without a
+  final newline.  Each of these exits 1 with its rendered diagnostics on
+  stderr.  The CLI reads a spec with universal newlines, so the CRLF file
+  reaches the parser with LF line ends.
 
 Spec files named on the command line join the list.  Systems and
 observables are found with a regex over the declarations, not through the
@@ -51,8 +58,9 @@ from mobiuslab.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 N = "100000"
 TM_SPEC = "specs/thue_morse.spec"
-FAR_SPEC = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable far = walsh {9223372036854775000}\n'
-TM_W0 = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable w0 = walsh {0}\n'
+TM_HEAD = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\n'
+FAR_SPEC = TM_HEAD + "observable far = walsh {9223372036854775000}\n"
+TM_W0 = TM_HEAD + "observable w0 = walsh {0}\n"
 REACHES_SPEC = TM_W0 + "".join(
     "experiment %s { system: tm; observable: w0; weight: %s; N: %d; }\n" % e for e in (
         ("mu_wide", "moebius", 65536), ("mu_narrow", "moebius", 1000), ("lam_narrow", "liouville", 4096),
@@ -64,6 +72,14 @@ RISING_SPEC = TM_W0 + "".join(
         ("lam_high", "liouville", 70000, ""), ("kbsz_mu", "moebius", 100000, " kbsz: (3, 5);"),
         ("mu_cut", "moebius", 100000, " checkpoints: [10, 1000, 65536];"))
 )
+LEX_SPECS = {
+    "form_feed": TM_HEAD + "observable\fw0 = walsh {0}\n",
+    "superscript_name": TM_HEAD + "observable \u00b2 = walsh {0}\n",
+    "open_string": 'substitution tm on {0, 1} {\n  0 -> "01;  # no closing quote\n  1 -> "10";\n}\n',
+    "two_points": TM_HEAD + "observable t = table {0: 1.2.3, 1: 1}\n",
+    "crlf": (TM_W0 + "observable bad = walsh {0, x}\n").replace("\n", "\r\n"),
+    "no_final_newline": TM_HEAD + "observable w = walsh {",
+}
 BEYOND_CAP = "67108865"  # arith.LIMIT_CAP + 1
 SYSTEM = re.compile(r"^\s*(?:substitution|morse|rs|veech)\s+(\w+)", re.M)
 OBSERVABLE = re.compile(r"^\s*observable\s+(\w+)", re.M)
@@ -144,13 +160,21 @@ def main_sweep(extra) -> int:
     for spec in specs + extra:
         for argv in calls(spec):
             print("%s  %s" % (digest(argv), " ".join(argv)), flush=True)
+    for spec in sorted(str(p.relative_to(ROOT)) for p in ROOT.glob("tests/fixtures/specs/malformed/*.spec")):
+        for argv in (["run", spec, "--out", "OUT"], ["gen", spec, "--n", "1000"]):
+            print("%s  %s" % (digest(argv), " ".join(argv)), flush=True)
     far_dir = tempfile.mkdtemp(prefix="cli_sweep_far_")
     try:
-        far, reaches, rising = (os.path.join(far_dir, name) for name in ("far.spec", "reaches.spec", "rising.spec"))
-        for path, text in ((far, FAR_SPEC), (reaches, REACHES_SPEC), (rising, RISING_SPEC)):
-            pathlib.Path(path).write_text(text, encoding="utf-8")
-        for argv in [*refusals(far), ["run", reaches, "--out", "OUT"], ["run", rising, "--out", "OUT"]]:
-            line = " ".join(argv).replace(far, "FAR").replace(reaches, "REACHES").replace(rising, "RISING")
+        texts = {"FAR": FAR_SPEC, "REACHES": REACHES_SPEC, "RISING": RISING_SPEC}
+        texts.update(("LEX:" + name, text) for name, text in LEX_SPECS.items())
+        paths = {label: os.path.join(far_dir, label.lower().replace(":", "_") + ".spec") for label in texts}
+        for label, text in texts.items():
+            pathlib.Path(paths[label]).write_bytes(text.encode("utf-8"))
+        runs = [label for label in texts if label != "FAR"]
+        for argv in [*refusals(paths["FAR"]), *(["run", paths[label], "--out", "OUT"] for label in runs)]:
+            line = " ".join(argv)
+            for label, path in paths.items():
+                line = line.replace(path, label)
             print("%s  %s" % (digest(argv), line), flush=True)
     finally:
         shutil.rmtree(far_dir, ignore_errors=True)
