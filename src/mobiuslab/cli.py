@@ -70,11 +70,15 @@ def build_system(doc: SpecDocument, name: str) -> BoundSystem:
 
 
 def system_group(bound: BoundSystem) -> FiniteGroup:
-    """Group used by hat: declared group, or Z/r with letter a as residue a, capped as Zn(n) is."""
+    """Group used by hat: declared group, or Z/r with letter a as residue a, capped as Zn(n) is.
+
+    hat prints Z/r in base 36, so r above 36 is refused before the r^2 table is built.
+    """
     if bound.group is not None:
         return bound.group
     if bound.alphabet_size > CLOSURE_CAP:  # the table has r^2 entries
         raise BindingError("hat over Z/%d is beyond the group cap %d" % (bound.alphabet_size, CLOSURE_CAP))
+    _check_printable(bound.alphabet_size - 1)
     return cyclic_group(bound.alphabet_size)
 
 
@@ -86,12 +90,15 @@ def bind_observable(doc: SpecDocument, name: str, bound: BoundSystem) -> "_spect
     return _binding.bind_observable(decl, bound)
 
 
+def _check_printable(top: int, letters=BASE36) -> None:
+    if top >= len(letters):
+        raise BindingError("symbol %d has no letter or base-36 digit to print" % top)
+
+
 def render_word(word, letters=BASE36) -> str:
     """The word spelt with the single character letters[v] for each symbol v, in one lookup."""
     word = np.asarray(word)
-    top = int(word.max(initial=0))
-    if top >= len(letters):
-        raise BindingError("symbol %d has no letter or base-36 digit to print" % top)
+    _check_printable(int(word.max(initial=0)), letters)
     return np.array(list(letters), dtype="<U1")[word].tobytes().decode("utf-32-le")
 
 

@@ -15,8 +15,10 @@ periodogram of an exact autocorrelation sequence nonnegative; the windowed
 estimate can dip below zero by a boundary term of order L^2/N, which is
 clamped at zero so downstream consumers may rely on the sign.
 
-Every statistic passes _check_reach before it reads; atom masses and the
-Sarnak and KBSZ series sum through _partial_sums, whatever the BLAS threads.
+Every statistic passes _check_reach before it reads.  Atom masses and the
+Sarnak and KBSZ series sum through _partial_sums, and autocorrelation adds
+FFT piece sums in piece order, exactly for Gaussian-integer tables, so each
+gives the same bits whatever the BLAS threads.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ _NEG_ZERO = complex(-0.0, -0.0)  # adds nothing to any value, -0.0 included
 # pieces of _LEAF, runs took 0.025-0.06 s at steps 2 to 16 against 0.08 s
 # by position, and broke even at 23 to 31; a run at 16 is 2 MiB of int32.
 _STRIDE_MAX = 16
+# Least FFT size M of an autocorrelation piece of M - L positions.  RS and
+# Veech corr at N = 2^20, L = 256 took 0.036-0.043 s at 2^14 and 2^15,
+# 0.05-0.064 s at 2^12 and 2^17.
+_FFT_MIN = 1 << 14
 
 
 def _pairwise(fill, lo: int, hi: int) -> complex:
@@ -299,18 +305,62 @@ class AutocorrelationEstimate:
         object.__setattr__(self, "values", values)
 
 
+def _exact_correlation(values: np.ndarray, size: int) -> bool:
+    """Whether correlation pieces of FFT size M = size round to their exact sums.
+
+    The values must be Gaussian integers and the FFT error below 1/2.  An FFT
+    convolution of size M = 2^m errs by at most (eps/2) (3m (1 + sqrt 5 + b)
+    + sqrt 5) ||x|| ||y|| with b the twiddle error in units of eps/2
+    (Percival, Math. Comp. 72, 2003), and a piece has ||x|| ||y|| <= M max|v|^2,
+    for the parts' summed correlations too (Cauchy-Schwarz); 16 eps log2(M)
+    covers b up to 2.  The bound also keeps piece sums below 2^53 and the
+    total over N <= LIMIT_CAP values below 2^63.
+    """
+    if not np.array_equal(values, np.rint(values)):  # NaN fails here, inf at the bound
+        return False
+    top = float(np.max(values.real ** 2 + values.imag ** 2))
+    return 16 * np.finfo(np.float64).eps * np.log2(size) * size * top < 0.5
+
+
 def autocorrelation(stream: SymbolStream, obs: Observable, sample_size: int, max_lag: int) -> AutocorrelationEstimate:
-    """gamma-hat(n) for n = 0..max_lag from N consecutive window reads."""
+    """gamma-hat(n) for n = 0..max_lag, one piece of P = M - L positions at a time.
+
+    M is the least power of two at least _FFT_MIN and 2 (L + 1).  A piece at
+    lo reads v(lo..lo + P + L - 1) and correlates its first P values with all
+    of them by real FFTs of size M, the real and imaginary parts apart.  The
+    piece sums are added in piece order, rounded into int64 (so exactly) when
+    _exact_correlation holds, else as floats.
+    """
     _check_reach(sample_size, obs.span + max_lag - 1)  # v(0..N+L-1), L - 1 past a Sarnak sum's reach
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative, got %d" % max_lag)
     if sample_size < 4 * max_lag or sample_size < 1:
         raise ValueError("need sample_size >= 4 * max_lag >= 0, got N=%d L=%d" % (sample_size, max_lag))
-    v = obs.evaluate(stream, 0, sample_size + max_lag)
-    base = v[:sample_size]
-    values = np.array(
-        [np.vdot(base, v[n : n + sample_size]) / sample_size for n in range(max_lag + 1)]
-    )
+    from numpy.fft import irfft, rfft  # not loaded until a correlation needs it
+
+    lags = max_lag + 1
+    size = max(_FFT_MIN, 1 << (2 * lags - 1).bit_length())
+    piece = size - max_lag
+    exact = _exact_correlation(obs.values, size)
+    has_imag = bool(np.any(obs.values.imag))
+    sums = np.zeros((2, lags), dtype=np.int64 if exact else np.float64)
+    for lo in range(0, sample_size, piece):
+        count = min(piece, sample_size - lo)
+        v = obs.evaluate(stream, lo, count + max_lag)
+        fa, ga = rfft(v.real[:count], size), rfft(v.real, size)
+        np.conj(fa, out=fa)
+        if has_imag:
+            fb, gb = rfft(v.imag[:count], size), rfft(v.imag, size)
+            np.conj(fb, out=fb)
+            products = (fa * ga + fb * gb, fa * gb - fb * ga)
+        else:
+            products = (fa * ga,)
+        for row, product in zip(sums, products):
+            part = irfft(product, size)[:lags]
+            row += np.rint(part).astype(np.int64) if exact else part
+    values = np.empty(lags, dtype=np.complex128)
+    values.real, values.imag = sums
+    values /= sample_size  # numpy multiplies a complex value by 1 / N; the report bytes follow that rounding
     return AutocorrelationEstimate(
         values=values,
         max_lag=max_lag,

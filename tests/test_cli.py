@@ -275,7 +275,7 @@ HAT_MAXRSS = """
 import resource, sys
 from mobiuslab import cli
 
-letters = [chr(0x4E00 + i) for i in range(10001)]
+letters = [chr(0x4E00 + i) for i in range(int(sys.argv[1]))]
 rules = "".join('  %s -> "%s%s";\\n' % (c, c, letters[(i + 1) % len(letters)]) for i, c in enumerate(letters))
 with open("wide.spec", "w", encoding="utf-8") as fh:
     fh.write("substitution wide on {%s} {\\n%s}\\n" % (", ".join(letters), rules))
@@ -286,10 +286,21 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 def test_hat_refuses_z_r_above_the_closure_cap(tmp_path):
     """A 10,001-letter substitution would need a 10,001^2 Z/r table (400 MB); it is refused before it is built."""
-    proc = run_limited(python=("-c", HAT_MAXRSS), cwd=str(tmp_path))
+    proc = run_limited("10001", python=("-c", HAT_MAXRSS), cwd=str(tmp_path))
     assert proc.stderr == "error: hat over Z/10001 is beyond the group cap 10000\n", proc.stderr
     code, maxrss_kib = map(int, proc.stdout.split())
     assert code == 2 and maxrss_kib < 200 << 10, maxrss_kib
+
+
+@pytest.mark.parametrize("letters", [37, 10000])
+def test_hat_refuses_an_unprintable_z_r_before_building_it(tmp_path, monkeypatch, capsys, letters):
+    """Z/r above 36 has no base-36 digit for r - 1; at 10,000 letters the table would be 400 MB."""
+    proc = run_limited(str(letters), python=("-c", HAT_MAXRSS), cwd=str(tmp_path))
+    assert proc.stderr == "error: symbol %d has no letter or base-36 digit to print\n" % (letters - 1), proc.stderr
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 2 and maxrss_kib < 200 << 10, maxrss_kib
+    monkeypatch.setattr(cli, "cyclic_group", lambda r: pytest.fail("Z/%d built before the refusal" % r))
+    assert run(capsys, "hat", str(tmp_path / "wide.spec"), "--n", "1")[0] == 2
 
 
 PEAK_AT_N = """
@@ -305,7 +316,8 @@ with open("/proc/self/status", encoding="ascii") as fh:
 @pytest.mark.parametrize("command", [
     ["kbsz", "--primes", "3,5"],
     ["sarnak", "--weight", "none"],
-], ids=["kbsz", "sarnak_unweighted"])
+    ["corr", "--lags", "256"],
+], ids=["kbsz", "sarnak_unweighted", "corr"])
 def test_peak_memory_does_not_grow_with_n(command):
     """The peak RSS (VmHWM, KiB) of a sum at N = 2^24 is within 4 MiB of that at 2^20."""
     if not os.path.exists("/proc/self/status"):

@@ -13,9 +13,11 @@ from mobiuslab.morse import MorseSpec, hat_stream, morse_stream
 from mobiuslab.permgrp import cyclic_group
 from mobiuslab.specfile import parse_spec
 from mobiuslab.spectral import (
+    _FFT_MIN,
     _STRIDE_MAX,
     GRID_CAP,
     Observable,
+    _exact_correlation,
     atom_mass,
     autocorrelation,
     linear_combination,
@@ -433,6 +435,116 @@ def test_atom_mass_bits_do_not_depend_on_blas_threads():
     assert got == pytest.approx([0.0004459496649892093, 1.4997597826661215e-34, 0.03999999999926385], abs=1e-12)
     assert got[2] == pytest.approx(0.04, rel=1e-15)
 
+
+
+def reference_sums(stream, obs, n, lags):
+    """sum_{k<N} v(k+n) conj(v(k)) for n = 0..L in int64, by the real and imaginary parts' correlations."""
+    v = obs.evaluate(stream, 0, n + lags)
+    a, b = v.real.astype(np.int64), v.imag.astype(np.int64)
+    assert np.array_equal(a + 1j * b, v)
+
+    def corr(x, y):  # sum_k x(k) y(k + n)
+        return np.correlate(y, x[:n], "valid")
+
+    return corr(a, a) + corr(b, b), corr(a, b) - corr(b, a)
+
+
+def test_autocorrelation_is_exact_for_gaussian_integer_tables():
+    """The FFT pieces round to the int64 sums, for N not a multiple of the piece and L up to N/4.
+
+    Parts up to 17000 keep max|v|^2 below the rounding bound at the least FFT size.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    gaussian = st.builds(complex, st.integers(-17000, 17000), st.integers(-17000, 17000))
+    observables = st.one_of(
+        st.sets(st.integers(0, 5), max_size=3).map(make_walsh),
+        st.builds(make_block_indicator, st.lists(st.integers(0, 1), min_size=1, max_size=3), st.integers(0, 3)),
+        st.lists(gaussian, min_size=2, max_size=2).map(make_symbol_table),
+        st.builds(lambda c, d: linear_combination([(c, make_walsh((0, 2))), (d, make_block_indicator((1,), 1))]),
+                  st.builds(complex, st.integers(-99, 99), st.integers(-99, 99)), st.integers(-99, 99)),
+    )
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(obs=observables, stream=st.sampled_from([TM, PD]), data=st.data())
+    def check(obs, stream, data):
+        n = data.draw(st.integers(1, 40000), label="N")
+        lags = data.draw(st.integers(0, n // 4), label="L")
+        assert _exact_correlation(obs.values, _FFT_MIN)
+        want = np.empty(lags + 1, dtype=np.complex128)
+        want.real, want.imag = reference_sums(stream, obs, n, lags)
+        want /= n
+        got = autocorrelation(stream, obs, n, lags).values
+        assert got.tobytes() == want.tobytes()
+
+    check()
+
+
+@pytest.mark.parametrize("table", [{0: 1 << 20, 1: -(1 << 19) + 3j}, {0: 24800, 1: 1}, {0: 0.3, 1: -0.7}],
+                         ids=["large_gaussian", "past_the_bound", "float"])
+def test_autocorrelation_outside_the_rounding_bound_sums_floats(table):
+    """A table past the bound (or not of integers) keeps float piece sums, within 1e-9 max|v|^2 of the exact ones."""
+    obs = make_symbol_table(table)
+    assert not _exact_correlation(obs.values, _FFT_MIN)  # nor at any larger size: the bound grows with M
+    top = max(abs(v) ** 2 for v in table.values())
+    for n, lags in ((40000, 100), (50001, 12500)):
+        got = autocorrelation(TM, obs, n, lags).values
+        if all(complex(v).real.is_integer() and complex(v).imag.is_integer() for v in table.values()):
+            re, im = reference_sums(TM, obs, n, lags)
+            want = (re + 1j * im) / n
+        else:
+            v = obs.evaluate(TM, 0, n + lags)
+            want = np.array([np.sum(v[k : k + n] * v[:n].conj()) / n for k in range(lags + 1)])
+        assert np.max(np.abs(got - want)) <= 1e-9 * top
+
+
+def test_exact_correlation_bound():
+    """Gaussian integers pass while 16 eps log2(M) M max|v|^2 < 1/2; anything else never does."""
+    eps = np.finfo(np.float64).eps
+    for size in (_FFT_MIN, 1 << 20):
+        top = int(0.5 / (16 * eps * np.log2(size) * size))
+        below, above = int(np.sqrt(top)), int(np.sqrt(top)) + 1
+        assert _exact_correlation(np.array([below, 1j]), size)
+        assert not _exact_correlation(np.array([above, 1j]), size)
+    for values in ([0.5, 1], [1, 1 + 0.5j], [np.nan, 1], [np.inf, 1]):
+        assert not _exact_correlation(np.array(values, dtype=np.complex128), _FFT_MIN)
+
+
+CORR_BYTES = """
+import sys
+from mobiuslab import cli
+
+for command in (["corr", "--lags", "64"], ["spectrum", "--lags", "64", "--grid", "64"]):
+    assert cli.main([command[0], sys.argv[1], "--observable", "tf", "--n", "1048576", *command[1:]]) == 0
+"""
+
+
+def test_autocorrelation_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """corr and spectrum of a float table print equal bytes in children under 1 and 2 BLAS threads."""
+    spec = tmp_path / "tf.spec"
+    spec.write_text('substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\n'
+                    "observable tf = table {0: 0.3, 1: -0.7}\n")
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    outs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", CORR_BYTES, str(spec)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    (out,) = outs
+    lines = out.splitlines()
+    assert lines[0] == "lag,real,imag" and len(lines) == 1 + 65 + 1 + 64 and lines[66] == "k,value"
+    # gamma(0) = (0.3^2 + 0.7^2) / 2 over a balanced prefix
+    assert float(lines[1].split(",")[1]) == pytest.approx(0.29, rel=1e-12)
+
+
+def test_the_cli_does_not_load_numpy_fft():
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    probe = "import sys, mobiuslab.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.fft')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 def test_wiener_average():
     w0 = make_walsh((0,))

@@ -23,6 +23,10 @@ type and message as stderr.  The calls are:
   (printed as RISING), whose weighted reaches only go up, for both kinds,
   and which holds a checkpoint list ending below its N and a kbsz
   experiment that declares weight: moebius;
+- corr and spectrum over GAUSS (written beside far.spec), whose observable
+  gauss the sweep binds to the Gaussian-integer table GAUSS_TABLE (the spec
+  language has no complex numbers), and corr on Thue-Morse with --lags
+  N/4: both pin the exact integer correlation path;
 - run and gen over every tests/fixtures/specs/malformed/*.spec, and run
   over the LEX specs (see LEX_SPECS; written beside far.spec, printed as
   LEX:name): a form feed, '\u00b2' as a name, an unterminated string in
@@ -53,7 +57,9 @@ import sys
 import tempfile
 import traceback
 
+from mobiuslab import cli
 from mobiuslab.cli import main
+from mobiuslab.spectral import make_symbol_table
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 N = "100000"
@@ -72,6 +78,8 @@ RISING_SPEC = TM_W0 + "".join(
         ("lam_high", "liouville", 70000, ""), ("kbsz_mu", "moebius", 100000, " kbsz: (3, 5);"),
         ("mu_cut", "moebius", 100000, " checkpoints: [10, 1000, 65536];"))
 )
+GAUSS_SPEC = TM_HEAD + "observable gauss = table {0: 1, 1: 1}\n"
+GAUSS_TABLE = {0: 2 - 1j, 1: -1 + 3j}
 LEX_SPECS = {
     "form_feed": TM_HEAD + "observable\fw0 = walsh {0}\n",
     "superscript_name": TM_HEAD + "observable \u00b2 = walsh {0}\n",
@@ -104,6 +112,22 @@ def calls(spec):
             yield ["sarnak", *on, "--n", N, "--weight", "liouville", "--format", "csv", "--out", "OUT/lambda.csv"]
             for primes in ("3,7", "5,2", "13,17", "19,23"):
                 yield ["kbsz", *on, "--n", N, "--primes", primes]
+
+
+def bind_gaussian(bind):
+    """bind, except that an observable named gauss gets GAUSS_TABLE."""
+
+    def bind_observable(doc, name, bound):
+        return make_symbol_table(GAUSS_TABLE, name=name) if name == "gauss" else bind(doc, name, bound)
+
+    return bind_observable
+
+
+def exact_correlations(gauss):
+    """The corr and spectrum calls on a Gaussian-integer table (gauss: the path of GAUSS_SPEC) and at L = N/4."""
+    yield ["corr", gauss, "--observable", "gauss", "--n", N, "--out", "OUT/corr.csv"]
+    yield ["spectrum", gauss, "--observable", "gauss", "--n", N, "--out", "OUT/spectrum.csv"]
+    yield ["corr", TM_SPEC, "--observable", "w0", "--n", N, "--lags", str(int(N) // 4), "--out", "OUT/corr.csv"]
 
 
 def refusals(far):
@@ -155,6 +179,7 @@ def digest(argv) -> str:
 def main_sweep(extra) -> int:
     extra = [os.path.abspath(spec) for spec in extra]
     os.chdir(ROOT)
+    cli.bind_observable = bind_gaussian(cli.bind_observable)
     specs = sorted(str(p.relative_to(ROOT)) for p in ROOT.glob("specs/*.spec"))
     specs += sorted(str(p.relative_to(ROOT)) for p in ROOT.glob("tests/fixtures/specs/valid/*.spec"))
     for spec in specs + extra:
@@ -165,13 +190,14 @@ def main_sweep(extra) -> int:
             print("%s  %s" % (digest(argv), " ".join(argv)), flush=True)
     far_dir = tempfile.mkdtemp(prefix="cli_sweep_far_")
     try:
-        texts = {"FAR": FAR_SPEC, "REACHES": REACHES_SPEC, "RISING": RISING_SPEC}
+        texts = {"FAR": FAR_SPEC, "GAUSS": GAUSS_SPEC, "REACHES": REACHES_SPEC, "RISING": RISING_SPEC}
         texts.update(("LEX:" + name, text) for name, text in LEX_SPECS.items())
         paths = {label: os.path.join(far_dir, label.lower().replace(":", "_") + ".spec") for label in texts}
         for label, text in texts.items():
             pathlib.Path(paths[label]).write_bytes(text.encode("utf-8"))
-        runs = [label for label in texts if label != "FAR"]
-        for argv in [*refusals(paths["FAR"]), *(["run", paths[label], "--out", "OUT"] for label in runs)]:
+        runs = [label for label in texts if label not in ("FAR", "GAUSS")]
+        for argv in [*refusals(paths["FAR"]), *exact_correlations(paths["GAUSS"]),
+                     *(["run", paths[label], "--out", "OUT"] for label in runs)]:
             line = " ".join(argv)
             for label, path in paths.items():
                 line = line.replace(path, label)
