@@ -148,7 +148,13 @@ def bind_observable(decl, bound: BoundSystem) -> "_spectral.Observable":
     if decl.kind == "indicator":
         block = tuple(resolve_symbol(bound, c) for c in decl.block)
         return _spectral.make_block_indicator(block, decl.offset, bound.alphabet_size, name=decl.name)
-    values = {resolve_symbol(bound, key): value for key, value in decl.entries}
+    values, keys = {}, {}  # symbol -> its value, and the key that gave it
+    for key, value in decl.entries:
+        symbol = resolve_symbol(bound, key)
+        if symbol in keys:
+            raise BindingError("observable %r gives one symbol twice, as %r and as %r" % (decl.name, keys[symbol], key))
+        values[symbol] = value
+        keys[symbol] = key
     return _spectral.make_symbol_table(values, bound.alphabet_size, name=decl.name)
 
 

@@ -161,6 +161,8 @@ def _cmd_skeleton(args) -> int:
 def _cmd_blocks(args) -> int:
     """theta^t(seed) is the fixed point's first lambda^t symbols, c-hat_t the hat of the Morse sequence's first n_t."""
     _, bound = _load_system(args)
+    if args.t < 0:
+        raise BindingError("--t must be nonnegative, got %d" % args.t)
     spec, n = bound.definition, 1
     if bound.kind == "substitution":
         for t in range(1, args.t + 1):

@@ -26,7 +26,10 @@ element symbols are base-36 digits of the element index):
                  | "kbsz" ":" "(" INT "," INT ")"
 
 The lexer is one compiled pattern with a named group per token kind, matched
-over each source line.  Parsing is all or nothing: parse_spec returns a
+over each source line.  Every "expected X, found Y" diagnostic comes from
+one rule, _Parser.take.  After any diagnostic the parser resumes at the next
+declaration keyword outside brackets; a name that is a reserved keyword is
+refused before it is consumed.  Parsing is all or nothing: parse_spec returns a
 SpecDocument only when no diagnostic was raised, otherwise the list of
 diagnostics, each with the line, column and source line of the offending
 token.  The validator binds each system once through the binding module, and
@@ -45,7 +48,15 @@ from .arith import WEIGHT_KINDS
 from .binding import bind_experiment, bind_observable, bind_system, build_group
 from .errors import CapacityError
 
-DECL_KEYWORDS = ("substitution", "morse", "rs", "veech", "observable", "experiment")
+# Each declaration keyword, in grammar order, with what diagnostics call the name after it.
+DECL_KEYWORDS = {
+    "substitution": "a substitution name",
+    "morse": "a morse system name",
+    "rs": "an rs system name",
+    "veech": "a veech system name",
+    "observable": "an observable name",
+    "experiment": "an experiment name",
+}
 WEIGHT_NAMES = WEIGHT_KINDS + ("none",)
 
 
@@ -249,9 +260,10 @@ class _Parser:
         tok = self.peek()
         return tok.kind == kind and (text is None or tok.text == text)
 
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        self.diagnostics.append(_diagnostic(message, tok.line, tok.column, self.lines))
+    def error(self, message, where=None):
+        """Record message at where (a token or a Span; default the next token) and abort."""
+        where = where or self.peek()
+        self.diagnostics.append(_diagnostic(message, where.line, where.column, self.lines))
         raise _ParseAbort()
 
     def found(self) -> str:
@@ -259,59 +271,44 @@ class _Parser:
         tok = self.peek()
         return tok.text if tok.kind != "EOF" else "end of input"
 
-    def expected(self, what):
-        self.error("expected %s, found %r" % (what, self.found()))
+    def take(self, what, kinds, ok=None) -> _Token:
+        """The next token, consumed, if its kind is in kinds and ok(text) holds.
 
-    def expect(self, kind, text=None, what=None) -> _Token:
+        Otherwise 'expected what, found ...' at that token, which stays unread:
+        every such diagnostic of the parser comes from here.
+        """
         tok = self.peek()
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
-        self.expected(what or (text if text is not None else kind.lower()))
+        if tok.kind not in kinds or (ok is not None and not ok(tok.text)):
+            self.error("expected %s, found %r" % (what, self.found()))
+        return self.advance()
 
     def expect_punct(self, char) -> _Token:
-        return self.expect("PUNCT", char, "'%s'" % char)
+        return self.take("'%s'" % char, ("PUNCT",), lambda text: text == char)
 
     def expect_keyword(self, word) -> _Token:
-        return self.expect("IDENT", word, "'%s'" % word)
+        return self.take("'%s'" % word, ("IDENT",), lambda text: text == word)
 
     def expect_name(self, what="a name") -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.expected(what)
-        if tok.text in DECL_KEYWORDS:
-            self.error("%r is a reserved keyword" % tok.text)
-        return self.advance().text
+        if self.at("IDENT") and self.peek().text in DECL_KEYWORDS:  # refused before it is consumed
+            self.error("%r is a reserved keyword" % self.peek().text)
+        return self.take(what, ("IDENT",)).text
 
     def expect_int(self, what="an integer") -> int:
-        tok = self.peek()
-        if tok.kind != "NUMBER" or not tok.text.isdigit():
-            self.expected(what)
+        tok = self.take(what, ("NUMBER",), str.isdigit)
         try:
-            return int(self.advance().text)
+            return int(tok.text)
         except ValueError:  # past sys.get_int_max_str_digits()
             self.error("integer of %d digits is too long" % len(tok.text), tok)
 
-    def expect_string(self, what="a quoted string") -> _Token:
-        tok = self.peek()
-        if tok.kind != "STRING":
-            self.expected(what)
-        return self.advance()
-
     def expect_letter(self, what="a single-character letter") -> str:
-        tok = self.peek()
-        if tok.kind not in ("IDENT", "NUMBER") or len(tok.text) != 1:
-            self.expected(what)
-        return self.advance().text
+        return self.take(what, ("IDENT", "NUMBER"), lambda text: len(text) == 1).text
 
     def expect_number(self) -> float:
         sign = 1.0
         if self.at("MINUS"):
             self.advance()
             sign = -1.0
-        tok = self.peek()
-        if tok.kind != "NUMBER":
-            self.expected("a number")
-        self.advance()
+        tok = self.take("a number", ("NUMBER",))
         try:
             return sign * float(tok.text)
         except ValueError:
@@ -342,23 +339,22 @@ class _Parser:
     # grammar
 
     def parse_document(self):
+        """Each declaration's keyword and name, then parse_<keyword>(name, span of the keyword)."""
         decls = []
+        keywords = "a declaration keyword (%s)" % ", ".join(DECL_KEYWORDS)
         while not self.at("EOF"):
             start = self.pos
             try:
-                tok = self.peek()
-                if tok.kind != "IDENT" or tok.text not in DECL_KEYWORDS:
-                    self.expected("a declaration keyword (%s)" % ", ".join(DECL_KEYWORDS))
-                decls.append(getattr(self, "parse_" + tok.text)())
+                keyword = self.take(keywords, ("IDENT",), lambda text: text in DECL_KEYWORDS)
+                name = self.expect_name(DECL_KEYWORDS[keyword.text])
+                decls.append(getattr(self, "parse_" + keyword.text)(name, Span(keyword.line, keyword.column)))
             except _ParseAbort:
                 if self.pos == start:
                     self.advance()
                 self.skip_to_next_declaration()
         return decls
 
-    def parse_substitution(self):
-        start = self.expect_keyword("substitution")
-        name = self.expect_name("a substitution name")
+    def parse_substitution(self, name, span):
         self.expect_keyword("on")
         self.expect_punct("{")
         letters = self.comma_list(self.expect_letter)
@@ -374,22 +370,18 @@ class _Parser:
             letter = self.expect_letter("a letter on the left of '->'")
             if letter not in known:
                 self.error("unknown letter %r (alphabet is {%s})" % (letter, ", ".join(letters)), letter_tok)
-            self.expect("ARROW", what="'->'")
-            image = self.expect_string("a quoted image word")
+            self.take("'->'", ("ARROW",))
+            image = self.take("a quoted image word", ("STRING",))
             self.expect_punct(";")
             rules.append((letter, image.text))
             rule_spans.append(Span(image.line, image.column))
         self.expect_punct("}")
-        return SubstitutionDecl(
-            name, tuple(letters), tuple(rules), Span(start.line, start.column), tuple(rule_spans)
-        )
+        return SubstitutionDecl(name, tuple(letters), tuple(rules), span, tuple(rule_spans))
 
     def parse_group(self) -> GroupExpr:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.expected("a group (Z2, Zn(k), Sym(r), cover-of NAME)")
+        tok = self.take("a group (Z2, Zn(k), Sym(r), cover-of NAME)", ("IDENT",))
         span = Span(tok.line, tok.column)
-        word = self.advance().text
+        word = tok.text
         if word == "Z2":
             return GroupExpr("Z2", None, span)
         if word in ("Zn", "Sym"):
@@ -398,15 +390,13 @@ class _Parser:
             self.expect_punct(")")
             return GroupExpr(word, value, span)
         if word == "cover":
-            self.expect("MINUS", what="'-' of cover-of")
+            self.take("'-' of cover-of", ("MINUS",))
             self.expect_keyword("of")
             target = self.expect_name("a substitution name")
             return GroupExpr("cover", target, span)
         self.error("unknown group %r (expected Z2, Zn(k), Sym(r), cover-of NAME)" % word, tok)
 
-    def parse_morse(self):
-        start = self.expect_keyword("morse")
-        name = self.expect_name("a morse system name")
+    def parse_morse(self, name, span):
         self.expect_keyword("over")
         group = self.parse_group()
         blocks = []
@@ -414,29 +404,20 @@ class _Parser:
         if self.at("IDENT", "blocks"):
             self.advance()
             self.expect_punct("[")
-            while True:
-                if self.at("IDENT", "repeat"):
-                    self.advance()
-                    tail = self.expect_string("the repeated block").text
-                    break
-                blocks.append(self.expect_string("a block or 'repeat'").text)
-                if self.at("PUNCT", ","):
-                    self.advance()
-                    continue
-                self.expected("',' or 'repeat'")
+            while not self.at("IDENT", "repeat"):
+                blocks.append(self.take("a block or 'repeat'", ("STRING",)).text)
+                self.take("',' or 'repeat'", ("PUNCT",), lambda text: text == ",")
+            self.advance()  # 'repeat'
+            tail = self.take("the repeated block", ("STRING",)).text
             self.expect_punct("]")
-        return MorseDecl(name, group, tuple(blocks), tail, Span(start.line, start.column))
+        return MorseDecl(name, group, tuple(blocks), tail, span)
 
-    def parse_rs(self):
-        start = self.expect_keyword("rs")
-        name = self.expect_name("an rs system name")
+    def parse_rs(self, name, span):
         self.expect_keyword("pattern")
-        pattern = self.expect_string("a pattern string")
-        return RsDecl(name, pattern.text, Span(start.line, start.column))
+        pattern = self.take("a pattern string", ("STRING",))
+        return RsDecl(name, pattern.text, span)
 
-    def parse_veech(self):
-        start = self.expect_keyword("veech")
-        name = self.expect_name("a veech system name")
+    def parse_veech(self, name, span):
         self.expect_keyword("base")
         base = self.expect_int("the odometer base")
         self.expect_keyword("group")
@@ -446,18 +427,13 @@ class _Parser:
         if self.at("STRING"):
             head = self.advance().text
         self.expect_keyword("repeat")
-        tail = self.expect_string("the repeated psi block").text
-        return VeechDecl(name, base, group, head, tail, Span(start.line, start.column))
+        tail = self.take("the repeated psi block", ("STRING",)).text
+        return VeechDecl(name, base, group, head, tail, span)
 
-    def parse_observable(self):
-        start = self.expect_keyword("observable")
-        name = self.expect_name("an observable name")
+    def parse_observable(self, name, span):
         self.expect_punct("=")
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.expected("walsh, indicator, or table")
-        kind = self.advance().text
-        span = Span(start.line, start.column)
+        tok = self.take("walsh, indicator, or table", ("IDENT",))
+        kind = tok.text
         if kind == "walsh":
             self.expect_punct("{")
             coords = []
@@ -466,7 +442,7 @@ class _Parser:
             self.expect_punct("}")
             return ObservableDecl(name, "walsh", coords=tuple(coords), span=span)
         if kind == "indicator":
-            block = self.expect_string("a block string")
+            block = self.take("a block string", ("STRING",))
             self.expect_keyword("at")
             offset = self.expect_int("the window offset")
             return ObservableDecl(name, "indicator", block=block.text, offset=offset, span=span)
@@ -478,16 +454,11 @@ class _Parser:
         self.error("unknown observable kind %r (expected walsh, indicator, or table)" % kind, tok)
 
     def parse_table_entry(self):
-        tok = self.peek()
-        if tok.kind not in ("IDENT", "NUMBER"):
-            self.expected("a symbol key")
-        key = self.advance().text
+        key = self.take("a symbol key", ("IDENT", "NUMBER")).text
         self.expect_punct(":")
         return (key, self.expect_number())
 
-    def parse_experiment(self):
-        start = self.expect_keyword("experiment")
-        name = self.expect_name("an experiment name")
+    def parse_experiment(self, name, span):
         self.expect_punct("{")
         fields = {}
         order = ("system", "observable", "weight", "N", "checkpoints", "kbsz")
@@ -506,7 +477,7 @@ class _Parser:
         self.expect_punct("}")
         for required in ("system", "observable", "N"):
             if required not in fields:
-                self.error("experiment %r is missing the %r field" % (name, required), start)
+                self.error("experiment %r is missing the %r field" % (name, required), span)
         return ExperimentDecl(
             name=name,
             system=fields["system"],
@@ -515,7 +486,7 @@ class _Parser:
             sample_size=fields["N"],
             checkpoints=fields.get("checkpoints", "pow2"),
             kbsz=fields.get("kbsz"),
-            span=Span(start.line, start.column),
+            span=span,
         )
 
     def parse_experiment_value(self, key):

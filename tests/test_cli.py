@@ -112,6 +112,25 @@ def test_blocks(capsys):
     assert lines[1].startswith("t=2 |word|=25 aabaaaabaabcabb")
 
 
+@pytest.mark.parametrize("system", ["herning", "herning_cover"])
+def test_blocks_refuses_a_negative_t_after_loading_the_system(capsys, system):
+    spec = str(SPECS / "herning.spec")
+    assert run(capsys, "blocks", spec, "--system", system, "--t", "-3") == (
+        2, "", "error: --t must be nonnegative, got -3\n")
+    assert run(capsys, "blocks", spec, "--system", system, "--t", "0") == (0, "", "")
+    code, _, err = run(capsys, "blocks", spec, "--system", "nope", "--t", "-3")
+    assert code == 2 and err.startswith("error: unknown system 'nope'")
+
+
+@pytest.mark.parametrize("command", [["corr"], ["sarnak", "--n", "64"], ["kbsz", "--n", "64", "--primes", "3,5"]])
+def test_a_table_giving_one_symbol_twice_exits_two(capsys, tmp_path, command):
+    (tmp_path / "t.spec").write_text(
+        'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable t = table {0: 1, 1: 2, 01: 5}\n'
+    )
+    assert run(capsys, command[0], str(tmp_path / "t.spec"), "--observable", "t", *command[1:]) == (
+        2, "", "error: observable 't' gives one symbol twice, as '1' and as '01'\n")
+
+
 def test_corr_header(capsys):
     code, out, _ = run(
         capsys, "corr", TM_SPEC, "--system", "tm", "--observable", "w0",

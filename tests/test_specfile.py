@@ -233,6 +233,30 @@ def test_recovery_collects_multiple_errors():
     assert all(isinstance(d, Diagnostic) for d in diags)
 
 
+GROUP_WORDS = "Z2, Zn(k), Sym(r), cover-of NAME"
+FIELDS = "system, observable, weight, N, checkpoints, kbsz"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('substitution s on {0, 1} {\n  0 -> "01";\n', [("unterminated substitution body", 3, 1)]),
+    ('morse m over 3 blocks [repeat "01"]\n', [("expected a group (%s), found '3'" % GROUP_WORDS, 1, 14)]),
+    ('morse m over Q8 blocks [repeat "01"]\n', [("unknown group 'Q8' (expected %s)" % GROUP_WORDS, 1, 14)]),
+    ('morse m over Z2 blocks ["01" "01"]\n', [("expected ',' or 'repeat', found '01'", 1, 30)]),
+    ("observable w = 3\n", [("expected walsh, indicator, or table, found '3'", 1, 16)]),
+    ("observable w = cosine {0}\n",
+     [("unknown observable kind 'cosine' (expected walsh, indicator, or table)", 1, 16)]),
+    ("experiment e {\n  system: s;\n", [("unterminated experiment body", 3, 1)]),
+    ("experiment e { weight: mu; }\n", [("weight must be one of moebius, liouville, none, found 'mu'", 1, 24)]),
+    ("morse m over cover-of nope\n", [("cover-of refers to unknown system 'nope'", 1, 14)]),
+    # the reserved name is refused unread, so parsing resumes at it as a declaration keyword
+    ("substitution experiment on {0} {}\n",
+     [("'experiment' is a reserved keyword", 1, 14), ("unknown experiment field '0' (expected one of %s)" % FIELDS, 1, 29)]),
+], ids=["cut_substitution", "group_not_a_word", "unknown_group", "block_without_comma", "observable_not_a_word",
+        "unknown_observable_kind", "cut_experiment", "unknown_weight", "cover_of_unknown", "reserved_name"])
+def test_rare_diagnostics_are_located(text, expected):
+    assert [(d.message, d.line, d.column) for d in parse_bad(text)] == expected
+
+
 def test_all_or_nothing():
     text = 'rs good pattern "11"\nrs bad pattern "00"\n'
     result = parse_spec(text)
@@ -382,6 +406,22 @@ def test_letters_and_indices_name_the_same_symbols():
         + "".join("experiment %s { system: s; observable: %s; N: 16; }\n" % (o, o) for o in "ijtu")
     )
     assert set(doc.bound) == {"s"}
+
+
+@pytest.mark.parametrize("system, entries, first, second", [
+    (TM_HEAD, "0: 1, 0: 2, 1: 3", "0", "0"),
+    (TM_HEAD, "0: 1, 1: 2, 01: 5", "1", "01"),
+    (AB, "a: 1, 0: 2", "a", "0"),
+], ids=["same_key", "leading_zero", "letter_and_index"])
+def test_a_table_giving_one_symbol_twice_is_located_at_each_experiment(system, entries, first, second):
+    name = system.split()[1]
+    diags = parse_bad(
+        system + "observable t = table {%s}\n" % entries
+        + "experiment e { system: %s; observable: t; N: 4; }\n" % name
+        + "experiment f { system: %s; observable: t; N: 8; }\n" % name
+    )
+    message = "observable 't' gives one symbol twice, as %r and as %r" % (first, second)
+    assert [(d.message, d.line, d.column) for d in diags] == [(message, 6, 1), (message, 7, 1)]
 
 
 def test_parsed_documents_keep_their_bound_systems():

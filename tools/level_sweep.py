@@ -12,7 +12,7 @@ once with each tree's src on PYTHONPATH, and diff the two outputs:
 
     PYTHONPATH=src python tools/level_sweep.py [extra.spec ...] > after.txt
 
-tools/compare_sweeps.py REV does this, and the same for cli_sweep.py,
+tools/compare_sweeps.py REV does this, and the same for the other sweeps,
 against the src of the git revision REV.
 """
 
