@@ -94,8 +94,8 @@ class WeightTable:
 _BLOCK = 1 << 19
 
 
-def _block_weights(kind: str, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Weights of lo..hi-1 for 1 <= lo < hi <= 2^31 (smooth parts are int32).
+def _block_weights(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """lambda on lo..hi-1 for 1 <= lo < hi <= 2^31 (smooth parts are int32).
 
     primes must hold every prime <= isqrt(hi - 1).
 
@@ -103,8 +103,7 @@ def _block_weights(kind: str, lo: int, hi: int, primes: np.ndarray) -> np.ndarra
     their smooth part by p, leaving (-1)^(prime factors <= sqrt, with
     multiplicity) and the product of those factors.  Where the smooth part
     falls short of n, the rest is a single prime above isqrt(hi - 1), which
-    flips the sign once more: that is lambda.  mu is lambda with the
-    multiples of every p^2 set to 0 (a zero stays zero under the flips).
+    flips the sign once more: an int8 multiply by 1 - 2 [smooth != n].
     """
     sign = np.ones(hi - lo, dtype=np.int8)
     smooth = np.ones(hi - lo, dtype=np.int32)
@@ -115,30 +114,43 @@ def _block_weights(kind: str, lo: int, hi: int, primes: np.ndarray) -> np.ndarra
             sign[start::q] *= -1
             smooth[start::q] *= p
             q *= p
-        if kind == "moebius":
-            sign[-lo % (p * p) :: p * p] = 0
-    np.negative(sign, out=sign, where=smooth != np.arange(lo, hi, dtype=np.int32))
+    sign *= 1 - 2 * (smooth != np.arange(lo, hi, dtype=np.int32)).view(np.int8)
     return sign
 
 
-def weight_table(kind: str, limit: int) -> WeightTable:
-    """Tabulate mu or lambda for 1..limit with a segmented sqrt(limit) sieve.
+def weight_tables(reaches: dict) -> dict:
+    """The WeightTable of each kind in reaches (kind -> limit), from one segmented sqrt sieve.
 
-    The primes up to isqrt(limit) are found once; the table is then filled
-    one block of _BLOCK positions at a time by _block_weights.
+    The primes up to the isqrt of the widest limit are found once; one sweep
+    of _BLOCK positions at a time (_block_weights) fills lambda to that
+    limit.  mu is lambda with the multiples of each p^2 set to 0.  The widest
+    kind keeps the sweep's array and the other copies its prefix first, so
+    a mu-only request derives mu in place and two kinds hold two tables.
     """
-    if kind not in WEIGHT_KINDS:
-        raise ValueError("unknown weight kind %r (expected one of %s)" % (kind, ", ".join(WEIGHT_KINDS)))
-    if not 1 <= limit <= LIMIT_CAP:
-        raise ValueError("limit must be in 1..%d, got %d" % (LIMIT_CAP, limit))
-    primes = primes_up_to(math.isqrt(limit))
-    values = np.empty(limit + 1, dtype=np.int8)
-    values[0] = 0
-    for lo in range(1, limit + 1, _BLOCK):
-        hi = min(lo + _BLOCK, limit + 1)
-        values[lo:hi] = _block_weights(kind, lo, hi, primes)
-    values.flags.writeable = False
-    return WeightTable(kind, limit, values)
+    for kind, limit in reaches.items():
+        if kind not in WEIGHT_KINDS:
+            raise ValueError("unknown weight kind %r (expected one of %s)" % (kind, ", ".join(WEIGHT_KINDS)))
+        if not 1 <= limit <= LIMIT_CAP:
+            raise ValueError("limit must be in 1..%d, got %d" % (LIMIT_CAP, limit))
+    widest = max(reaches, key=reaches.get)
+    primes = primes_up_to(math.isqrt(reaches[widest]))
+    lam = np.empty(reaches[widest] + 1, dtype=np.int8)
+    lam[0] = 0
+    for lo in range(1, len(lam), _BLOCK):
+        hi = min(lo + _BLOCK, len(lam))
+        lam[lo:hi] = _block_weights(lo, hi, primes)
+    values = {kind: lam if kind == widest else lam[: limit + 1].copy() for kind, limit in reaches.items()}
+    if "moebius" in values:
+        for p in primes.tolist():
+            values["moebius"][p * p :: p * p] = 0
+    for kind, table in values.items():
+        table.flags.writeable = False
+    return {kind: WeightTable(kind, reaches[kind], table) for kind, table in values.items()}
+
+
+def weight_table(kind: str, limit: int) -> WeightTable:
+    """Tabulate mu or lambda for 1..limit: weight_tables for the one kind."""
+    return weight_tables({kind: limit})[kind]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from . import experiment as _experiment
 from . import morse as _morse
 from . import spectral as _spectral
 from . import subst as _subst
-from .arith import LIMIT_CAP, weight_table
+from .arith import LIMIT_CAP, weight_tables as weight_table  # the one name cli sieves through
 from .binding import BASE36, BindingError, BoundSystem
 from .errors import CapacityError
 from .experiment import _format_number
@@ -213,17 +213,18 @@ def _parse_checkpoints(text: str):
 def _experiment_config(decl, bound: BoundSystem, obs, experiments, tables, out=None) -> "_experiment.ExperimentConfig":
     """decl's config: bound (checking every run rule), then out checked, then weighted from tables.
 
-    Each kind is sieved once, on first use, to the widest reach (N under pow2, else the last checkpoint) of
-    the Sarnak sums of that kind in experiments; each slices it, as mu(n) and lambda(n) ignore its length.
+    On the first weighted use, one sweep sieves every kind the Sarnak sums in experiments weight by, each to
+    its widest reach (N under pow2, else the last checkpoint); each sum slices its kind's table, as mu(n) and
+    lambda(n) ignore its length.
     """
     config = _binding.bind_experiment(decl, bound, obs)
     _check_out(out)
     if config.kbsz is not None or decl.weight == "none":
         return config
-    if decl.weight not in tables:
-        tables[decl.weight] = weight_table(decl.weight, max(
-            e.sample_size if e.checkpoints == "pow2" else e.checkpoints[-1]
-            for e in experiments if e.weight == decl.weight and e.kbsz is None))
+    if not tables:
+        reaches = sorted((e.weight, e.sample_size if e.checkpoints == "pow2" else e.checkpoints[-1])
+                         for e in experiments if e.weight != "none" and e.kbsz is None)
+        tables.update(weight_table(dict(reaches)))  # ascending, so each kind keeps its widest reach
     return dataclasses.replace(config, weight=tables[decl.weight])
 
 
@@ -260,7 +261,7 @@ def _cmd_run(args) -> int:
         raise BindingError("no experiment declarations in %s" % args.spec)
     formats = _experiment.check_formats(args.format.split(","))
     pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)  # as run_experiment would, before any sieve
-    tables = {}  # weight kind -> its one table, sieved to the widest reach of the file
+    tables = {}  # weight kind -> its one table, all kinds sieved at once to their widest reaches in the file
     for decl in experiments:
         bound = build_system(doc, decl.system)
         config = _experiment_config(decl, bound, bind_observable(doc, decl.observable, bound), experiments, tables)

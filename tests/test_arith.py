@@ -115,6 +115,38 @@ def test_multi_block_table_matches_all_primes_sieve(kind):
     assert np.array_equal(table.values, all_primes_sieve(kind, MULTI_BLOCK_LIMIT))
 
 
+def check_shared_sweep(reaches, oracle):
+    """weight_tables(reaches) holds each kind's own read-only table, oracle[kind] (bytes) up to its reach."""
+    tables = arith.weight_tables(reaches)
+    assert list(tables) == list(reaches)
+    for kind, limit in reaches.items():
+        table = tables[kind]
+        assert (table.kind, table.limit, table.values.dtype, table.values.flags.writeable) == (
+            kind, limit, np.int8, False)
+        assert table.values.tobytes() == oracle[kind][: limit + 1], (reaches, kind)
+    if len(tables) == 2:
+        assert not np.shares_memory(tables["moebius"].values, tables["liouville"].values)
+
+
+def test_shared_sweep_matches_each_kind_at_every_pair_of_small_reaches():
+    # every pair of reaches 1..300 crosses each isqrt step and each p^2 edge on either side
+    oracle = {kind: all_primes_sieve(kind, 300).tobytes() for kind in arith.WEIGHT_KINDS}
+    for kind in arith.WEIGHT_KINDS:
+        for limit in range(1, 301):
+            assert weight_table(kind, limit).values.tobytes() == oracle[kind][: limit + 1], (kind, limit)
+    for a in range(1, 301):
+        for b in range(1, 301):
+            check_shared_sweep({"moebius": a, "liouville": b}, oracle)
+        check_shared_sweep({"liouville": a, "moebius": a}, oracle)  # a tie, with lambda named first
+
+
+def test_shared_sweep_matches_all_primes_sieve_across_blocks():
+    oracle = {kind: all_primes_sieve(kind, MULTI_BLOCK_LIMIT).tobytes() for kind in arith.WEIGHT_KINDS}
+    for a, b in ((MULTI_BLOCK_LIMIT, arith._BLOCK + 1), (arith._BLOCK + 1, MULTI_BLOCK_LIMIT)):
+        check_shared_sweep({"moebius": a, "liouville": b}, oracle)
+    check_shared_sweep({"moebius": MULTI_BLOCK_LIMIT}, oracle)
+
+
 def test_multiplicative_across_block_boundaries():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

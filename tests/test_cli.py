@@ -697,13 +697,13 @@ def test_veech_and_rs_systems(capsys):
 
 
 def count_sieves(monkeypatch):
-    """The (kind, N) pairs cli sieves from now on, in order."""
+    """The reaches (kind -> N) of each sieve cli runs from now on, in order."""
     calls = []
     sieve = cli.weight_table
 
-    def counting(kind, limit):
-        calls.append((kind, limit))
-        return sieve(kind, limit)
+    def counting(reaches):
+        calls.append(dict(reaches))
+        return sieve(reaches)
 
     monkeypatch.setattr(cli, "weight_table", counting)
     return calls
@@ -724,8 +724,9 @@ def reuse_experiment(name, weight, n=5000, fields=""):
         name, weight, n, fields)
 
 
-# Each kind is sieved once, on its first use, to the widest reach any Sarnak
-# sum of that kind declares: N under pow2, else the last checkpoint
+# One sweep per file, on the first weighted use, sieves every kind to the
+# widest reach any Sarnak sum of that kind declares: N under pow2, else the
+# last checkpoint
 DESCENDING = (("mu_5000", "moebius", 5000), ("lam_5000", "liouville", 5000), ("mu_3000", "moebius", 3000),
               ("lam_1000", "liouville", 1000), ("mu_1000", "moebius", 1000))
 ASCENDING = (("mu_1000", "moebius", 1000), ("mu_3000", "moebius", 3000), ("lam_2000", "liouville", 2000),
@@ -741,12 +742,12 @@ KBSZ_WIDEST = (("mu_1000", "moebius", 1000), ("kbsz_mu", "moebius", 9000, "  kbs
 def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
     calls = count_sieves(monkeypatch)
     for label, experiments, sieves in (
-        ("three", REUSE_EXPERIMENTS, [("moebius", 5000), ("liouville", 5000)]),
-        ("descending", DESCENDING, [("moebius", 5000), ("liouville", 5000)]),
-        ("ascending", ASCENDING, [("moebius", 5000), ("liouville", 2000)]),
-        ("doubling", DOUBLING, [("moebius", 4000), ("liouville", 2000)]),
-        ("cut_short", CUT_SHORT, [("moebius", 3000), ("liouville", 2500)]),
-        ("kbsz_widest", KBSZ_WIDEST, [("moebius", 3000)]),
+        ("three", REUSE_EXPERIMENTS, [{"moebius": 5000, "liouville": 5000}]),
+        ("descending", DESCENDING, [{"moebius": 5000, "liouville": 5000}]),
+        ("ascending", ASCENDING, [{"moebius": 5000, "liouville": 2000}]),
+        ("doubling", DOUBLING, [{"moebius": 4000, "liouville": 2000}]),
+        ("cut_short", CUT_SHORT, [{"moebius": 3000, "liouville": 2500}]),
+        ("kbsz_widest", KBSZ_WIDEST, [{"moebius": 3000}]),
     ):
         spec = tmp_path / (label + ".spec")
         spec.write_text(REUSE_SYSTEMS + "".join(reuse_experiment(*e) for e in experiments))
@@ -803,6 +804,30 @@ def test_run_keeps_one_weight_table_per_kind_alive(tmp_path):
     assert peaks[1] - peaks[0] <= 3 << 10, peaks  # each table held beside another adds 4 MiB
 
 
+def test_one_sweep_holds_one_table_per_kind_and_derives_a_lone_mu_in_place(tmp_path):
+    """mu and lambda sums at 2^22 hold two 4 MiB tables, no third; sarnak's mu at 2^24 holds one 16 MiB table."""
+    peaks = []
+    for kinds in (["moebius"], ["moebius", "liouville"]):
+        (tmp_path / "wide.spec").write_text(REUSE_SYSTEMS + "".join(
+            "experiment %s { system: tm; observable: w0; weight: %s; N: 4194304; }\n" % (kind[:3], kind)
+            for kind in kinds))
+        proc = run_limited(python=("-c", RUN_MAXRSS), cwd=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.splitlines()[-1].split()[1]))
+    # lambda's sieve block is freed before mu is copied out of it, so the second table costs about 1 MiB
+    # more at the peak; a third table (both kinds copied out of the sweep) costs 4 MiB
+    assert peaks[1] - peaks[0] <= 3 << 10, peaks
+    peaks = []
+    for weight in ("none", "moebius"):
+        proc = run_limited(python=("-c", "import resource; from mobiuslab import cli; cli.main(%r); "
+                                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)" % [
+                                       "sarnak", TM_SPEC, "--observable", "w0", "--n", str(1 << 24),
+                                       "--weight", weight, "--out", str(tmp_path / "out.csv")]))
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.splitlines()[-1]))
+    assert peaks[1] - peaks[0] <= 22 << 10, peaks  # the table and one sieve block; a copy adds 16 MiB
+
+
 def test_run_refuses_an_unknown_format_before_it_sieves_or_writes(capsys, tmp_path, monkeypatch):
     calls = count_sieves(monkeypatch)
     for formats, message in (("csv,yaml", "unknown format 'yaml'"), ("csv,csv", "format 'csv' is given twice")):
@@ -855,13 +880,13 @@ def test_sieves_reach_the_last_checkpoint(capsys, tmp_path, monkeypatch):
     calls = count_sieves(monkeypatch)
     argv = ["sarnak", TM_SPEC, "--observable", "w0", "--checkpoints", "10,100"]
     far = run(capsys, *argv, "--n", str(LIMIT_CAP))
-    assert calls == [("moebius", 100)]
+    assert calls == [{"moebius": 100}]
     assert far[0] == 0 and far == run(capsys, *argv, "--n", "100")
     spec = tmp_path / "few.spec"
     spec.write_text(REUSE_SYSTEMS + "experiment e { system: tm; observable: w0; weight: liouville; N: 5000; "
                     "checkpoints: [10, 100]; }\n")
     assert run(capsys, "run", str(spec), "--out", str(tmp_path / "out"))[0] == 0
-    assert calls[2:] == [("liouville", 100)]
+    assert calls[2:] == [{"liouville": 100}]
 
 
 HERNING = """substitution h on {a, b, c} {

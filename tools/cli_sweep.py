@@ -22,7 +22,10 @@ type and message as stderr.  The calls are:
   whose weighted experiments reach down and then up, and over rising.spec
   (printed as RISING), whose weighted reaches only go up, for both kinds,
   and which holds a checkpoint list ending below its N and a kbsz
-  experiment that declares weight: moebius;
+  experiment that declares weight: moebius; and over edges.spec (printed
+  as EDGES), whose reaches cross 2^19-position sieve blocks: Moebius at
+  3 * 2^19 + 12345, Liouville at 2^19 + 1 and a Moebius sum whose
+  checkpoints end at 2^20 + 7;
 - corr and spectrum over GAUSS (written beside far.spec), whose observable
   gauss the sweep binds to the Gaussian-integer table GAUSS_TABLE (the spec
   language has no complex numbers), and corr on Thue-Morse with --lags
@@ -77,6 +80,11 @@ RISING_SPEC = TM_W0 + "".join(
         ("mu_low", "moebius", 1000, ""), ("lam_low", "liouville", 2048, ""), ("mu_mid", "moebius", 4096, ""),
         ("lam_high", "liouville", 70000, ""), ("kbsz_mu", "moebius", 100000, " kbsz: (3, 5);"),
         ("mu_cut", "moebius", 100000, " checkpoints: [10, 1000, 65536];"))
+)
+EDGES_SPEC = TM_W0 + "".join(
+    "experiment %s { system: tm; observable: w0; weight: %s; N: %d;%s }\n" % e for e in (
+        ("mu_far", "moebius", 3 * 2**19 + 12345, ""), ("lam_edge", "liouville", 2**19 + 1, ""),
+        ("mu_cut", "moebius", 3 * 2**19 + 12345, " checkpoints: [1000, 524288, 524289, 1048583];"))
 )
 GAUSS_SPEC = TM_HEAD + "observable gauss = table {0: 1, 1: 1}\n"
 GAUSS_TABLE = {0: 2 - 1j, 1: -1 + 3j}
@@ -190,7 +198,8 @@ def main_sweep(extra) -> int:
             print("%s  %s" % (digest(argv), " ".join(argv)), flush=True)
     far_dir = tempfile.mkdtemp(prefix="cli_sweep_far_")
     try:
-        texts = {"FAR": FAR_SPEC, "GAUSS": GAUSS_SPEC, "REACHES": REACHES_SPEC, "RISING": RISING_SPEC}
+        texts = {"FAR": FAR_SPEC, "GAUSS": GAUSS_SPEC, "REACHES": REACHES_SPEC, "RISING": RISING_SPEC,
+                 "EDGES": EDGES_SPEC}
         texts.update(("LEX:" + name, text) for name, text in LEX_SPECS.items())
         paths = {label: os.path.join(far_dir, label.lower().replace(":", "_") + ".spec") for label in texts}
         for label, text in texts.items():
