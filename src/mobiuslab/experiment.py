@@ -8,18 +8,20 @@ and the bilinear test sums compare two prime dilations of the same orbit,
 
     C_M = (1/M) sum_{n=1..M} v(r n) conj(v(s n)).
 
-Partial sums at ascending checkpoints come from spectral._partial_sums,
-the one reduction, after spectral._check_reach, the one rule for the cap
-and the int64 reach (atom masses use both).  It asks for the products one
-piece of at most _LEAF values at a time and sums them in the fixed order
-of np.cumsum(np.add.reduceat(products, starts)), so reports are
-bit-identical on every rerun and sums of integer-valued products (below
-2^53) are exact.  Everything runs on one thread; the CLI's --workers flag
-is accepted and has no effect.
+Partial sums at ascending checkpoints pass spectral._check_reach first,
+the one rule for the cap and the int64 reach.  Each product is fixed by
+its class: the table index of v(n), times 3 plus w(n) + 1 when weighted,
+or idx(rn) A + idx(sn) for a table of A entries.  spectral._class_sums
+counts the classes of each piece when the class products are small
+integers, and otherwise sums the products in the fixed order of
+np.cumsum(np.add.reduceat(products, starts)) (spectral._partial_sums);
+both give those bytes, so reports are bit-identical on every rerun.
+Everything runs on one thread; the CLI's --workers flag is accepted and
+has no effect.
 
 Sarnak sums read each piece as a run of the stream and weight it from the
 table.  The bilinear sums read v(pn) for a piece of n through
-Observable.evaluate with step p: up to spectral._STRIDE_MAX as one run of
+Observable.indices with step p: up to spectral._STRIDE_MAX as one run of
 p (count - 1) + 1 symbols, kept every p-th, and above it at the positions
 pn with SymbolStream.at.  Every system the CLI binds is read from the
 digits of each position, so the sums hold a few pieces, not an N-long
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import WeightTable, is_prime
-from .spectral import _LEAF, Observable, _check_reach, _partial_sums, make_block_indicator
+from .spectral import _LEAF, Observable, _check_reach, _class_sums, make_block_indicator
 from .streams import SymbolStream
 from .subst import _distinct_blocks
 
@@ -86,9 +88,8 @@ class ConvergenceReport:
         return [(m, v.real, v.imag) for m, v in zip(self.checkpoints, self.values)]
 
 
-def _report(fill, checkpoints, stream: SymbolStream, obs: Observable, **tags) -> ConvergenceReport:
-    """The averages of the products fill gives, at each checkpoint."""
-    partials = _partial_sums(fill, checkpoints)
+def _report(partials, checkpoints, stream: SymbolStream, obs: Observable, **tags) -> ConvergenceReport:
+    """The averages of the partial sums at each checkpoint."""
     return ConvergenceReport(
         checkpoints=checkpoints,
         values=tuple(s / m for s, m in zip(partials, checkpoints)),
@@ -97,6 +98,9 @@ def _report(fill, checkpoints, stream: SymbolStream, obs: Observable, **tags) ->
         observable=obs.name or obs.kind,
         **tags,
     )
+
+
+_SIGNS = np.array([-1, 0, 1], dtype=np.int8)  # the weights, a weight w at column w + 1
 
 
 def sarnak_series(
@@ -111,6 +115,7 @@ def sarnak_series(
     _check_reach(limit, obs.span)
     if weights is not None and weights.limit < limit:
         raise ValueError("weight table reaches %d, need %d" % (weights.limit, limit))
+    values = obs.values
 
     def fill(lo, hi):
         v = obs.evaluate(stream, 1 + lo, hi - lo)  # a fresh vector, so it is weighted in place
@@ -118,7 +123,20 @@ def sarnak_series(
             v *= weights.values[1 + lo : 1 + hi]
         return v
 
-    return _report(fill, checkpoints, stream, obs, weight=weights.kind if weights is not None else "none")
+    def classes(lo, hi):
+        c = obs.indices(stream, 1 + lo, hi - lo)
+        if weights is not None:
+            c *= 3
+            c += weights.values[1 + lo : 1 + hi]
+            c += 1
+        return c
+
+    if weights is None:
+        size, products = len(values), lambda: values
+    else:
+        size, products = 3 * len(values), lambda: (values[:, None] * _SIGNS).reshape(-1)
+    partials = _class_sums(fill, classes, size, products, checkpoints)
+    return _report(partials, checkpoints, stream, obs, weight=weights.kind if weights is not None else "none")
 
 
 def kbsz_series(
@@ -130,17 +148,17 @@ def kbsz_series(
 ) -> ConvergenceReport:
     """Bilinear averages C_M = (1/M) sum v(rn) conj(v(sn)) at each checkpoint.
 
-    Each piece of products reads v at r n and s n through
-    Observable.evaluate with steps r and s: a strided run for a step up to
-    _STRIDE_MAX, positions above it.  The reduction fixes the order, so the
-    sums depend neither on the piece size nor on the read.  Positions must
-    fit in int64.
+    Each piece reads v at r n and s n through Observable.indices with steps
+    r and s: a strided run for a step up to _STRIDE_MAX, positions above it.
+    The reduction fixes the order, so the sums depend neither on the piece
+    size nor on the read.  Positions must fit in int64.
     """
     r, s = int(r), int(s)
     if r < 1 or s < 1:
         raise ValueError("dilations must be positive, got r=%d s=%d" % (r, s))
     checkpoints = _validate_checkpoints(checkpoints)
     _check_reach(checkpoints[-1], obs.span, (r, s))
+    values = obs.values
 
     def fill(lo, hi):
         right = obs.evaluate(stream, s * (1 + lo), hi - lo, s)  # a fresh vector, conjugated in place
@@ -149,7 +167,20 @@ def kbsz_series(
         # product changes the float bits of the imaginary parts
         return obs.evaluate(stream, r * (1 + lo), hi - lo, r) * right
 
-    return _report(fill, checkpoints, stream, obs, primes=(r, s))
+    def classes(lo, hi):
+        c = obs.indices(stream, r * (1 + lo), hi - lo, r)
+        c *= len(values)
+        c += obs.indices(stream, s * (1 + lo), hi - lo, s)
+        return c
+
+    def products():
+        # entry i A + j is v_i conj(v_j), r first as fill multiplies; the
+        # counts take it only when every part is an exact integer, and there
+        # no operand order moves a bit
+        return (values[:, None] * np.conjugate(values)).reshape(-1)
+
+    partials = _class_sums(fill, classes, len(values) ** 2, products, checkpoints)
+    return _report(partials, checkpoints, stream, obs, primes=(r, s))
 
 
 def block_sweep(

@@ -15,14 +15,17 @@ periodogram of an exact autocorrelation sequence nonnegative; the windowed
 estimate can dip below zero by a boundary term of order L^2/N, which is
 clamped at zero so downstream consumers may rely on the sign.
 
-Every statistic passes _check_reach before it reads.  Atom masses and the
-Sarnak and KBSZ series sum through _partial_sums, and autocorrelation adds
-FFT piece sums in piece order, exactly for Gaussian-integer tables, so each
-gives the same bits whatever the BLAS threads.
+Every statistic passes _check_reach before it reads.  The Sarnak and
+KBSZ series sum through _class_sums (class counts for small integer
+product tables, else the float reduction _partial_sums, which atom masses
+use too), and autocorrelation adds FFT piece sums in piece order, exactly
+for Gaussian-integer tables, so each gives the same bits whatever the
+BLAS threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +79,36 @@ def _partial_sums(fill, checkpoints):
         segments.append(complex(fill(a, a + 1)[0]) + _pairwise(fill, a + 1, b))
         a = b
     return [complex(v) for v in np.cumsum(segments)]
+
+
+def _class_sums(fill, classes, size: int, products, checkpoints):
+    """_partial_sums(fill, checkpoints), bit for bit, from class counts where they are exact.
+
+    Each product fill(lo, hi) gives is products()[c] for its class c in
+    classes(lo, hi), one of 0..size-1.  When size <= _LEAF and the class
+    products are integers with N max|part| <= 2^53 (N the last checkpoint),
+    every float sum of them is exact in any order: a partial sum is the
+    integer counts . products, and a part is -0.0 exactly when each product
+    counted so far has that part -0.0.  The classes are counted one piece of
+    at most _LEAF at a time.  Any other table goes through _partial_sums.
+    """
+    # the gate reads Python floats: each numpy ufunc faults in 64-128 KiB of
+    # numpy's code on its first call, and the sums need few of them
+    table = products().tolist() if size <= _LEAF else []
+    parts = [z.real for z in table], [z.imag for z in table]
+    bound = (1 << 53) // checkpoints[-1]
+    if not table or not all(abs(v) <= bound and v.is_integer() for part in parts for v in part):  # NaN and inf fail
+        return _partial_sums(fill, checkpoints)
+    exact = [(np.array([int(v) for v in part], dtype=np.int64),
+              np.array([v != 0 or math.copysign(1.0, v) > 0 for v in part])) for part in parts]  # not -0.0
+    counts = np.zeros(size, dtype=np.int64)
+    sums, a = [], 0
+    for b in checkpoints:
+        for lo in range(a, b, _LEAF):
+            counts += np.bincount(classes(lo, min(lo + _LEAF, b)), minlength=size)
+        sums.append(complex(*(float(counts @ ints) if counts[signed].any() else -0.0 for ints, signed in exact)))
+        a = b
+    return sums
 
 
 def _check_reach(limit: int, span: int, kbsz: tuple | None = None) -> None:
@@ -136,12 +169,12 @@ class Observable:
         return complex(self.values.reshape((self.alphabet_size,) * len(symbols))[symbols])
 
     def _gather(self, read) -> np.ndarray:
-        """Table values of the windows whose symbols at offset w are read(w), a fresh int32 array."""
+        """Table indices of the windows whose symbols at offset w are read(w), a fresh int32 array."""
         idx = read(self.window[0])
         for off in self.window[1:]:
             idx *= self.alphabet_size
             idx += read(off)
-        return self.values[idx]
+        return idx
 
     def _check_last(self, last: int) -> None:
         """Refuse a read whose window at position last ends past INT64_MAX, before any offset is added."""
@@ -149,23 +182,34 @@ class Observable:
         if end > INT64_MAX:
             raise ValueError("window at position %d reads position %d, beyond the int64 limit %d" % (last, end, INT64_MAX))
 
-    def evaluate(self, stream: SymbolStream, start: int, count: int, step: int = 1) -> np.ndarray:
-        """v(start), v(start + step), ..., v(start + step (count - 1)) as a complex vector.
+    def indices(self, stream: SymbolStream, start: int, count: int, step: int = 1) -> np.ndarray:
+        """Table indices of the windows at start, start + step, ..., start + step (count - 1), a fresh int32 array.
 
         Up to _STRIDE_MAX each window offset is one run of the stream, of
         step (count - 1) + 1 symbols, of which every step-th is kept; a
-        wider step reads the positions with evaluate_at.
+        wider step reads the positions with stream.at.
         """
         if start < 0 or count < 0 or step < 1:
             raise ValueError("read out of range: start=%d count=%d step=%d" % (start, count, step))
         if count == 0:
-            return np.zeros(0, dtype=np.complex128)
+            return np.zeros(0, dtype=np.int32)
         self._check_last(start + step * (count - 1))
         if step > _STRIDE_MAX:
-            return self.evaluate_at(stream, start + step * np.arange(count, dtype=np.int64))
+            return self._indices_at(stream, start + step * np.arange(count, dtype=np.int64))
         length = step * (count - 1) + 1
         # a contiguous copy of every step-th symbol, so the run is freed at once
         return self._gather(lambda off: np.ascontiguousarray(stream.block(start + off, length)[::step]))
+
+    def _indices_at(self, stream: SymbolStream, positions) -> np.ndarray:
+        """Table indices of the windows at arbitrary nonnegative positions, a fresh int32 array."""
+        positions = check_positions(positions)
+        if positions.size:
+            self._check_last(int(positions.max()))
+        return self._gather(lambda off: stream.at(positions + off))
+
+    def evaluate(self, stream: SymbolStream, start: int, count: int, step: int = 1) -> np.ndarray:
+        """v(start), v(start + step), ..., v(start + step (count - 1)) as a complex vector."""
+        return self.values[self.indices(stream, start, count, step)]
 
     def evaluate_at(self, stream: SymbolStream, positions) -> np.ndarray:
         """v at arbitrary nonnegative positions.
@@ -173,10 +217,7 @@ class Observable:
         Each window offset is read with stream.at, so the cost follows
         len(positions), not the largest position.
         """
-        positions = check_positions(positions)
-        if positions.size:
-            self._check_last(int(positions.max()))
-        return self._gather(lambda off: stream.at(positions + off))
+        return self.values[self._indices_at(stream, positions)]
 
 
 def _table_size(window, alphabet_size) -> int:

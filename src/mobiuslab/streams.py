@@ -154,7 +154,9 @@ def _digit_levels(head: tuple, tail: np.ndarray):
             used += 1
         # a fresh copy that frees the product: glibc raises its mmap threshold
         # to the largest mmapped block freed, and with the product kept the
-        # threshold stays below the pieces of a sum, which then page-fault
+        # threshold stays below the pieces of a sum (int32 indices and runs of
+        # 128 KiB and more, complex products on the float path), which then
+        # page-fault
         table = np.array(table, dtype=np.int32, order="C")
         if past_head:
             yield from itertools.repeat((table.shape[1], table))

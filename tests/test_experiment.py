@@ -280,7 +280,7 @@ def test_pieces_sum_in_numpys_order():
     so any other order changes some bits; the all -0.0 vector pins the signs
     of zero sums.
     """
-    from mobiuslab.experiment import _LEAF, _partial_sums
+    from mobiuslab.spectral import _LEAF, _partial_sums
 
     rng = np.random.default_rng(2024)
     lengths = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, _LEAF - 1, _LEAF, _LEAF + 1]
@@ -330,3 +330,119 @@ def test_kbsz_reads_positions_without_a_prefix():
     # Thue-Morse is popcount parity, so the final is a direct sum
     want = sum((-1) ** (bin(r * k).count("1") + bin(s * k).count("1")) for k in range(1, n + 1)) / n
     assert kbsz_series(stream, W0, r, s, (n,)).final == want
+
+
+def _signed_integer_table(rng, size, zero_share):
+    """Small Gaussian integers; a share of the parts are zeros, mostly -0.0."""
+    parts = rng.integers(-3, 4, size=(2, size)).astype(np.float64)
+    zero = rng.random((2, size)) < zero_share
+    parts[zero] = np.where(rng.random(int(zero.sum())) < 0.8, -0.0, 0.0)
+    table = np.empty(size, dtype=np.complex128)
+    table.real, table.imag = parts
+    return table
+
+
+def test_class_counts_sum_to_the_float_reductions_bytes(monkeypatch):
+    """Every series on an integer table is counted, and its sums equal the float reduction's bits.
+
+    Each call of the count path is checked against _partial_sums over
+    products[classes] and over the series' own fill, by float hex.  The
+    tables hold -0.0 and +0.0 parts, the checkpoints have one-position
+    segments, where a -0.0 total shows, and the KBSZ steps lie below and
+    above _STRIDE_MAX.
+    """
+    from mobiuslab import experiment, spectral
+    from mobiuslab.spectral import Observable
+
+    partial, counted = spectral._partial_sums, []
+
+    def refuse(fill, checkpoints):
+        raise AssertionError("an integer table fell back to the float reduction")
+
+    def checked(fill, classes, size, products, checkpoints):
+        got = spectral._class_sums(fill, classes, size, products, checkpoints)
+        table = products()
+        assert len(table) == size
+        assert _hex(got) == _hex(partial(lambda lo, hi: table[classes(lo, hi)], checkpoints))
+        assert _hex(got) == _hex(partial(fill, checkpoints))
+        counted.append(got)
+        return got
+
+    monkeypatch.setattr(spectral, "_partial_sums", refuse)
+    monkeypatch.setattr(experiment, "_class_sums", checked)
+    rng = np.random.default_rng(22)
+    abc = fixed_point_stream(Substitution.from_words({"a": "abb", "b": "bac", "c": "cca"}))
+    n = 2 * _LEAF + 3
+    mu, lam = weight_table("moebius", n), weight_table("liouville", n)
+    ragged = (1, 2, 3, 5, 6, 7, 100, 101, _LEAF, _LEAF + 1, n)
+    negative_zeros = 0
+    for trial in range(12):
+        stream, letters, window = (TM, 2, (0, 1)) if trial % 2 else (abc, 3, (0, 2))
+        table = _signed_integer_table(rng, letters ** len(window), (0.3, 0.9, 1.0)[trial % 3])
+        obs = Observable(window=window, alphabet_size=letters, values=table)
+        checkpoints = ragged if trial % 4 < 2 else pow2_checkpoints(n)
+        reports = [sarnak_series(stream, obs, weights, checkpoints) for weights in (None, mu, lam)]
+        reports += [kbsz_series(stream, obs, r, s, checkpoints) for r, s in ((2, 3), (3, 17), (23, 19))]
+        negative_zeros += sum(np.signbit(v.real) + np.signbit(v.imag) for rep in reports for v in rep.values if v == 0)
+    assert len(counted) == 12 * 6
+    assert negative_zeros > 0
+
+
+@pytest.mark.parametrize("case, counted", [
+    ("at the bound, N 2", True),
+    ("at the bound, N 1", True),
+    ("one past the bound", False),
+    ("one class past _LEAF", False),
+    ("not integral", False),
+    ("nan", False),
+    ("inf", False),
+])
+def test_class_sums_count_only_exact_tables(monkeypatch, case, counted):
+    """The gate: at most _LEAF classes, integral products, N max|part| <= 2^53.
+
+    Either path gives the float reduction's bytes.
+    """
+    from mobiuslab import spectral
+
+    top, n, size = {
+        "at the bound, N 2": (2.0 ** 52, 2, 5),
+        "at the bound, N 1": (2.0 ** 53, 1, 5),
+        "one past the bound": (float((2 ** 53 + 1) // 3), 3, 5),  # 3 top = 2^53 + 1
+        "one class past _LEAF": (1.0, 7, _LEAF + 1),
+        "not integral": (0.5, 7, 5),
+        "nan": (float("nan"), 7, 5),
+        "inf": (float("inf"), 7, 5),
+    }[case]
+    table = np.array([complex(-0.0, 1.0), complex(2.0, -0.0), -3.0] + [0.0] * (size - 4) + [complex(-1.0, top)])
+    cls = np.full(n, size - 1, dtype=np.int32)  # the first three products hold top: at N <= 3 the sum is N top
+    cls[3:] = np.arange(n - 3) % size
+    checkpoints = tuple(range(1, n + 1))
+    partial, ran, built = spectral._partial_sums, [], []
+
+    def recorded(fill, points):
+        ran.append("float")
+        return partial(fill, points)
+
+    def products():
+        built.append(size)
+        return table
+
+    monkeypatch.setattr(spectral, "_partial_sums", recorded)
+    got = spectral._class_sums(lambda lo, hi: table[cls[lo:hi]], lambda lo, hi: cls[lo:hi].copy(), size, products,
+                               checkpoints)
+    assert ran == ([] if counted else ["float"])
+    assert built == ([] if size > _LEAF else [size])
+    assert _hex(got) == _hex(partial(lambda lo, hi: table[cls[lo:hi]], checkpoints))
+
+
+def test_series_gate_follows_the_sample_size(monkeypatch):
+    """A 1e15 table is counted up to N = 9 (9e15 <= 2^53) and summed as floats from N = 10."""
+    from mobiuslab import spectral
+
+    partial, ran = spectral._partial_sums, []
+    monkeypatch.setattr(spectral, "_partial_sums", lambda fill, points: ran.append(points[-1]) or partial(fill, points))
+    huge = make_symbol_table({0: 1e15, 1: -3})
+    for n in (9, 10):
+        sarnak_series(TM, huge, weight_table("moebius", n), pow2_checkpoints(n))
+    kbsz_series(TM, make_symbol_table({0: 1, 1: 0.5}), 3, 5, (4,))
+    assert ran == [10, 4]

@@ -389,6 +389,22 @@ def test_strided_reads_equal_positional_reads(kind):
             assert got.dtype == np.complex128 and np.array_equal(got, want), (step, start)
 
 
+@pytest.mark.parametrize("kind", ["substitution", "cover", "morse", "rs", "veech", "hat", "factor"])
+def test_indices_are_fresh_int32_that_evaluate_looks_up(kind):
+    """The sums scale indices in place into classes, so no later read may see that."""
+    stream, _ = _kind_stream(kind)
+    size = stream.alphabet_size
+    for window in ((0,), (0, 3)):
+        obs = Observable(window=window, alphabet_size=size, values=np.arange(size ** len(window)) * (1 - 1j))
+        for step in (1, 3, _STRIDE_MAX + 1):
+            idx = obs.indices(stream, 7, 300, step)
+            assert idx.dtype == np.int32
+            assert np.array_equal(obs.values[idx], obs.evaluate(stream, 7, 300, step))
+            want = idx.copy()
+            idx *= 3
+            assert np.array_equal(obs.indices(stream, 7, 300, step), want), (window, step)
+
+
 def test_strided_reads_use_runs_up_to_the_bound_and_positions_above_it():
     calls = []
     stream = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))

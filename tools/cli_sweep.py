@@ -30,6 +30,14 @@ type and message as stderr.  The calls are:
   gauss the sweep binds to the Gaussian-integer table GAUSS_TABLE (the spec
   language has no complex numbers), and corr on Thue-Morse with --lags
   N/4: both pin the exact integer correlation path;
+- sarnak (Moebius JSON, Liouville CSV, unweighted) and kbsz (3,7 and
+  19,23) on gauss and on the TABLES observables (printed as TABLES): half,
+  a table that is not integral, and huge, whose products pass 2^53 / N, so
+  their sums take the float reduction where the integer tables take the
+  class counts; then run over TABLES, whose experiments put huge at N = 9
+  (9e15 is below 2^53) and N = 10 (above), and sum a table with a negative
+  value at checkpoints [3, 4, 5, 9], where a KBSZ sum at (3, 7) writes
+  -0.0 to its JSON report;
 - run and gen over every tests/fixtures/specs/malformed/*.spec, and run
   over the LEX specs (see LEX_SPECS; written beside far.spec, printed as
   LEX:name): a form feed, '\u00b2' as a name, an unterminated string in
@@ -88,6 +96,15 @@ EDGES_SPEC = TM_W0 + "".join(
 )
 GAUSS_SPEC = TM_HEAD + "observable gauss = table {0: 1, 1: 1}\n"
 GAUSS_TABLE = {0: 2 - 1j, 1: -1 + 3j}
+TABLES_SPEC = TM_HEAD + (
+    "observable half = table {0: 0.5, 1: -1.25}\n"
+    "observable huge = table {0: 1e15, 1: -3}\n"
+    "observable neg = table {0: 0, 1: -1}\n") + "".join(
+    "experiment %s { system: tm; observable: %s; weight: %s; N: %d;%s }\n" % e for e in (
+        ("huge_at_bound", "huge", "moebius", 9, ""), ("huge_past_bound", "huge", "moebius", 10, ""),
+        ("neg_mu", "neg", "moebius", 9, " checkpoints: [3, 4, 5, 9];"),
+        ("neg_kbsz", "neg", "none", 9, " checkpoints: [3, 4, 5, 9]; kbsz: (3, 7);"))
+)
 LEX_SPECS = {
     "form_feed": TM_HEAD + "observable\fw0 = walsh {0}\n",
     "superscript_name": TM_HEAD + "observable \u00b2 = walsh {0}\n",
@@ -136,6 +153,16 @@ def exact_correlations(gauss):
     yield ["corr", gauss, "--observable", "gauss", "--n", N, "--out", "OUT/corr.csv"]
     yield ["spectrum", gauss, "--observable", "gauss", "--n", N, "--out", "OUT/spectrum.csv"]
     yield ["corr", TM_SPEC, "--observable", "w0", "--n", N, "--lags", str(int(N) // 4), "--out", "OUT/corr.csv"]
+
+
+def table_sums(spec, observable):
+    """The sarnak and kbsz calls on one observable of spec."""
+    on = [spec, "--observable", observable, "--n", N]
+    yield ["sarnak", *on, "--weight", "moebius", "--format", "json", "--out", "OUT/mu.json"]
+    yield ["sarnak", *on, "--weight", "liouville", "--format", "csv", "--out", "OUT/lambda.csv"]
+    yield ["sarnak", *on, "--weight", "none", "--format", "json", "--out", "OUT/none.json"]
+    for primes in ("3,7", "19,23"):
+        yield ["kbsz", *on, "--primes", primes, "--format", "json", "--out", "OUT/kbsz.json"]
 
 
 def refusals(far):
@@ -199,13 +226,15 @@ def main_sweep(extra) -> int:
     far_dir = tempfile.mkdtemp(prefix="cli_sweep_far_")
     try:
         texts = {"FAR": FAR_SPEC, "GAUSS": GAUSS_SPEC, "REACHES": REACHES_SPEC, "RISING": RISING_SPEC,
-                 "EDGES": EDGES_SPEC}
+                 "EDGES": EDGES_SPEC, "TABLES": TABLES_SPEC}
         texts.update(("LEX:" + name, text) for name, text in LEX_SPECS.items())
         paths = {label: os.path.join(far_dir, label.lower().replace(":", "_") + ".spec") for label in texts}
         for label, text in texts.items():
             pathlib.Path(paths[label]).write_bytes(text.encode("utf-8"))
         runs = [label for label in texts if label not in ("FAR", "GAUSS")]
+        sums = [(paths["GAUSS"], "gauss"), (paths["TABLES"], "half"), (paths["TABLES"], "huge")]
         for argv in [*refusals(paths["FAR"]), *exact_correlations(paths["GAUSS"]),
+                     *(argv for spec, obs in sums for argv in table_sums(spec, obs)),
                      *(["run", paths[label], "--out", "OUT"] for label in runs)]:
             line = " ".join(argv)
             for label, path in paths.items():
