@@ -10,13 +10,15 @@ first (n = 0 has the empty expansion).  A pattern is a word whose first
 character is the literal 1, whose last character is a literal 0 or 1, and
 whose interior characters are 1 or the wildcard *.  pattern_parity(n) is the
 number of overlapping occurrences of the pattern in the expansion, mod 2.
-The windows of n other than its lowest are the windows of n >> 1, so
+With mask holding a 1 at each literal character and value its bits,
+pattern_parity(n) xors [(n >> j) & mask == value] over the offsets j >= 0.
+PatternReader makes that compare per offset at positions, and reads a run
+by blocks of 2^16 positions, n = H 2^16 + L, as
 
-    pattern_parity(n) = pattern_parity(n >> 1) xor [(n & mask) == value]
+    pattern_parity(n) = low[L] xor straddle(n) xor pattern_parity(H)
 
-with mask holding a 1 at each literal character and value its bits.
-pattern_parities_at runs this recursion over a run of n and makes one such
-masked compare per window offset at an array of positions.
+with low a table of 0..2^16 - 1.  straddle(n) xors the windows across bit
+16 whose bits above it match H, each compared on the few values of L >> j.
 """
 
 from __future__ import annotations
@@ -194,56 +196,64 @@ def pattern_parity(n: int, pattern) -> int:
     return count & 1
 
 
-def _parity_run(lo: int, hi: int, mask: int, value: int, low: int) -> np.ndarray:
-    """pattern_parity(n) for lo <= n < hi, by the shift recursion.
-
-    a(n) = 0 below low = 2^(m-1).  From a = max(lo, low) each range [a, 2a)
-    reads the one below it, and only the first reads a run below lo: a run
-    costs about its length from lo = 0 and twice its length far out.
-    """
-    out = np.zeros(hi - lo, dtype=np.uint8)
-    a = max(lo, low)
-    below = _parity_run(a >> 1, (min(hi, 2 * a) + 1) >> 1, mask, value, low) if a < hi else None
-    while a < hi:
-        b = min(hi, 2 * a)
-        n = np.arange(a, b, dtype=np.int64)
-        n &= mask  # in place: one int64 temporary per range
-        out[a - lo : b - lo] = below.repeat(2)[a & 1 : (a & 1) + b - a] ^ (n == value)
-        below = out[a - lo : b - lo]
-        a = b
-    return out
-
-
 def pattern_parities(count: int, pattern) -> np.ndarray:
-    """pattern_parity(n) for n = 0..count-1, by the shift recursion."""
+    """pattern_parity(n) for n = 0..count-1, read as one run."""
     if count < 0:
         raise ValueError("count must be nonnegative, got %d" % count)
     return pattern_parities_at(slice(0, count), pattern)
 
 
 def pattern_parities_at(key, pattern) -> np.ndarray:
-    """pattern_parity(n) for n in key: a slice(lo, hi) or an array of nonnegative integers.
+    """pattern_parity(n) for n in key: a slice(lo, hi) or an array of nonnegative integers."""
+    return PatternReader(pattern)(key)
 
-    A run follows the shift recursion (_parity_run).  At an array the window
-    at offset j from the low end matches where n & (mask << j) == value << j:
-    one masked compare per offset up to bit_length - m, since the pattern
-    starts with a literal 1; a pattern over 64 characters matches nothing.
-    """
-    pat = _as_pattern(pattern).pattern
-    m = len(pat)
-    # the window at the low end: a 1 at each literal in mask, its bit in value
-    mask = sum(1 << (m - 1 - i) for i, c in enumerate(pat) if c != "*")
-    value = sum(1 << (m - 1 - i) for i, c in enumerate(pat) if c == "1")
-    if isinstance(key, slice):
-        return _parity_run(key.start, key.stop, mask, value, 1 << (m - 1))
-    n = np.asarray(key).astype(np.uint64, copy=False)
+
+def _window_parity(n: np.ndarray, mask: int, value: int, offsets: range) -> np.ndarray:
+    """xor over j in offsets of [(n >> j) & mask == value], for an unsigned array n wide enough for mask."""
     acc = np.zeros(len(n), dtype=np.uint8)
-    if m > 64:
-        return acc
-    masked = np.empty_like(n)
+    window = np.empty_like(n)
     hit = np.empty(len(n), dtype=bool)
-    for j in range(int(n.max(initial=0)).bit_length() - m + 1):
-        np.bitwise_and(n, np.uint64(mask << j), out=masked)
-        np.equal(masked, np.uint64(value << j), out=hit)
+    for j in offsets:
+        np.right_shift(n, j, out=window)
+        window &= mask
+        np.equal(window, value, out=hit)
         acc ^= hit
     return acc
+
+
+class PatternReader:
+    """pattern_parity at a slice(lo, hi) or an array of nonnegative integers, as uint8.
+
+    The table low is built on the first run and held here.  A pattern over
+    64 characters matches nothing below 2^64.
+    """
+
+    def __init__(self, pattern):
+        pat = _as_pattern(pattern).pattern
+        self._m = m = len(pat)
+        # the window at the low end: a 1 at each literal in mask, its bit in value
+        self._mask = sum(1 << (m - 1 - i) for i, c in enumerate(pat) if c != "*")
+        self._value = sum(1 << (m - 1 - i) for i, c in enumerate(pat) if c == "1")
+        self._low = None
+
+    def __call__(self, key) -> np.ndarray:
+        m, mask, value = self._m, self._mask, self._value
+        out = np.zeros(key.stop - key.start if isinstance(key, slice) else len(key), dtype=np.uint8)
+        if m > 64:
+            return out
+        if not isinstance(key, slice):
+            n = np.asarray(key).astype(np.uint64, copy=False)
+            return _window_parity(n, mask, value, range(int(n.max(initial=0)).bit_length() - m + 1))
+        if self._low is None:
+            self._low = _window_parity(np.arange(1 << 16, dtype=np.uint32), mask, value, range(17 - m))
+        edges = [key.start, *range((key.start | 0xFFFF) + 1, key.stop, 1 << 16), key.stop]
+        for a, b in zip(edges, edges[1:]):
+            part, lo, h = out[a - key.start : b - key.start], a & 0xFFFF, a >> 16
+            part[:] = self._low[lo : lo + b - a]
+            for j in range(max(0, 17 - m), 16):  # the windows across bit 16, where h holds the bits above it
+                if (h & (mask >> (16 - j))) == (value >> (16 - j)):
+                    below = np.arange(lo >> j, ((lo + b - a - 1) >> j) + 1, dtype=np.uint32) & (mask & (0xFFFF >> j))
+                    part ^= (below == (value & (0xFFFF >> j))).repeat(1 << j)[lo & ((1 << j) - 1) :][: b - a]
+            if sum(((h >> j) & mask) == value for j in range(h.bit_length() - m + 1)) & 1:  # pattern_parity(H)
+                part ^= 1
+        return out

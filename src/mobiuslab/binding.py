@@ -22,7 +22,7 @@ from . import morse as _morse
 from . import odometer as _odometer
 from . import spectral as _spectral
 from . import subst as _subst
-from .arith import DigitPattern, pattern_parities_at
+from .arith import DigitPattern, PatternReader
 from .experiment import ExperimentConfig
 from .permgrp import CLOSURE_CAP, FiniteGroup, cyclic_group, symmetric_group
 from .streams import SymbolStream
@@ -102,7 +102,7 @@ def bind_system(decl, group: FiniteGroup | None = None, cover=None) -> BoundSyst
         return BoundSystem(decl.name, "substitution", sub, sub.r, stream, letters=sub.letters)
     if decl.kind == "rs":
         pattern = DigitPattern(decl.pattern)
-        stream = SymbolStream(lambda key: pattern_parities_at(key, pattern), name=decl.name, alphabet_size=2)
+        stream = SymbolStream(PatternReader(pattern), name=decl.name, alphabet_size=2)
         return BoundSystem(decl.name, "rs", pattern, 2, stream, group=cyclic_group(2))
     if decl.kind == "morse":
         if cover is not None:

@@ -195,23 +195,25 @@ def _tau_at(spec: OdometerSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tau_run(spec: OdometerSpec, start: int, count: int) -> np.ndarray:
-    """tau(v) for v = start..start+count-1, one arithmetic progression per stage.
+def _psi_run(vspec: VeechSpec, start: int, count: int) -> np.ndarray:
+    """Psi(tau(v)) for v = start..start+count-1, one arithmetic progression per stage.
 
-    v = -1 mod n_{t+1} implies v = -1 mod n_t, so tau(v) = 1 + #{t >= 1 :
-    v = -1 mod n_t}, and on the run those v sit at the indices
-    (-1 - start) mod n_t, (-1 - start) mod n_t + n_t, ...  Stages stop once
+    v = -1 mod n_{t+1} implies v = -1 mod n_t, so tau(v) - 1 is the last t
+    with v = -1 mod n_t, and on the run those v sit at the indices
+    (-1 - start) mod n_t, (-1 - start) mod n_t + n_t, ...  The run starts as
+    Psi(1) and each stage t >= 1 writes Psi(t + 1) on its progression, so
+    later stages overwrite earlier ones and leave Psi(tau).  Stages stop once
     n_t - 1 exceeds every |v|: a v >= 0 below n_t - 1 is its own residue,
     and a v <= -2 has residue n_t + v, which is not n_t - 1.
     """
     if start <= -1 < start + count:
         raise UndefinedPointError("orbit passes through -theta where tau is undefined")
-    out = np.ones(count, dtype=np.uint8)  # tau <= 64 for points in int64
+    out = np.full(count, vspec.psi(1), dtype=np.int32)
     reach = max(abs(start), abs(start + count - 1))
-    t, n_t = 1, spec.lam(0)
+    t, n_t = 1, vspec.odometer.lam(0)
     while n_t - 1 <= reach:
-        out[(-1 - start) % n_t :: n_t] += 1
-        n_t *= spec.lam(t)
+        out[(-1 - start) % n_t :: n_t] = vspec.psi(t + 1)
+        n_t *= vspec.odometer.lam(t)
         t += 1
     return out
 
@@ -219,18 +221,16 @@ def _tau_run(spec: OdometerSpec, start: int, count: int) -> np.ndarray:
 def veech_stream(vspec: VeechSpec, start: int = 0, name: str = "veech") -> SymbolStream:
     """The sequence n -> Psi(tau(start + n)) along the orbit of a point.
 
-    A run adds one to tau on each stage's progression of points
-    v = -1 mod n_t (_tau_run); positions count the trailing top digits of
-    start + position (_tau_at).
+    A run writes each stage's Psi on its progression of points
+    v = -1 mod n_t (_psi_run); positions count the trailing top digits of
+    start + position (_tau_at) and take Psi of the count.
     """
 
     def read(key):
         if isinstance(key, slice):
-            taus = _tau_run(vspec.odometer, start + key.start, key.stop - key.start)
-        else:
-            taus = _tau_at(vspec.odometer, start + key)
-        lookup = np.array([0] + [vspec.psi(t) for t in range(1, int(taus.max(initial=1)) + 1)], dtype=np.int32)
-        return lookup[taus]
+            return _psi_run(vspec, start + key.start, key.stop - key.start)
+        taus = _tau_at(vspec.odometer, start + key)
+        return np.array([0] + [vspec.psi(t) for t in range(1, int(taus.max(initial=1)) + 1)], dtype=np.int32).take(taus)
 
     return SymbolStream(read, name=name, alphabet_size=vspec.group.order, letters=vspec.group.element_names)
 

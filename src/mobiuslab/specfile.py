@@ -41,6 +41,7 @@ and bound systems, so parse(print_spec(doc)) == doc.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -310,9 +311,12 @@ class _Parser:
             sign = -1.0
         tok = self.take("a number", ("NUMBER",))
         try:
-            return sign * float(tok.text)
+            number = sign * float(tok.text)
         except ValueError:
             self.error("malformed number %r" % tok.text, tok)
+        if not math.isfinite(number):
+            self.error("number %r is too large for a float" % ("-" * (sign < 0) + tok.text), tok)
+        return number
 
     # recovery
 

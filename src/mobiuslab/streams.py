@@ -4,12 +4,13 @@ prefix(), block() and iteration read contiguous runs (Sarnak sums,
 autocorrelations, and the KBSZ sums at a dilation up to
 spectral._STRIDE_MAX, which keep every p-th symbol of a run); at() reads
 arbitrary positions (KBSZ sums at a wider dilation).
-Every stream reads both through its one reader: the substitution, Morse,
-RS and Veech streams compute each symbol from the digits of its position
-(see DigitReader, the one place digit levels are built), and composed
-streams (hat, factor) read their source at the same positions.  So a run
-costs memory in its length and a positional read in the number of
-positions, wherever they lie.
+Every stream reads both through its one reader.  Each system computes a
+symbol from the digits of its position: substitution and Morse streams
+through DigitReader, the one place digit levels are built, RS through
+arith.PatternReader and Veech through odometer._psi_run and _tau_at.
+Composed streams (hat, factor) read their source at the same positions.
+So a run costs memory in its length and a positional read in the number
+of positions, wherever they lie.
 """
 
 from __future__ import annotations

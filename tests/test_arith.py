@@ -7,6 +7,7 @@ from mobiuslab import arith
 from mobiuslab.arith import (
     IS_PRIME_BOUND,
     DigitPattern,
+    PatternReader,
     is_prime,
     pattern_parities,
     pattern_parities_at,
@@ -303,6 +304,24 @@ def test_pattern_parities_recursion_matches_scalar(pat):
 def test_pattern_parities_match_positional_reads(pat):
     count = 1 << 20
     assert np.array_equal(pattern_parities(count, pat), pattern_parities_at(np.arange(count), pat))
+
+
+@pytest.mark.parametrize("m", range(2, 71))
+def test_pattern_runs_match_positional_reads(m):
+    """A run read block by block equals the masked compare at each position, near 0, 2^16 k and 2^63."""
+    rng = np.random.default_rng(m)
+    pat = "1" + "".join(rng.choice(["1", "*"], m - 2)) + rng.choice(["0", "1"])
+    reader = PatternReader(pat)
+    runs = [(0, 3 * (1 << 16) + 5), (1, 700), ((1 << 63) - 700, 700), ((1 << 63) - 1, 1), (5, 0)]
+    runs += [((k << 16) - int(d), 700) for k in (1, 2, 3, 1 << 20, 1 << 46) for d in (0, 1, 350)]
+    runs += [(int(rng.integers(0, (1 << 63) - 20000)), 20000) for _ in range(3)]
+    for start, count in runs:
+        got = reader(slice(start, start + count))
+        positions = np.arange(start, start + count, dtype=np.int64)
+        assert got.dtype == np.uint8 and got.shape == (count,)
+        assert np.array_equal(got, pattern_parities_at(positions, pat)), (pat, start, count)
+        for i in rng.integers(0, count, 3) if count else ():
+            assert got[i] == pattern_parity(start + int(i), pat)
 
 
 def test_pattern_parities_at_near_the_top_bit():

@@ -922,6 +922,23 @@ def test_spec_errors_found_while_binding_exit_one(capsys, tmp_path, text, line, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("number", ["1e999", "-1e999"])
+@pytest.mark.parametrize("command", [
+    ["run", "--out", "OUT"],
+    ["sarnak", "--observable", "big", "--weight", "moebius", "--n", "100"],
+    ["kbsz", "--observable", "big", "--n", "100", "--primes", "3,5"],
+])
+def test_a_table_value_past_the_float_range_exits_one(capsys, tmp_path, number, command):
+    spec = tmp_path / "big.spec"
+    spec.write_text(AB + "observable big = table {a: %s, b: 1}\n" % number)
+    argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in command]
+    code, out, err = run(capsys, argv[0], str(spec), *argv[1:])
+    assert (code, out) == (1, "") and not (tmp_path / "out").exists()
+    column = 29 if number.startswith("-") else 28  # the number, after any minus sign
+    assert err.startswith("error: line 6, column %d: number '%s' is too large for a float\n" % (column, number))
+    assert "nan" not in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("observable", ['indicator "01" at 0', 'indicator "ab" at 0', "table {0: 1, 1: -1}"])
 def test_symbol_indices_and_letters_bind_alike(capsys, tmp_path, observable):
     spec = tmp_path / "ab.spec"

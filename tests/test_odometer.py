@@ -8,8 +8,8 @@ from mobiuslab.morse import MorseSpec, hat_stream, morse_stream
 from mobiuslab.odometer import (
     OdometerSpec,
     VeechSpec,
+    _psi_run,
     _tau_at,
-    _tau_run,
     morse_cocycle_eval,
     rs_extension_stages,
     tower_index,
@@ -137,18 +137,49 @@ def test_veech_stream_offsets():
 TAU_SPECS = [OdometerSpec(tail=2), OdometerSpec(tail=3), OdometerSpec(head=(2, 5, 3), tail=2)]
 
 
+def psi_at(vspec, values):
+    """Psi(tau(v)) at an int64 array, by _tau_at and a lookup."""
+    return [vspec.psi(t) for t in _tau_at(vspec.odometer, values).tolist()]
+
+
 @pytest.mark.parametrize("spec", TAU_SPECS, ids=["base2", "base3", "head253"])
 @pytest.mark.parametrize("start", [0, 7, -50])
 def test_tau_run_matches_tau_at(spec, start):
+    """The Veech run (_psi_run) equals Psi of _tau_at, point by point."""
     # nonnegative runs end on n_t - 1, the one point whose last stage is t;
     # the negative run stops at -2, one short of -theta
     count = spec.n(7 if spec.tail == 3 else 11) - start if start >= 0 else 49
     values = np.arange(start, start + count, dtype=np.int64)
-    got = _tau_run(spec, start, count)
-    assert np.array_equal(got, _tau_at(spec, values))
     vspec = VeechSpec(spec, cyclic_group(3), psi_head=(2,), psi_tail=(1, 0))
+    got = _psi_run(vspec, start, count)
+    assert got.dtype == np.int32 and got.tolist() == psi_at(vspec, values)
     stream = veech_stream(vspec, start=start)
     assert np.array_equal(stream.prefix(count), veech_stream(vspec, start=start).at(np.arange(count)))
+
+
+# one Psi value per stage up to 64, so a tau off by any amount reads another value
+DISTINCT_PSI = dict(psi_head=tuple(range(1, 60)), psi_tail=(60, 61, 62, 63, 64, 65))
+
+
+@pytest.mark.parametrize("tail", [2, 3, 10, 1 << 40, 1 << 64])
+@pytest.mark.parametrize("head", [(), (3, 2, 7)], ids=["nohead", "head327"])
+def test_psi_run_matches_tau_at_on_random_runs(tail, head):
+    spec = OdometerSpec(head=head, tail=tail)
+    vspec = VeechSpec(spec, cyclic_group(67), **DISTINCT_PSI)
+    rng = np.random.default_rng(tail % 1000 + len(head))
+    runs = [(0, 5000), (-5000, 4999), (-(1 << 63), 3000), ((1 << 63) - 3000, 3000)]
+    for t in range(1, 64):  # runs across n_t - 1 and up to -n_t - 1, where tau reaches t + 1
+        n_t = spec.n(t)
+        if n_t < 1 << 62:
+            runs += [(max(0, n_t - 1000), 2000), (-n_t - 1001, min(1001, n_t + 999))]
+    for _ in range(40):
+        start = int(rng.integers(-(1 << 63), (1 << 63) - 1, dtype=np.int64)) >> int(rng.integers(0, 63))
+        count = int(rng.integers(0, 3000))
+        runs.append((start, count) if not start <= -1 < start + count else (start + count + 1, count))
+    for start, count in runs:
+        count = min(count, (1 << 63) - start)
+        values = np.arange(start, start + count, dtype=np.int64)
+        assert _psi_run(vspec, start, count).tolist() == psi_at(vspec, values), (start, count)
 
 
 INT64_EDGES = [(1 << 63) - 1, -(1 << 63), -2, -(1 << 62) - 1]
@@ -185,10 +216,11 @@ def test_tau_at_with_a_base_beyond_int64(base):
 
 @pytest.mark.parametrize("spec", TAU_SPECS, ids=["base2", "base3", "head253"])
 def test_tau_run_through_minus_one_is_undefined(spec):
-    assert _tau_run(spec, -50, 0).shape == (0,)
+    vspec = VeechSpec(spec, cyclic_group(3), psi_head=(2,), psi_tail=(1, 0))
+    assert _psi_run(vspec, -50, 0).shape == (0,)
     for start, count in ((-50, 50), (-1, 1), (-3, 10)):
         with pytest.raises(UndefinedPointError):
-            _tau_run(spec, start, count)
+            _psi_run(vspec, start, count)
 
 
 def test_veech_psi_head_tail():

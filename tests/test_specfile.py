@@ -370,6 +370,7 @@ def tm_and(*args, **kwargs):
     (TM_HEAD + "observable t = table {0: 1e+5, 1: -2.5E-1}\n",
      tm_and("t", "table", entries=(("0", 100000.0), ("1", -0.25)))),
     (TM_HEAD + "observable t = table {0: 1.2.3, 1: 1}\n", (5, 26, "malformed number '1.2.3'")),
+    (TM_HEAD + "observable t = table {0: 1, 1: -1e999}\n", (5, 33, "number '-1e999' is too large for a float")),
     (TM_HEAD + "observable \u00b2 = walsh {0}\n", (5, 12, "unexpected character '\u00b2'")),
     (TM_HEAD + "observable\fw = walsh {0}\n", (5, 11, "unexpected character '\\x0c'")),
     (TM_HEAD + "observable\u00a0w = walsh {0}\n", (5, 11, "unexpected character '\\xa0'")),
@@ -381,8 +382,8 @@ def tm_and(*args, **kwargs):
     (TM_HEAD + "observable w = walsh {", (5, 23, "expected a window coordinate, found 'end of input'")),
     (TM_HEAD + 'observable i = indicator "0#1" at 0\n', tm_and("i", "indicator", block="0#1", offset=0)),
     (TM_HEAD + 'observable i = indicator "01"# at 9 "x\n  at 0\n', tm_and("i", "indicator", block="01", offset=0)),
-], ids=["exponents", "two_points", "superscript_name", "form_feed", "no_break_space", "digits_then_letters",
-        "unterminated_string", "crlf", "accented_letter", "arabic_indic_digit", "end_inside_walsh",
+], ids=["exponents", "two_points", "past_float_range", "superscript_name", "form_feed", "no_break_space",
+        "digits_then_letters", "unterminated_string", "crlf", "accented_letter", "arabic_indic_digit", "end_inside_walsh",
         "hash_in_word", "hash_after_word"])
 def test_lexer_rules(text, expected):
     """A document, or one diagnostic (line, column, message) excerpting its line."""

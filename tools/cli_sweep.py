@@ -38,6 +38,12 @@ type and message as stderr.  The calls are:
   (9e15 is below 2^53) and N = 10 (above), and sum a table with a negative
   value at checkpoints [3, 4, 5, 9], where a KBSZ sum at (3, 7) writes
   -0.0 to its JSON report;
+- run over DIGITS (written beside far.spec), whose RS patterns have
+  lengths 2, 4 (with '*'), 17, 18, 63, 64 and 65 and whose Veech systems
+  have a psi head, base 3, base 2^40 and a base beyond int64, with one
+  experiment per system, and kbsz (3,7 as strided runs, 19,23 by
+  position) and corr on each of those systems.  All at N = 3 * 2^16 + 5,
+  so the runs cross 2^16-position blocks;
 - run and gen over every tests/fixtures/specs/malformed/*.spec, and run
   over the LEX specs (see LEX_SPECS; written beside far.spec, printed as
   LEX:name): a form feed, '\u00b2' as a name, an unterminated string in
@@ -105,6 +111,26 @@ TABLES_SPEC = TM_HEAD + (
         ("neg_mu", "neg", "moebius", 9, " checkpoints: [3, 4, 5, 9];"),
         ("neg_kbsz", "neg", "none", 9, " checkpoints: [3, 4, 5, 9]; kbsz: (3, 7);"))
 )
+DIGIT_SYSTEMS = {  # system -> the observable the sweep reads it with
+    'rs r2 pattern "10"': "w01",
+    'rs r4 pattern "1*11"': "w01",
+    'rs r17 pattern "1*1*1*1*1*1*1*1*0"': "w01",
+    'rs r18 pattern "11***************1"': "w01",
+    'rs r63 pattern "%s"' % ("1" * 63): "w01",
+    'rs r64 pattern "%s"' % ("1" + "*" * 62 + "1"): "w01",
+    'rs r65 pattern "%s"' % ("1" * 65): "w01",
+    'veech vhead base 2 group Zn(5) psi "4302" repeat "01"': "t5",
+    'veech v3 base 3 group Z2 psi repeat "10"': "w01",
+    'veech v40 base %d group Zn(3) psi "2" repeat "10"' % 2**40: "t3",
+    'veech vbig base %d group Z2 psi repeat "10"' % (2**64 + 1): "w01",
+}
+DIGITS_N = 3 * 2**16 + 5
+DIGITS_SPEC = "".join(system + "\n" for system in DIGIT_SYSTEMS) + (
+    "observable w01 = walsh {0, 1}\n"
+    "observable t3 = table {0: 1, 1: -2, 2: 3}\n"
+    "observable t5 = table {0: 2, 1: -1, 2: 0, 3: 1, 4: -3}\n") + "".join(
+    "experiment e_%s { system: %s; observable: %s; N: %d; }\n" % (system.split()[1], system.split()[1], obs, DIGITS_N)
+    for system, obs in DIGIT_SYSTEMS.items())
 LEX_SPECS = {
     "form_feed": TM_HEAD + "observable\fw0 = walsh {0}\n",
     "superscript_name": TM_HEAD + "observable \u00b2 = walsh {0}\n",
@@ -163,6 +189,15 @@ def table_sums(spec, observable):
     yield ["sarnak", *on, "--weight", "none", "--format", "json", "--out", "OUT/none.json"]
     for primes in ("3,7", "19,23"):
         yield ["kbsz", *on, "--primes", primes, "--format", "json", "--out", "OUT/kbsz.json"]
+
+
+def digit_reads(digits):
+    """The kbsz and corr calls on each system of DIGITS_SPEC (digits: its path)."""
+    for system, obs in DIGIT_SYSTEMS.items():
+        on = [digits, "--system", system.split()[1], "--observable", obs, "--n", str(DIGITS_N)]
+        yield ["kbsz", *on, "--primes", "3,7"]
+        yield ["kbsz", *on, "--primes", "19,23"]
+        yield ["corr", *on, "--out", "OUT/corr.csv"]
 
 
 def refusals(far):
@@ -226,7 +261,7 @@ def main_sweep(extra) -> int:
     far_dir = tempfile.mkdtemp(prefix="cli_sweep_far_")
     try:
         texts = {"FAR": FAR_SPEC, "GAUSS": GAUSS_SPEC, "REACHES": REACHES_SPEC, "RISING": RISING_SPEC,
-                 "EDGES": EDGES_SPEC, "TABLES": TABLES_SPEC}
+                 "EDGES": EDGES_SPEC, "TABLES": TABLES_SPEC, "DIGITS": DIGITS_SPEC}
         texts.update(("LEX:" + name, text) for name, text in LEX_SPECS.items())
         paths = {label: os.path.join(far_dir, label.lower().replace(":", "_") + ".spec") for label in texts}
         for label, text in texts.items():
@@ -234,7 +269,7 @@ def main_sweep(extra) -> int:
         runs = [label for label in texts if label not in ("FAR", "GAUSS")]
         sums = [(paths["GAUSS"], "gauss"), (paths["TABLES"], "half"), (paths["TABLES"], "huge")]
         for argv in [*refusals(paths["FAR"]), *exact_correlations(paths["GAUSS"]),
-                     *(argv for spec, obs in sums for argv in table_sums(spec, obs)),
+                     *(argv for spec, obs in sums for argv in table_sums(spec, obs)), *digit_reads(paths["DIGITS"]),
                      *(["run", paths[label], "--out", "OUT"] for label in runs)]:
             line = " ".join(argv)
             for label, path in paths.items():

@@ -1,14 +1,20 @@
-"""Print one hash per substitution and Morse system, over its digit-level tables.
+"""Print one hash per system: its digit-level tables, or its runs for RS and Veech.
 
-For each such system the system's stream is built again from its bound
-definition, read at positions 0, 2^40 and 2^62 + 5, and hashed: the hash
-covers the symbols read and the radix, shape, dtype and bytes of every
-level the stream's DigitReader built for those reads.  A call that raises
-prints the exception's type instead of a hash.  The systems are those of
-specs/*.spec, tests/fixtures/specs/valid/*.spec and any spec files named on
-the command line, then those of the three benchmark workloads
-(perfbench/workloads.generate(name, 777)).  Run from the repository root,
-once with each tree's src on PYTHONPATH, and diff the two outputs:
+For each substitution and Morse system the system's stream is built again
+from its bound definition, read at positions 0, 2^40 and 2^62 + 5, and
+hashed: the hash covers the symbols read and the radix, shape, dtype and
+bytes of every level the stream's DigitReader built for those reads.  Each
+RS and Veech system, which reads without digit levels, is read from each of
+those positions as a run of RUN symbols (crossing 2^16-position blocks) and
+at the same positions one by one; the hash covers the runs, and the line
+says whether the positional reads agree with them.  Runs that far out are
+reached only through the library: the CLI's runs end near s N <= 2^30.  A
+call that raises prints the exception's type instead of a hash.  The
+systems are those of specs/*.spec, tests/fixtures/specs/valid/*.spec and
+any spec files named on the command line, then those of the three
+benchmark workloads (perfbench/workloads.generate(name, 777)).  Run from
+the repository root, once with each tree's src on PYTHONPATH, and diff the
+two outputs:
 
     PYTHONPATH=src python tools/level_sweep.py [extra.spec ...] > after.txt
 
@@ -30,6 +36,7 @@ from mobiuslab.specfile import parse_spec
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 POSITIONS = np.array([0, 1 << 40, (1 << 62) + 5], dtype=np.int64)
 STREAMS = {"substitution": subst.fixed_point_stream, "morse": morse.morse_stream}
+RUN = 3 * (1 << 16) + 5
 
 
 def digest(bound) -> str:
@@ -56,6 +63,16 @@ def digest(bound) -> str:
         streams.DigitReader.__init__ = init
 
 
+def run_digest(bound) -> str:
+    """Hash of the runs of RUN symbols from POSITIONS, each read also at its positions."""
+    h, agree = hashlib.sha256(), True
+    for start in POSITIONS.tolist():
+        run = bound.stream.block(start, RUN)
+        agree = agree and np.array_equal(run, bound.stream.at(start + np.arange(RUN)))
+        h.update(run.tobytes())
+    return "%s runs %s" % (h.hexdigest()[:16], "agree" if agree else "DISAGREE")
+
+
 def main(extra) -> int:
     extra = [os.path.abspath(spec) for spec in extra]
     os.chdir(ROOT)
@@ -67,8 +84,8 @@ def main(extra) -> int:
     documents += [("workload " + name, parse_spec(workloads.generate(name, 777).spec_text)) for name in workloads.NAMES]
     for where, doc in documents:
         for name, bound in sorted(doc.bound.items()):
-            if bound.kind in STREAMS:
-                print("%s  %s %s" % (digest(bound), where, name), flush=True)
+            line = digest(bound) if bound.kind in STREAMS else run_digest(bound)
+            print("%s  %s %s" % (line, where, name), flush=True)
     return 0
 
 
