@@ -273,12 +273,20 @@ _CSV_ROWS = 1 << 16  # rows formatted as str objects at once; only their encoded
 
 
 def csv_bytes(header: str, rows) -> bytes:
-    """CSV lines of rows (an integer, then numbers), under the header line."""
+    """CSV lines of rows (an integer, then numbers; every row as wide), under the header line.
+
+    A piece of rows is one % template, "%d" and then ",%.12g" per number on
+    each line, over the piece's values, each number taken as v + 0.0: the
+    bytes of _format_number, with no call per value.
+    """
     rows = iter(rows)
     pieces = [header.encode("ascii") + b"\n"]
     for piece in iter(lambda: list(itertools.islice(rows, _CSV_ROWS)), []):
-        lines = (",".join(["%d" % first] + [_format_number(v) for v in numbers]) for first, *numbers in piece)
-        pieces.append(("\n".join(lines) + "\n").encode("ascii"))
+        width = len(piece[0])
+        values = list(itertools.chain.from_iterable(piece))
+        for column in range(1, width):
+            values[column::width] = [v + 0.0 for v in values[column::width]]
+        pieces.append((("%d" + ",%.12g" * (width - 1) + "\n") * len(piece) % tuple(values)).encode("ascii"))
     return b"".join(pieces)
 
 

@@ -18,9 +18,10 @@ clamped at zero so downstream consumers may rely on the sign.
 Every statistic passes _check_reach before it reads.  The Sarnak and
 KBSZ series sum through _class_sums (class counts for small integer
 product tables, else the float reduction _partial_sums, which atom masses
-use too), and autocorrelation adds FFT piece sums in piece order, exactly
-for Gaussian-integer tables, so each gives the same bits whatever the
-BLAS threads.
+use too), and autocorrelation adds a float table's FFT piece sums in piece
+order and rounds a Gaussian-integer table's, summed as spectra over groups
+of pieces, into int64, so each gives the same bits whatever the BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -45,10 +46,14 @@ _NEG_ZERO = complex(-0.0, -0.0)  # adds nothing to any value, -0.0 included
 # pieces of _LEAF, runs took 0.025-0.06 s at steps 2 to 16 against 0.08 s
 # by position, and broke even at 23 to 31; a run at 16 is 2 MiB of int32.
 _STRIDE_MAX = 16
-# Least FFT size M of an autocorrelation piece of M - L positions.  RS and
-# Veech corr at N = 2^20, L = 256 took 0.036-0.043 s at 2^14 and 2^15,
-# 0.05-0.064 s at 2^12 and 2^17.
+# Least FFT size M of a float table's autocorrelation piece of M - L
+# positions, and the FFT points of a batch of an exact table's pieces.  Float
+# corr on RS and Veech at N = 2^20, L = 256 took 58-60 ms at 2^14 and 2^15,
+# 67-99 ms at 2^12, 2^13 and 2^17 (medians of 5, 2 cores).
 _FFT_MIN = 1 << 14
+# Least M of an exact table's piece: walsh {0} took 34 ms at 2^11 and 2^12,
+# 42-48 ms at 2^13 and 2^14 and 64-66 ms at 2^15.
+_FFT_EXACT = 1 << 12
 
 
 def _pairwise(fill, lo: int, hi: int) -> complex:
@@ -346,31 +351,48 @@ class AutocorrelationEstimate:
         object.__setattr__(self, "values", values)
 
 
-def _exact_correlation(values: np.ndarray, size: int) -> bool:
-    """Whether correlation pieces of FFT size M = size round to their exact sums.
+def _exact_correlation(values: np.ndarray, size: int, gate: int | None = None) -> int:
+    """Most pieces of FFT size M = size whose summed spectra round to their exact sum; 0 if none.
 
-    The values must be Gaussian integers and the FFT error below 1/2.  An FFT
-    convolution of size M = 2^m errs by at most (eps/2) (3m (1 + sqrt 5 + b)
-    + sqrt 5) ||x|| ||y|| with b the twiddle error in units of eps/2
-    (Percival, Math. Comp. 72, 2003), and a piece has ||x|| ||y|| <= M max|v|^2,
-    for the parts' summed correlations too (Cauchy-Schwarz); 16 eps log2(M)
-    covers b up to 2.  The bound also keeps piece sums below 2^53 and the
-    total over N <= LIMIT_CAP values below 2^63.
+    The values must be Gaussian integers, and one piece of FFT size gate
+    (default M) must pass the one-piece bound.  An FFT convolution of size
+    M = 2^m errs by at most (eps/2) (3m (1 + sqrt 5 + b) + sqrt 5) ||x|| ||y||
+    with b the twiddle error in units of eps/2 (Percival, Math. Comp. 72,
+    2003); a piece has ||x|| ||y|| <= M max|v|^2, for the parts' summed
+    correlations too (Cauchy-Schwarz), and 16 eps log2(M) covers b up to 2.
+    K pieces share one inverse FFT of their summed spectra conj(F) G.  The
+    inverse is linear, so the K pieces' error terms add: 16 eps log2(M) K M
+    max|v|^2.  Adding K spectra errs by at most (K - 1) eps/2 (1 + O(eps))
+    sum_k |conj(F_k) G_k| in a bin, which the inverse's 1/M and Parseval
+    (sum_j |F_j| |G_j| <= M ||x|| ||y||) make (K - 1) eps/2 K M max|v|^2 at a
+    lag; 2 (K - 1) eps covers it.  So K pieces are exact while
+    (16 log2(M) + 2 (K - 1)) eps K M max|v|^2 < 1/2, the one-piece bound at
+    K = 1.  That keeps group sums below 2^53 and, with the bound at
+    M >= _FFT_MIN, the total over N <= LIMIT_CAP values below 2^63.  K is
+    capped at LIMIT_CAP, more pieces than any call has.
     """
-    if not np.array_equal(values, np.rint(values)):  # NaN fails here, inf at the bound
-        return False
-    top = float(np.max(values.real ** 2 + values.imag ** 2))
-    return 16 * np.finfo(np.float64).eps * np.log2(size) * size * top < 0.5
+    top = np.finfo(np.float64).eps * float(np.max(values.real ** 2 + values.imag ** 2))
+    if not np.array_equal(values, np.rint(values)) or 16 * math.log2(gate or size) * (gate or size) * top >= 0.5:
+        return 0  # NaN fails the first test, inf the second
+    log, unit = 16 * math.log2(size), size * top
+    # one past the root of 2 unit K^2 + (log - 2) unit K = 1/2, then down to the first K that holds
+    group = min(int((math.sqrt((log - 2) ** 2 + 4 / unit) - log + 2) / 4) + 1 if unit else LIMIT_CAP, LIMIT_CAP)
+    while group and (log + 2 * (group - 1)) * group * unit >= 0.5:
+        group -= 1
+    return group
 
 
 def autocorrelation(stream: SymbolStream, obs: Observable, sample_size: int, max_lag: int) -> AutocorrelationEstimate:
-    """gamma-hat(n) for n = 0..max_lag, one piece of P = M - L positions at a time.
+    """gamma-hat(n) for n = 0..max_lag, from pieces of P = M - L positions.
 
-    M is the least power of two at least _FFT_MIN and 2 (L + 1).  A piece at
-    lo reads v(lo..lo + P + L - 1) and correlates its first P values with all
-    of them by real FFTs of size M, the real and imaginary parts apart.  The
-    piece sums are added in piece order, rounded into int64 (so exactly) when
-    _exact_correlation holds, else as floats.
+    A piece reads the table indices of v(lo..lo + P + L - 1) and correlates
+    its first P values with all of them by real FFTs of size M, the table's
+    real and imaginary parts apart (M: powers of two).  Exact tables (those
+    _exact_correlation passes at M = max(_FFT_MIN, 2 (L + 1))) take M =
+    max(_FFT_EXACT, 2 (L + 1)), about _FFT_MIN / M pieces per 2-D FFT and
+    one inverse FFT per group of K pieces' summed spectra, rounded into
+    int64; no batch crosses a group.  Other tables take the first M, one
+    piece at a time, and add the float piece sums in piece order.
     """
     _check_reach(sample_size, obs.span + max_lag - 1)  # v(0..N+L-1), L - 1 past a Sarnak sum's reach
     if max_lag < 0:
@@ -379,25 +401,37 @@ def autocorrelation(stream: SymbolStream, obs: Observable, sample_size: int, max
         raise ValueError("need sample_size >= 4 * max_lag >= 0, got N=%d L=%d" % (sample_size, max_lag))
     from numpy.fft import irfft, rfft  # not loaded until a correlation needs it
 
-    lags = max_lag + 1
-    size = max(_FFT_MIN, 1 << (2 * lags - 1).bit_length())
+    lags, least = max_lag + 1, 1 << (2 * max_lag + 1).bit_length()
+    size, gate = max(_FFT_EXACT, least), max(_FFT_MIN, least)
+    group = _exact_correlation(obs.values, size, gate)
+    exact, rows = group > 0, max(1, _FFT_MIN // size)
+    if not exact:
+        size, rows, group = gate, 1, 1
     piece = size - max_lag
-    exact = _exact_correlation(obs.values, size)
-    has_imag = bool(np.any(obs.values.imag))
+    pieces = -(-sample_size // piece)
+    parts = [obs.values.real.copy()] + [obs.values.imag.copy()] * bool(np.any(obs.values.imag))
     sums = np.zeros((2, lags), dtype=np.int64 if exact else np.float64)
-    for lo in range(0, sample_size, piece):
-        count = min(piece, sample_size - lo)
-        v = obs.evaluate(stream, lo, count + max_lag)
-        fa, ga = rfft(v.real[:count], size), rfft(v.real, size)
-        np.conj(fa, out=fa)
-        if has_imag:
-            fb, gb = rfft(v.imag[:count], size), rfft(v.imag, size)
-            np.conj(fb, out=fb)
-            products = (fa * ga + fb * gb, fa * gb - fb * ga)
-        else:
-            products = (fa * ga,)
-        for row, product in zip(sums, products):
-            part = irfft(product, size)[:lags]
+    for first in range(0, pieces, group):
+        end, spectra = min(first + group, pieces), [_NEG_ZERO] * 2
+        for batch in range(first, end, rows):
+            lo, width = batch * piece, min(rows, end - batch) * piece  # P values per piece of the batch
+            idx = obs.indices(stream, lo, min(width, sample_size - lo) + max_lag)
+            ends = []
+            for part in parts:
+                buf = np.zeros(width + max_lag)
+                part.take(idx, out=buf[: len(idx)])
+                g = rfft(np.lib.stride_tricks.sliding_window_view(buf, size)[::piece], size, axis=1)
+                buf[len(idx) - max_lag :] = 0  # x: each row's first P values, none at or past N
+                ends.append((np.conj(rfft(buf[:width].reshape(-1, piece), size, axis=1)), g))
+            if len(ends) == 2:
+                (fa, ga), (fb, gb) = ends
+                products = [fa * ga + fb * gb, fa * gb - fb * ga]
+            else:
+                products = [ends[0][0] * ends[0][1]]
+            # -0.0 adds nothing, so a float table's one-piece spectrum keeps its bits
+            spectra = [s + np.add.reduce(p, axis=0, initial=_NEG_ZERO) for s, p in zip(spectra, products)]
+        for row, spectrum in zip(sums, spectra):
+            part = irfft(spectrum, size)[:lags]
             row += np.rint(part).astype(np.int64) if exact else part
     values = np.empty(lags, dtype=np.complex128)
     values.real, values.imag = sums

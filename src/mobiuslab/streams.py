@@ -157,7 +157,10 @@ def _digit_levels(head: tuple, tail: np.ndarray):
         # to the largest mmapped block freed, and with the product kept the
         # threshold stays below the pieces of a sum (int32 indices and runs of
         # 128 KiB and more, complex products on the float path), which then
-        # page-fault
+        # page-fault.  Under PYTHONDONTWRITEBYTECODE=1 each process compiles
+        # src/ on import, so the heap also follows the bytes of modules a run
+        # never calls: the peak RSS and run time of a KBSZ run can move with
+        # an edit to spectral.py, and do not with cached bytecode
         table = np.array(table, dtype=np.int32, order="C")
         if past_head:
             yield from itertools.repeat((table.shape[1], table))

@@ -132,14 +132,27 @@ def joined_csv(header, rows):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+SPECIAL_VALUES = (-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 1 / 3, -1e300)
+
+
 @pytest.mark.parametrize("count", [0, 1, 3 * (1 << 16) + 5])
 def test_csv_bytes_equal_the_whole_join(count):
-    rng = np.random.default_rng(count)
-    values = rng.normal(size=(count, 2)) * 10.0 ** rng.integers(-20, 20, size=(count, 2))
-    rows = [(k, float(re), float(im)) for k, (re, im) in enumerate(values)]
-    if rows:
-        rows[0] = (0, -0.0, 1e300)
-    assert csv_bytes("N,real,imag", iter(rows)) == joined_csv("N,real,imag", rows)
+    """One % template per piece writes the bytes of one _format_number per value, in 2- and 3-column rows."""
+    for width, header in ((2, "k,value"), (3, "N,real,imag")):
+        rng = np.random.default_rng(count)
+        values = rng.normal(size=(count, width - 1)) * 10.0 ** rng.integers(-20, 20, size=(count, width - 1))
+        rows = [(k, *map(float, numbers)) for k, numbers in enumerate(values)]
+        # each special value in each column, near the start and across the first piece's end
+        for k, v in enumerate(SPECIAL_VALUES * (width - 1)):
+            for at in (k, (1 << 16) - 4 + k):
+                if at < count:
+                    column = 1 + k % (width - 1)
+                    rows[at] = rows[at][:column] + (v,) + rows[at][column + 1:]
+        got = csv_bytes(header, iter(rows))
+        assert got == joined_csv(header, rows)
+        if count > 1:  # row 0 holds -0.0, written as 0, and row 1 nan
+            lines = got.split(b"\n")
+            assert lines[1].split(b",")[1] == b"0" and b"nan" in lines[2].split(b",")
 
 
 def test_report_csv_matches_golden():

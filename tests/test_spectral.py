@@ -13,6 +13,7 @@ from mobiuslab.morse import MorseSpec, hat_stream, morse_stream
 from mobiuslab.permgrp import cyclic_group
 from mobiuslab.specfile import parse_spec
 from mobiuslab.spectral import (
+    _FFT_EXACT,
     _FFT_MIN,
     _STRIDE_MAX,
     GRID_CAP,
@@ -524,6 +525,96 @@ def test_exact_correlation_bound():
         assert not _exact_correlation(np.array([above, 1j]), size)
     for values in ([0.5, 1], [1, 1 + 0.5j], [np.nan, 1], [np.inf, 1]):
         assert not _exact_correlation(np.array(values, dtype=np.complex128), _FFT_MIN)
+
+
+@pytest.mark.parametrize("size", [_FFT_EXACT, _FFT_MIN, 1 << 17, 1 << 26])
+def test_exact_correlation_group_is_the_largest_k_within_the_bound(size):
+    """K pieces share an inverse FFT while (16 log2(M) + 2 (K - 1)) eps K M max|v|^2 < 1/2: K holds, K + 1 fails.
+
+    At K = 1 that is the one-piece bound, so the tables that round exactly are the same.
+    """
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(size)
+    edge = int(np.sqrt(0.5 / (16 * eps * np.log2(size) * size)))  # the largest |v| one piece allows
+    tops = [1, 2, 5, 100, 3000, 17000, edge - 1, edge, edge + 1, *rng.integers(1, 2 * edge, 40)]
+    for top in tops:
+        values = np.array([int(top), 1j, -1])
+        group = _exact_correlation(values, size)
+        t = float(np.max(values.real ** 2 + values.imag ** 2))
+
+        def holds(k):
+            return (16 * np.log2(size) + 2 * (k - 1)) * eps * k * size * t < 0.5
+
+        assert (group > 0) == (16 * eps * np.log2(size) * size * t < 0.5)
+        assert group == 0 or holds(group)
+        assert group == LIMIT_CAP or not holds(group + 1)
+    assert _exact_correlation(np.zeros(2), size) == LIMIT_CAP  # any number of pieces of zeros
+
+
+def reference_float_autocorrelation(stream, obs, n, max_lag):
+    """gamma-hat by one rfft, rfft and irfft per piece at M = max(2^14, 2 (L + 1)), summed as floats in piece order."""
+    lags = max_lag + 1
+    size = max(1 << 14, 1 << (2 * lags - 1).bit_length())
+    piece = size - max_lag
+    has_imag = bool(np.any(obs.values.imag))
+    sums = np.zeros((2, lags))
+    for lo in range(0, n, piece):
+        count = min(piece, n - lo)
+        v = obs.evaluate(stream, lo, count + max_lag)
+        fa, ga = np.conj(np.fft.rfft(v.real[:count], size)), np.fft.rfft(v.real, size)
+        if has_imag:
+            fb, gb = np.conj(np.fft.rfft(v.imag[:count], size)), np.fft.rfft(v.imag, size)
+            products = (fa * ga + fb * gb, fa * gb - fb * ga)
+        else:
+            products = (fa * ga,)
+        for row, product in zip(sums, products):
+            row += np.fft.irfft(product, size)[:lags]
+    values = np.empty(lags, dtype=np.complex128)
+    values.real, values.imag = sums
+    values /= n
+    return values
+
+
+@pytest.mark.parametrize("table", [{0: 0.3, 1: -0.7}, {0: 0.25 - 1.5j, 1: -0.7 + 0.1j}, {0: 24800, 1: 1},
+                                   {0: 1 << 20, 1: -(1 << 19) + 3j}, {0: np.nan, 1: 1}],
+                         ids=["float", "complex_float", "past_the_bound", "large_gaussian", "nan"])
+def test_float_tables_keep_the_one_piece_bits(table):
+    """Tables that do not round exactly give the per-piece loop's bits, over several pieces and L up to N/4.
+
+    L = 9000 and 25000 take M = 2^15 and 2^16, above _FFT_MIN.
+    """
+    obs = make_symbol_table(table)
+    for stream, n, lags in ((TM, 50001, 0), (PD, 70000, 100), (TM, 65537, 4000), (PD, 100000, 9000),
+                            (TM, 100000, 25000), (PD, 16383, 1)):
+        got = autocorrelation(stream, obs, n, lags).values
+        assert got.tobytes() == reference_float_autocorrelation(stream, obs, n, lags).tobytes()
+
+
+@pytest.mark.parametrize("table, group, calls", [
+    ({0: 1, 1: -1}, None, ((150001, 0), (150001, 255), (100003, 2047), (30001, 1))),
+    ({0: 20000, 1: -3 + 7j}, 6, ((53253, 0), (75903, 300), (33833, 2047))),
+    ({0: 20000, 1: 5j}, 1, ((30001, 4500), (33000, 8191))),
+], ids=["whole_call", "few", "one"])
+def test_exact_tables_round_across_groups_and_batches(table, group, calls):
+    """Gaussian-integer tables equal the int64 sums when N spans several batches and groups of K pieces.
+
+    Every N leaves a short last piece.  The whole call is one group for a
+    +-1 table.  With 6 pieces to a group, not a multiple of the 4-piece
+    batches of M = 2^12, batches stop at group ends; at L >= 4096 (M = 2^14,
+    one piece a batch) a table near the one-piece bound has K = 1.
+    """
+    obs = make_symbol_table(table)
+    for n, lags in calls:
+        size = max(_FFT_EXACT, 1 << (2 * lags + 1).bit_length())
+        pieces = -(-n // (size - lags))
+        assert _exact_correlation(obs.values, max(_FFT_MIN, size))
+        assert _exact_correlation(obs.values, size) == group if group else _exact_correlation(obs.values, size) >= pieces
+        assert pieces > 2 * (group or 1) and n % (size - lags)
+        for stream in (TM, PD):
+            want = np.empty(lags + 1, dtype=np.complex128)
+            want.real, want.imag = reference_sums(stream, obs, n, lags)
+            want /= n
+            assert autocorrelation(stream, obs, n, lags).values.tobytes() == want.tobytes()
 
 
 CORR_BYTES = """

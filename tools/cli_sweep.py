@@ -28,8 +28,11 @@ type and message as stderr.  The calls are:
   checkpoints end at 2^20 + 7;
 - corr and spectrum over GAUSS (written beside far.spec), whose observable
   gauss the sweep binds to the Gaussian-integer table GAUSS_TABLE (the spec
-  language has no complex numbers), and corr on Thue-Morse with --lags
-  N/4: both pin the exact integer correlation path;
+  language has no complex numbers), corr on gauss at --lags 2047, 2048 and
+  8191 (FFT sizes 2^12, 2^13 and 2^14 for exact tables) and corr on
+  Thue-Morse with --lags N/4: these pin the exact integer correlation path;
+  corr and spectrum on the TABLES observables half and huge (see below)
+  pin the float path;
 - sarnak (Moebius JSON, Liouville CSV, unweighted) and kbsz (3,7 and
   19,23) on gauss and on the TABLES observables (printed as TABLES): half,
   a table that is not integral, and huge, whose products pass 2^53 / N, so
@@ -174,11 +177,22 @@ def bind_gaussian(bind):
     return bind_observable
 
 
-def exact_correlations(gauss):
-    """The corr and spectrum calls on a Gaussian-integer table (gauss: the path of GAUSS_SPEC) and at L = N/4."""
+def correlations(gauss, tables):
+    """The corr and spectrum calls that pin the exact and the float correlation paths.
+
+    gauss (the path of GAUSS_SPEC) holds a Gaussian-integer table, read at the
+    default L and at L on both sides of the FFT sizes 2^12 and 2^14;
+    Thue-Morse is read at L = N/4; tables (the path of TABLES_SPEC) holds
+    half (not integral) and huge (past the bound), which take the float path.
+    """
     yield ["corr", gauss, "--observable", "gauss", "--n", N, "--out", "OUT/corr.csv"]
     yield ["spectrum", gauss, "--observable", "gauss", "--n", N, "--out", "OUT/spectrum.csv"]
     yield ["corr", TM_SPEC, "--observable", "w0", "--n", N, "--lags", str(int(N) // 4), "--out", "OUT/corr.csv"]
+    for lags in ("2047", "2048", "8191"):
+        yield ["corr", gauss, "--observable", "gauss", "--n", N, "--lags", lags, "--out", "OUT/corr.csv"]
+    for obs in ("half", "huge"):
+        yield ["corr", tables, "--observable", obs, "--n", N, "--out", "OUT/corr.csv"]
+        yield ["spectrum", tables, "--observable", obs, "--n", N, "--out", "OUT/spectrum.csv"]
 
 
 def table_sums(spec, observable):
@@ -268,7 +282,7 @@ def main_sweep(extra) -> int:
             pathlib.Path(paths[label]).write_bytes(text.encode("utf-8"))
         runs = [label for label in texts if label not in ("FAR", "GAUSS")]
         sums = [(paths["GAUSS"], "gauss"), (paths["TABLES"], "half"), (paths["TABLES"], "huge")]
-        for argv in [*refusals(paths["FAR"]), *exact_correlations(paths["GAUSS"]),
+        for argv in [*refusals(paths["FAR"]), *correlations(paths["GAUSS"], paths["TABLES"]),
                      *(argv for spec, obs in sums for argv in table_sums(spec, obs)), *digit_reads(paths["DIGITS"]),
                      *(["run", paths[label], "--out", "OUT"] for label in runs)]:
             line = " ".join(argv)
