@@ -262,9 +262,13 @@ def _cmd_run(args) -> int:
     formats = _experiment.check_formats(args.format.split(","))
     pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)  # as run_experiment would, before any sieve
     tables = {}  # weight kind -> its one table, all kinds sieved at once to their widest reaches in the file
+    pair = obs = None  # the last experiment's (observable, system) and its bound observable
     for decl in experiments:
         bound = build_system(doc, decl.system)
-        config = _experiment_config(decl, bound, bind_observable(doc, decl.observable, bound), experiments, tables)
+        if pair != (decl.observable, decl.system):
+            obs = None  # the last pair's table is freed before this one is built
+            pair, obs = (decl.observable, decl.system), bind_observable(doc, decl.observable, bound)
+        config = _experiment_config(decl, bound, obs, experiments, tables)
         report, paths = _experiment.run_experiment(config, args.out, formats)
         del config  # so the next experiment's observable table is not built beside this one
         print("experiment %s: %s -> %s" % (decl.name, _final(report), ", ".join(str(p) for p in paths)))

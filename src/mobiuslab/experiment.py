@@ -9,11 +9,12 @@ and the bilinear test sums compare two prime dilations of the same orbit,
     C_M = (1/M) sum_{n=1..M} v(r n) conj(v(s n)).
 
 Partial sums at ascending checkpoints pass spectral._check_reach first,
-the one rule for the cap and the int64 reach.  Each product is fixed by
-its class: the table index of v(n), times 3 plus w(n) + 1 when weighted,
-or idx(rn) A + idx(sn) for a table of A entries.  spectral._class_sums
-counts the classes of each piece when the class products are small
-integers, and otherwise sums the products in the fixed order of
+the one rule for the cap and the int64 reach.  Each series is one call of
+spectral._class_sums, the sums of values[left(n)] conj(factors[right(n)]):
+a Sarnak sum reads idx(n) and w(n) + 1 into the weights (-1, 0, 1), a KBSZ
+sum idx(rn) and idx(sn) into the table.  It counts the classes left F +
+right of each piece when their products are small integers, and otherwise
+sums the products in the fixed order of
 np.cumsum(np.add.reduceat(products, starts)) (spectral._partial_sums);
 both give those bytes, so reports are bit-identical on every rerun.
 Everything runs on one thread; the CLI's --workers flag is accepted and
@@ -49,14 +50,8 @@ def pow2_checkpoints(limit: int) -> tuple:
     """1, 2, 4, ... up to limit, with limit itself always included."""
     if limit < 1:
         raise ValueError("limit must be positive, got %d" % limit)
-    points = []
-    p = 1
-    while p <= limit:
-        points.append(p)
-        p *= 2
-    if points[-1] != limit:
-        points.append(limit)
-    return tuple(points)
+    points = tuple(1 << k for k in range(int(limit).bit_length()))
+    return points if points[-1] == limit else points + (limit,)
 
 
 def _validate_checkpoints(checkpoints) -> tuple:
@@ -115,27 +110,9 @@ def sarnak_series(
     _check_reach(limit, obs.span)
     if weights is not None and weights.limit < limit:
         raise ValueError("weight table reaches %d, need %d" % (weights.limit, limit))
-    values = obs.values
-
-    def fill(lo, hi):
-        v = obs.evaluate(stream, 1 + lo, hi - lo)  # a fresh vector, so it is weighted in place
-        if weights is not None:
-            v *= weights.values[1 + lo : 1 + hi]
-        return v
-
-    def classes(lo, hi):
-        c = obs.indices(stream, 1 + lo, hi - lo)
-        if weights is not None:
-            c *= 3
-            c += weights.values[1 + lo : 1 + hi]
-            c += 1
-        return c
-
-    if weights is None:
-        size, products = len(values), lambda: values
-    else:
-        size, products = 3 * len(values), lambda: (values[:, None] * _SIGNS).reshape(-1)
-    partials = _class_sums(fill, classes, size, products, checkpoints)
+    right = None if weights is None else lambda lo, hi: weights.values[1 + lo : 1 + hi] + 1
+    partials = _class_sums(lambda lo, hi: obs.indices(stream, 1 + lo, hi - lo), obs.values, right, _SIGNS,
+                           checkpoints)
     return _report(partials, checkpoints, stream, obs, weight=weights.kind if weights is not None else "none")
 
 
@@ -158,28 +135,8 @@ def kbsz_series(
         raise ValueError("dilations must be positive, got r=%d s=%d" % (r, s))
     checkpoints = _validate_checkpoints(checkpoints)
     _check_reach(checkpoints[-1], obs.span, (r, s))
-    values = obs.values
-
-    def fill(lo, hi):
-        right = obs.evaluate(stream, s * (1 + lo), hi - lo, s)  # a fresh vector, conjugated in place
-        np.conjugate(right, out=right)
-        # r first, into a new array: another operand order or an in-place
-        # product changes the float bits of the imaginary parts
-        return obs.evaluate(stream, r * (1 + lo), hi - lo, r) * right
-
-    def classes(lo, hi):
-        c = obs.indices(stream, r * (1 + lo), hi - lo, r)
-        c *= len(values)
-        c += obs.indices(stream, s * (1 + lo), hi - lo, s)
-        return c
-
-    def products():
-        # entry i A + j is v_i conj(v_j), r first as fill multiplies; the
-        # counts take it only when every part is an exact integer, and there
-        # no operand order moves a bit
-        return (values[:, None] * np.conjugate(values)).reshape(-1)
-
-    partials = _class_sums(fill, classes, len(values) ** 2, products, checkpoints)
+    left, right = (lambda lo, hi, p=p: obs.indices(stream, p * (1 + lo), hi - lo, p) for p in (r, s))
+    partials = _class_sums(left, obs.values, right, obs.values, checkpoints)
     return _report(partials, checkpoints, stream, obs, primes=(r, s))
 
 
@@ -201,6 +158,8 @@ def block_sweep(
     checkpoints = _validate_checkpoints(checkpoints)
     limit = checkpoints[-1]
     _check_reach(limit, k)  # the windows start at 0..N, as far as a Sarnak sum at N reads
+    if weights is not None and weights.limit < limit:
+        raise ValueError("weight table reaches %d, need %d" % (weights.limit, limit))
     if alphabet_size is None:
         alphabet_size = stream.alphabet_size
     if alphabet_size is None:
@@ -260,8 +219,7 @@ class ExperimentConfig:
 
 def run_config(config: ExperimentConfig) -> ConvergenceReport:
     if config.kbsz is not None:
-        r, s = config.kbsz
-        return kbsz_series(config.stream, config.observable, r, s, config.checkpoints)
+        return kbsz_series(config.stream, config.observable, *config.kbsz, config.checkpoints)
     return sarnak_series(config.stream, config.observable, config.weight, config.checkpoints)
 
 
@@ -303,9 +261,7 @@ def report_json(report: ConvergenceReport) -> bytes:
             "r": report.primes[0] if report.primes else None,
             "s": report.primes[1] if report.primes else None,
         },
-        "rows": [
-            {"N": m, "real": re, "imag": im} for m, re, im in report.rows()
-        ],
+        "rows": [{"N": m, "real": re, "imag": im} for m, re, im in report.rows()],
     }
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
 

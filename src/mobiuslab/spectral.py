@@ -15,13 +15,13 @@ periodogram of an exact autocorrelation sequence nonnegative; the windowed
 estimate can dip below zero by a boundary term of order L^2/N, which is
 clamped at zero so downstream consumers may rely on the sign.
 
-Every statistic passes _check_reach before it reads.  The Sarnak and
-KBSZ series sum through _class_sums (class counts for small integer
-product tables, else the float reduction _partial_sums, which atom masses
-use too), and autocorrelation adds a float table's FFT piece sums in piece
-order and rounds a Gaussian-integer table's, summed as spectra over groups
-of pieces, into int64, so each gives the same bits whatever the BLAS
-threads.
+Every statistic passes _check_reach before it reads.  The Sarnak and KBSZ
+series and atom masses are each one call of _class_sums, the sums of
+values[left(n)] conj(factors[right(n)]) by class counts for small integer
+product tables, else by the float reduction _partial_sums; autocorrelation
+adds a float table's FFT piece sums in piece order and rounds a
+Gaussian-integer table's, summed as spectra over groups of pieces, into
+int64, so each gives the same bits whatever the BLAS threads.
 """
 
 from __future__ import annotations
@@ -86,20 +86,39 @@ def _partial_sums(fill, checkpoints):
     return [complex(v) for v in np.cumsum(segments)]
 
 
-def _class_sums(fill, classes, size: int, products, checkpoints):
-    """_partial_sums(fill, checkpoints), bit for bit, from class counts where they are exact.
+def _class_sums(left, values, right, factors, checkpoints):
+    """Partial sums of values[left(n)] conj(factors[right(n)]), or of values[left(n)] when right is None.
 
-    Each product fill(lo, hi) gives is products()[c] for its class c in
-    classes(lo, hi), one of 0..size-1.  When size <= _LEAF and the class
-    products are integers with N max|part| <= 2^53 (N the last checkpoint),
-    every float sum of them is exact in any order: a partial sum is the
-    integer counts . products, and a part is -0.0 exactly when each product
-    counted so far has that part -0.0.  The classes are counted one piece of
-    at most _LEAF at a time.  Any other table goes through _partial_sums.
+    left(lo, hi) and right(lo, hi) give fresh integer indices for n in
+    [lo, hi), and the sums are _partial_sums of the products, bit for bit.
+    A product is entry left(n) F + right(n) (its class) of the class table,
+    for F factors.  When there are at most _LEAF classes and their products
+    are integers with N max|part| <= 2^53 (N the last checkpoint), every
+    float sum of them is exact in any order: a partial sum is the integer
+    counts . table, and a part is -0.0 exactly when each product counted so
+    far has that part -0.0.  The classes are counted _LEAF at a time.
     """
+    width = 1 if right is None else len(factors)
+    size = len(values) * width
+
+    def fill(lo, hi):
+        # one expression, left gather first: numpy may write the product into a
+        # temporary operand, and which operand comes first can move a bit
+        return values[left(lo, hi)] if right is None else values[left(lo, hi)] * np.conjugate(factors[right(lo, hi)])
+
+    def classes(lo, hi):
+        c = left(lo, hi)
+        if right is not None:
+            c *= width
+            c += right(lo, hi)
+        return c
+
     # the gate reads Python floats: each numpy ufunc faults in 64-128 KiB of
-    # numpy's code on its first call, and the sums need few of them
-    table = products().tolist() if size <= _LEAF else []
+    # numpy's code on its first call, and the sums need few of them.  Where
+    # the class products are integers no operand order moves a bit.
+    table = []
+    if size <= _LEAF:
+        table = (values if right is None else values[:, None] * np.conjugate(factors)).reshape(-1).tolist()
     parts = [z.real for z in table], [z.imag for z in table]
     bound = (1 << 53) // checkpoints[-1]
     if not table or not all(abs(v) <= bound and v.is_integer() for part in parts for v in part):  # NaN and inf fail
@@ -173,8 +192,11 @@ class Observable:
                 raise ValueError("symbol %d outside alphabet of size %d" % (s, self.alphabet_size))
         return complex(self.values.reshape((self.alphabet_size,) * len(symbols))[symbols])
 
-    def _gather(self, read) -> np.ndarray:
+    def _gather(self, stream: SymbolStream, read) -> np.ndarray:
         """Table indices of the windows whose symbols at offset w are read(w), a fresh int32 array."""
+        if (stream.alphabet_size or 0) > self.alphabet_size:  # refused before any read
+            raise ValueError("stream %r has an alphabet of size %d, the observable one of size %d"
+                             % (stream.name, stream.alphabet_size, self.alphabet_size))
         idx = read(self.window[0])
         for off in self.window[1:]:
             idx *= self.alphabet_size
@@ -203,14 +225,14 @@ class Observable:
             return self._indices_at(stream, start + step * np.arange(count, dtype=np.int64))
         length = step * (count - 1) + 1
         # a contiguous copy of every step-th symbol, so the run is freed at once
-        return self._gather(lambda off: np.ascontiguousarray(stream.block(start + off, length)[::step]))
+        return self._gather(stream, lambda off: np.ascontiguousarray(stream.block(start + off, length)[::step]))
 
     def _indices_at(self, stream: SymbolStream, positions) -> np.ndarray:
         """Table indices of the windows at arbitrary nonnegative positions, a fresh int32 array."""
         positions = check_positions(positions)
         if positions.size:
             self._check_last(int(positions.max()))
-        return self._gather(lambda off: stream.at(positions + off))
+        return self._gather(stream, lambda off: stream.at(positions + off))
 
     def evaluate(self, stream: SymbolStream, start: int, count: int, step: int = 1) -> np.ndarray:
         """v(start), v(start + step), ..., v(start + step (count - 1)) as a complex vector."""
@@ -473,13 +495,10 @@ def atom_mass(stream: SymbolStream, obs: Observable, frequency, sample_size: int
     if sample_size < q:
         raise ValueError("need at least one full period, N=%d < q=%d" % (sample_size, q))
     _check_reach(sample_size, obs.span - 1)  # v(0..N-1), one short of a Sarnak sum's reach
-    # one period and one piece more, so every piece's phases are one slice
-    period = np.resize(np.exp(-2j * np.pi * p * np.arange(q) / q), q + _LEAF)
-
-    def fill(lo, hi):
-        return obs.evaluate(stream, lo, hi - lo) * period[lo % q : lo % q + hi - lo]
-
-    (total,) = _partial_sums(fill, (sample_size,))
+    # v(n) times the phase of n mod q, as v(n) conj(conj(phase)): conj is exact
+    conjugates = np.conjugate(np.exp(-2j * np.pi * p * np.arange(q) / q))
+    (total,) = _class_sums(lambda lo, hi: obs.indices(stream, lo, hi - lo), obs.values,
+                           lambda lo, hi: np.arange(lo, hi) % q, conjugates, (sample_size,))
     return float(abs(total / sample_size) ** 2)
 
 

@@ -789,6 +789,29 @@ def test_run_keeps_one_observable_table_alive(tmp_path):
     assert code == 0 and maxrss_kib < 450 << 10, maxrss_kib
 
 
+def test_run_binds_a_repeated_observable_once(capsys, tmp_path, monkeypatch):
+    """Consecutive experiments over one (observable, system) pair share its table; another pair rebinds.
+
+    The file's validation binds each pair once as well, so two experiments
+    over one walsh {0, 1} build it twice, and a, b, c, d over w01, w01, w0,
+    w01 build w01 three times.
+    """
+    from mobiuslab import spectral
+
+    built, make_walsh = [], spectral.make_walsh
+    monkeypatch.setattr(spectral, "make_walsh", lambda coords, name=None: built.append(name) or make_walsh(coords, name))
+    experiment = "experiment e%d { system: tm; observable: %s; weight: none; N: 64; }\n"
+    for label, observables, builds in (("two", "w01 w01", ["w01"] * 2),
+                                       ("four", "w01 w01 w0 w01", ["w01", "w0"] * 2 + ["w01"])):
+        spec = tmp_path / (label + ".spec")
+        spec.write_text(REUSE_SYSTEMS + "observable w01 = walsh {0, 1}\n"
+                        + "".join(experiment % (i, o) for i, o in enumerate(observables.split())))
+        built.clear()
+        code, _, err = run(capsys, "run", str(spec), "--out", str(tmp_path / label))
+        assert (code, err) == (0, "")
+        assert sorted(built) == sorted(builds), label
+
+
 def test_run_keeps_one_weight_table_per_kind_alive(tmp_path):
     """Six Moebius sums reaching up from 2^22 - 5 hold one 4 MiB table at a time, as one sum does."""
     peaks = []

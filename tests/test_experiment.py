@@ -107,6 +107,14 @@ def test_block_sweep_refuses_n_beyond_the_cap_before_reading():
         block_sweep(SymbolStream(read, alphabet_size=2), 2, None, (64, LIMIT_CAP + 1))
 
 
+def test_block_sweep_refuses_a_short_weight_table_before_reading():
+    def read(key):
+        raise AssertionError("read at %r before the sweep was refused" % (key,))
+
+    with pytest.raises(ValueError, match="^weight table reaches 63, need 64$"):
+        block_sweep(SymbolStream(read, alphabet_size=2), 2, weight_table("moebius", 63), (8, 64))
+
+
 @pytest.mark.parametrize("k", [1, 2, 6])
 @pytest.mark.parametrize("n", [1000, _LEAF - 1, _LEAF, 2 * _LEAF + 3])
 def test_block_sweep_matches_a_whole_prefix_scan(k, n):
@@ -285,6 +293,41 @@ def _hex(values):
     return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
 
 
+@pytest.mark.parametrize("weight", [None, "moebius", "liouville"])
+@pytest.mark.parametrize("table", ["complex", "real"])
+def test_float_sarnak_sums_like_one_gathered_vector(weight, table):
+    """A float-table Sarnak sum is the whole-vector reduction of values[idx] * w, bit for bit.
+
+    The reference gathers v(1..N) from one prefix, weights it in one
+    product and reduces once with np.add.reduceat and np.cumsum.  N spans
+    three pieces of _LEAF and a ragged tail; the pow2 segments are summed in
+    pieces below and above 2^14 values, and the ragged checkpoints cut
+    pieces short.
+    """
+    from mobiuslab.spectral import Observable
+
+    rng = np.random.default_rng(25)
+    n = 3 * _LEAF + 17
+    if table == "complex":
+        stream = fixed_point_stream(Substitution.from_words({"a": "abb", "b": "bac", "c": "cca"}))
+        values = (rng.normal(size=9) + 1j * rng.normal(size=9)) * 10.0 ** rng.integers(-6, 7, size=9)
+        obs = Observable(window=(0, 2), alphabet_size=3, values=values)
+    else:
+        stream, obs = TM, make_symbol_table({0: 0.1, 1: -0.7})
+    prefix = stream.prefix(n + obs.span + 1)
+    positions = np.arange(1, n + 1)
+    idx = np.zeros(n, dtype=np.int64)
+    for off in obs.window:
+        idx = idx * obs.alphabet_size + prefix[positions + off]
+    weights = None if weight is None else weight_table(weight, n)
+    x = obs.values[idx] if weights is None else obs.values[idx] * weights.values[1 : n + 1]
+    ragged = (1, 2, 3, 100, (1 << 14) + 3, _LEAF + 1, 2 * _LEAF - 5, n)
+    for checkpoints in (pow2_checkpoints(n), ragged):
+        sums = np.cumsum(np.add.reduceat(x, (0,) + checkpoints[:-1]))
+        want = [complex(c) / m for c, m in zip(sums, checkpoints)]
+        assert _hex(sarnak_series(stream, obs, weights, checkpoints).values) == _hex(want)
+
+
 def test_pieces_sum_in_numpys_order():
     """The reduction replays np.cumsum(np.add.reduceat(x, starts)) bit for bit.
 
@@ -359,10 +402,10 @@ def test_class_counts_sum_to_the_float_reductions_bytes(monkeypatch):
     """Every series on an integer table is counted, and its sums equal the float reduction's bits.
 
     Each call of the count path is checked against _partial_sums over
-    products[classes] and over the series' own fill, by float hex.  The
-    tables hold -0.0 and +0.0 parts, the checkpoints have one-position
-    segments, where a -0.0 total shows, and the KBSZ steps lie below and
-    above _STRIDE_MAX.
+    the class table at the classes and over the float products, by float
+    hex.  The tables hold -0.0 and +0.0 parts, the checkpoints have
+    one-position segments, where a -0.0 total shows, and the KBSZ steps lie
+    below and above _STRIDE_MAX.
     """
     from mobiuslab import experiment, spectral
     from mobiuslab.spectral import Observable
@@ -372,10 +415,18 @@ def test_class_counts_sum_to_the_float_reductions_bytes(monkeypatch):
     def refuse(fill, checkpoints):
         raise AssertionError("an integer table fell back to the float reduction")
 
-    def checked(fill, classes, size, products, checkpoints):
-        got = spectral._class_sums(fill, classes, size, products, checkpoints)
-        table = products()
-        assert len(table) == size
+    def checked(left, values, right, factors, checkpoints):
+        got = spectral._class_sums(left, values, right, factors, checkpoints)
+        width = 1 if right is None else len(factors)
+        table = values if right is None else (values[:, None] * np.conjugate(factors)).reshape(-1)
+        assert len(table) == len(values) * width
+
+        def classes(lo, hi):
+            return left(lo, hi) if right is None else left(lo, hi) * width + right(lo, hi)
+
+        def fill(lo, hi):
+            return values[left(lo, hi)] if right is None else values[left(lo, hi)] * np.conjugate(factors[right(lo, hi)])
+
         assert _hex(got) == _hex(partial(lambda lo, hi: table[classes(lo, hi)], checkpoints))
         assert _hex(got) == _hex(partial(fill, checkpoints))
         counted.append(got)
@@ -436,13 +487,13 @@ def test_class_sums_count_only_exact_tables(monkeypatch, case, counted):
         ran.append("float")
         return partial(fill, points)
 
-    def products():
-        built.append(size)
-        return table
+    class Recorded(np.ndarray):  # records each class table the gate reads
+        def tolist(self):
+            built.append(len(self))
+            return super().tolist()
 
     monkeypatch.setattr(spectral, "_partial_sums", recorded)
-    got = spectral._class_sums(lambda lo, hi: table[cls[lo:hi]], lambda lo, hi: cls[lo:hi].copy(), size, products,
-                               checkpoints)
+    got = spectral._class_sums(lambda lo, hi: cls[lo:hi].copy(), table.view(Recorded), None, None, checkpoints)
     assert ran == ([] if counted else ["float"])
     assert built == ([] if size > _LEAF else [size])
     assert _hex(got) == _hex(partial(lambda lo, hi: table[cls[lo:hi]], checkpoints))

@@ -15,6 +15,7 @@ from mobiuslab.specfile import parse_spec
 from mobiuslab.spectral import (
     _FFT_EXACT,
     _FFT_MIN,
+    _LEAF,
     _STRIDE_MAX,
     GRID_CAP,
     Observable,
@@ -353,6 +354,34 @@ def test_reads_whose_window_passes_int64_are_refused_before_any_offset():
         make_walsh((0,)).evaluate(unread_stream(), 0, 4, 0)
 
 
+def test_a_stream_over_more_letters_than_the_table_is_refused_before_reading():
+    """A 3-letter Veech stream under a 2-letter table: one message with both sizes, from every read.
+
+    Unrefused, symbols (0, 2) would read the entry of (1, 0).  A table over
+    at least the stream's letters reads it.
+    """
+    from mobiuslab.experiment import sarnak_series
+
+    stream = build_system(parse_spec('veech v3 base 3 group Zn(3) psi "2" repeat "10"\n'), "v3").stream
+    read_block, read_at = stream.block, stream.at
+
+    def refuse(*args):
+        raise AssertionError("read before the alphabet was checked")
+
+    stream.block = stream.at = refuse
+    obs = make_walsh((0, 1))
+    with pytest.raises(ValueError, match="^stream 'v3' has an alphabet of size 3, the observable one of size 2$"):
+        autocorrelation(stream, obs, 64, 4)
+    for read in (lambda: sarnak_series(stream, obs, None, (64,)), lambda: obs.indices(stream, 0, 5, _STRIDE_MAX + 1),
+                 lambda: obs.evaluate_at(stream, [0, 5])):
+        with pytest.raises(ValueError, match="alphabet of size 3, the observable one of size 2$"):
+            read()
+    stream.block, stream.at = read_block, read_at
+    for letters in (3, 4):
+        wide = Observable(window=(0, 1), alphabet_size=letters, values=np.arange(letters * letters))
+        assert np.array_equal(wide.evaluate(stream, 0, 64), wide.evaluate_at(stream, np.arange(64)))
+
+
 SPEC_KINDS = "".join([
     'substitution h on {a, b, c} {\n  a -> "aabaa";\n  b -> "bcabb";\n  c -> "cbccc";\n}\n',
     "morse hc over cover-of h\n",
@@ -453,6 +482,33 @@ def test_atom_mass_bits_do_not_depend_on_blas_threads():
     assert got[2] == pytest.approx(0.04, rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [100, 3 * _LEAF + 17, 70001])
+def test_atom_mass_sums_like_one_gathered_vector(n):
+    """atom_mass is |(1/N) sum|^2 of the whole-vector reduction of values[idx] * phases, bit for bit.
+
+    The phases are e(-n p/q) at n mod q, and the sum is np.add.reduceat's
+    over v(0..N-1) gathered from one prefix.  The tables are an integer
+    Walsh table, an integer table and a complex float table over two
+    offsets; the integer tables at 0/1 and 0/5 have integer products.
+    """
+    rng = np.random.default_rng(2025)
+    abc = fixed_point_stream(Substitution.from_words({"a": "abb", "b": "bac", "c": "cca"}))
+    cases = (
+        (TM, make_walsh((0, 1))),
+        (abc, make_symbol_table({0: 1, 1: -2, 2: 3})),
+        (abc, Observable(window=(0, 2), alphabet_size=3, values=rng.normal(size=9) + 1j * rng.normal(size=9))),
+    )
+    for stream, obs in cases:
+        prefix = stream.prefix(n + obs.span)
+        idx = np.zeros(n, dtype=np.int64)
+        for off in obs.window:
+            idx = idx * obs.alphabet_size + prefix[off : off + n]
+        for p, q in ((0, 1), (0, 5), (1, 2), (1, 3), (2, 7), (5, 64), (3, 100)):
+            phases = np.exp(-2j * np.pi * p * np.arange(q) / q)
+            (total,) = np.cumsum(np.add.reduceat(obs.values[idx] * phases[np.arange(n) % q], (0,)))
+            want = float(abs(complex(total) / n) ** 2)  # as atom_mass divides: a Python complex
+            assert atom_mass(stream, obs, (p, q), n).hex() == want.hex(), (obs.name, p, q)
+
 
 def reference_sums(stream, obs, n, lags):
     """sum_{k<N} v(k+n) conj(v(k)) for n = 0..L in int64, by the real and imaginary parts' correlations."""
@@ -469,25 +525,32 @@ def reference_sums(stream, obs, n, lags):
 def test_autocorrelation_is_exact_for_gaussian_integer_tables():
     """The FFT pieces round to the int64 sums, for N not a multiple of the piece and L up to N/4.
 
-    Parts up to 17000 keep max|v|^2 below the rounding bound at the least FFT size.
+    The table is drawn after N and L, inside the exact regime at the call's
+    own M = max(_FFT_MIN, 2 (L + 1)): parts up to 17000 keep max|v|^2 below
+    the rounding bound at _FFT_MIN, and each doubling of M halves them.
+    Such a table past the bound at its M takes the float path (next test).
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    gaussian = st.builds(complex, st.integers(-17000, 17000), st.integers(-17000, 17000))
-    observables = st.one_of(
-        st.sets(st.integers(0, 5), max_size=3).map(make_walsh),
-        st.builds(make_block_indicator, st.lists(st.integers(0, 1), min_size=1, max_size=3), st.integers(0, 3)),
-        st.lists(gaussian, min_size=2, max_size=2).map(make_symbol_table),
-        st.builds(lambda c, d: linear_combination([(c, make_walsh((0, 2))), (d, make_block_indicator((1,), 1))]),
-                  st.builds(complex, st.integers(-99, 99), st.integers(-99, 99)), st.integers(-99, 99)),
-    )
+
+    def observables(top):
+        gaussian = st.builds(complex, st.integers(-top, top), st.integers(-top, top))
+        return st.one_of(
+            st.sets(st.integers(0, 5), max_size=3).map(make_walsh),
+            st.builds(make_block_indicator, st.lists(st.integers(0, 1), min_size=1, max_size=3), st.integers(0, 3)),
+            st.lists(gaussian, min_size=2, max_size=2).map(make_symbol_table),
+            st.builds(lambda c, d: linear_combination([(c, make_walsh((0, 2))), (d, make_block_indicator((1,), 1))]),
+                      st.builds(complex, st.integers(-99, 99), st.integers(-99, 99)), st.integers(-99, 99)),
+        )
 
     @hypothesis.settings(max_examples=40, deadline=None)
-    @hypothesis.given(obs=observables, stream=st.sampled_from([TM, PD]), data=st.data())
-    def check(obs, stream, data):
+    @hypothesis.given(stream=st.sampled_from([TM, PD]), data=st.data())
+    def check(stream, data):
         n = data.draw(st.integers(1, 40000), label="N")
         lags = data.draw(st.integers(0, n // 4), label="L")
-        assert _exact_correlation(obs.values, _FFT_MIN)
+        size = max(_FFT_MIN, 1 << (2 * lags + 1).bit_length())  # the M whose bound decides the path
+        obs = data.draw(observables(17000 * _FFT_MIN // size), label="obs")
+        assert _exact_correlation(obs.values, size)
         want = np.empty(lags + 1, dtype=np.complex128)
         want.real, want.imag = reference_sums(stream, obs, n, lags)
         want /= n
@@ -495,6 +558,24 @@ def test_autocorrelation_is_exact_for_gaussian_integer_tables():
         assert got.tobytes() == want.tobytes()
 
     check()
+
+
+def test_a_table_exact_at_the_least_fft_size_sums_floats_at_a_larger_one(monkeypatch):
+    """Parts up to 17000 pass the bound at _FFT_MIN, but 16922j fails it at M = 2^15 (L = 8192).
+
+    So that call takes the float path, as designed, and is within
+    1e-9 max|v|^2 of the exact sums.
+    """
+    from mobiuslab import spectral
+
+    obs, n, lags = make_symbol_table([0, 16922j]), 32768, 8192
+    assert _exact_correlation(obs.values, _FFT_MIN) and not _exact_correlation(obs.values, 1 << 15)
+    groups, exact_correlation = [], spectral._exact_correlation
+    monkeypatch.setattr(spectral, "_exact_correlation", lambda *args: groups.append(exact_correlation(*args)) or groups[-1])
+    got = autocorrelation(TM, obs, n, lags).values
+    assert groups == [0]
+    re, im = reference_sums(TM, obs, n, lags)
+    assert np.max(np.abs(got - (re + 1j * im) / n)) <= 1e-9 * 16922 ** 2
 
 
 @pytest.mark.parametrize("table", [{0: 1 << 20, 1: -(1 << 19) + 3j}, {0: 24800, 1: 1}, {0: 0.3, 1: -0.7}],
