@@ -161,20 +161,20 @@ class FiniteGroup:
             raise AssertionError("multiplication table is not associative")
 
     def subgroup_closure(self, subset) -> frozenset:
-        """Smallest subgroup containing the given element indices."""
-        elems = {0}
-        frontier = list({int(a) for a in subset})
-        elems.update(frontier)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(elems):
-                    for c in (self.mul(a, b), self.mul(b, a)):
-                        if c not in elems:
-                            elems.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return frozenset(elems)
+        """Smallest subgroup containing the given element indices: a walk from the identity along their rows."""
+        gens = sorted({int(a) for a in subset})
+        for a in gens[:1] + gens[-1:]:
+            if not 0 <= a < self.order:
+                raise ValueError("element index %d is outside a group of order %d" % (a, self.order))
+        inside = np.arange(self.order) == 0
+        frontier = np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            reached = inside.copy()
+            for g in gens:
+                reached[self.table[g, frontier]] = True
+            frontier = np.flatnonzero(reached & ~inside)
+            inside = reached
+        return frozenset(np.flatnonzero(inside).tolist())
 
     def __repr__(self):
         return "FiniteGroup(order=%d)" % self.order
@@ -218,24 +218,32 @@ def symmetric_group(degree: int) -> "tuple[FiniteGroup, GroupEmbedding]":
 def _group_from_perms(perms):
     """Build (FiniteGroup, GroupEmbedding) from a closed perm list, identity first.
 
-    Row a of the table composes perms[a] with every element.  Those products
-    are the elements again, in another order, so sorting both sets of image
-    rows the same way pairs each product with its element index; this works
-    for any degree and never builds a Perm per product.
+    Each element a walk from the identity has not reached becomes a generator g, whose left map
+    L_g[x] = index of g * perms[x] is m products looked up among the images; an element b first
+    reached as g * perms[c] gets row b = L_g[row c].  Every element is a product of generators,
+    so the list is closed exactly when no L_g leaves it, and a product outside it refuses the list.
     """
     if not perms[0].is_identity:
         raise ValueError("element 0 must be the identity")
     m = len(perms)
     stack = np.array([p.images for p in perms], dtype=np.int32)
-    elements = np.lexsort(stack.T[::-1])  # element indices in lexicographic row order
-    sorted_rows = stack[elements]
-    table = np.empty((m, m), dtype=np.int32)
-    for a in range(m):
-        composed = stack[a][stack]  # row b: perms[a] o perms[b]
-        order = np.lexsort(composed.T[::-1])
-        if not np.array_equal(composed[order], sorted_rows):
-            raise ValueError("permutations are not closed under composition")
-        table[a, order] = elements
+    index = {images.tobytes(): i for i, images in enumerate(stack)}
+    table = np.zeros((m, m), dtype=np.int32)  # row b is filled once table[b, 0] = b * e = b
+    table[0] = np.arange(m)
+    walk, lefts = [0], []
+    for g in range(1, m):
+        if table[g, 0] == g:
+            continue
+        try:
+            lefts.append(np.array([index[images.tobytes()] for images in stack[g][stack]], dtype=np.int32))
+        except KeyError:
+            raise ValueError("permutations are not closed under composition") from None
+        for c in walk:  # grows as it goes: every element reached so far and each new one, times every generator
+            for left in lefts:
+                b = left[c]
+                if table[b, 0] != b:
+                    np.take(left, table[c], out=table[b])
+                    walk.append(b)
     names = tuple(p.cycle_string() for p in perms)
     group = FiniteGroup(names, table)
     return group, GroupEmbedding(group, tuple(perms))
@@ -246,7 +254,7 @@ def closure(generators, degree=None, size_cap: int = CLOSURE_CAP):
 
     Returns (FiniteGroup, GroupEmbedding) with elements in discovery order,
     identity first.  Raises CapacityError past size_cap and ValueError on
-    mixed degrees.
+    mixed degrees or a degree below 1.
     """
     gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
     degrees = {g.degree for g in gens}
@@ -256,23 +264,19 @@ def closure(generators, degree=None, size_cap: int = CLOSURE_CAP):
         degree = degrees.pop() if degrees else 1
     elif degrees and degrees.pop() != degree:
         raise ValueError("generator degree does not match degree=%d" % degree)
+    if degree < 1:
+        raise ValueError("degree must be positive, got %d" % degree)
 
-    ident = Perm.identity(degree)
-    elems = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = g * h
-                if prod not in index:
-                    if len(elems) >= size_cap:
-                        raise CapacityError("closure exceeded cap of %d elements" % size_cap)
-                    index[prod] = len(elems)
-                    elems.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    elems = [Perm.identity(degree)]
+    found = set(elems)
+    for g in elems:  # grows as it goes, so elements are multiplied in the order they are found
+        for h in gens:
+            prod = g * h
+            if prod not in found:
+                if len(elems) >= size_cap:
+                    raise CapacityError("closure exceeded cap of %d elements" % size_cap)
+                found.add(prod)
+                elems.append(prod)
     return _group_from_perms(elems)
 
 
@@ -312,32 +316,29 @@ def centralizer_in_sym(perms, degree=None):
     return _group_from_perms(commuting)
 
 
-def _enumerate_subgroups(group: FiniteGroup):
-    """All subgroups as frozensets of element indices (lattice BFS)."""
-    found = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in range(group.order):
-                if g in sub:
-                    continue
-                bigger = group.subgroup_closure(sub | {g})
-                if bigger not in found:
-                    found.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    return found
+def _nonnormal_witness(group: FiniteGroup, members):
+    """Least g whose conjugate g h g^-1 of some member h is not a member, or None when the members are normal."""
+    inside = np.isin(np.arange(group.order), members)
+    fails = np.zeros(group.order, dtype=bool)
+    for h in members:
+        fails |= ~inside[group.table[group.table[:, h], group.inverse]]  # (g h) g^-1 at g
+    return int(fails.argmax()) if fails.any() else None
 
 
 def normal_subgroups(group: FiniteGroup):
     """All normal subgroups, sorted by size then by element indices."""
     if group.order > NORMAL_SUBGROUP_ORDER_CAP:
         raise CapacityError("normal subgroup scan capped at order %d, got %d" % (NORMAL_SUBGROUP_ORDER_CAP, group.order))
-    normals = []
-    for sub in _enumerate_subgroups(group):
-        if all(group.mul(group.mul(g, h), group.inv(g)) in sub for g in range(group.order) for h in sub):
-            normals.append(sub)
+    subgroups = [frozenset({0})]
+    found = set(subgroups)
+    for sub in subgroups:  # grows as it goes: each subgroup is a smaller one closed with one more element
+        for g in range(group.order):
+            if g not in sub:
+                bigger = group.subgroup_closure(sub | {g})
+                if bigger not in found:
+                    found.add(bigger)
+                    subgroups.append(bigger)
+    normals = [sub for sub in subgroups if _nonnormal_witness(group, list(sub)) is None]
     return sorted(normals, key=lambda s: (len(s), sorted(s)))
 
 
@@ -345,30 +346,23 @@ def quotient(group: FiniteGroup, normal):
     """Quotient G/H with its projection.
 
     Returns (FiniteGroup, projection tuple mapping element index to coset
-    index).  The coset of the identity is element 0.  Raises ValueError if
-    the subset is not a normal subgroup.
+    index).  Cosets are numbered and named by their least elements, in
+    ascending order, so the coset of the identity is element 0.  Raises
+    ValueError if the subset is not a normal subgroup.
     """
     sub = frozenset(int(a) for a in normal)
     if 0 not in sub:
         raise ValueError("a subgroup must contain the identity")
     if group.subgroup_closure(sub) != sub:
         raise ValueError("subset is not closed under multiplication")
-    for g in range(group.order):
-        if any(group.mul(group.mul(g, h), group.inv(g)) not in sub for h in sub):
-            raise ValueError("subgroup is not normal (fails at element %d)" % g)
+    g = _nonnormal_witness(group, list(sub))
+    if g is not None:
+        raise ValueError("subgroup is not normal (fails at element %d)" % g)
 
-    coset_of = [-1] * group.order
-    reps = []
-    for g in range(group.order):
-        if coset_of[g] >= 0:
-            continue
-        members = sorted(group.mul(g, h) for h in sub)
-        idx = len(reps)
-        reps.append(members[0])
-        for member in members:
-            coset_of[member] = idx
-    # identity coset is discovered first since scanning starts at 0
-    m = len(reps)
-    table = [[coset_of[group.mul(reps[a], reps[b])] for b in range(m)] for a in range(m)]
+    least = np.arange(group.order)  # the least element of the coset gH, at g
+    for h in sub:
+        np.minimum(least, group.table[:, h], out=least)
+    reps = np.flatnonzero(least == np.arange(group.order))
+    coset_of = np.searchsorted(reps, least)
     names = tuple("[%s]" % group.element_names[r] for r in reps)
-    return FiniteGroup(names, table), tuple(coset_of)
+    return FiniteGroup(names, coset_of[group.table[np.ix_(reps, reps)]]), tuple(coset_of.tolist())

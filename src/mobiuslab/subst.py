@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import morse as _morse
-from .permgrp import FiniteGroup, GroupEmbedding, Perm, closure
+from .permgrp import FiniteGroup, GroupEmbedding, Perm, closure, quotient
 from .streams import DigitReader, SymbolStream
 
 
@@ -225,13 +225,11 @@ def group_cover(sub: Substitution) -> GroupCover:
             else ""
         )
         raise ValueError("column 0 must be the identity%s" % hint)
-    raw_group, raw_embedding = closure(cols.perms, degree=sub.r)
-    if raw_group.order == 1:
+    group, embedding = closure(cols.perms, degree=sub.r)
+    if group.order == 1:
         raise ValueError("all columns are the identity, the cover is constant and not primitive")
-    # rename elements in terms of the base letters
-    names = tuple(p.cycle_string(sub.letters) for p in raw_embedding.images)
-    group = FiniteGroup(names, raw_group.table)
-    embedding = GroupEmbedding(group, raw_embedding.images)
+    # name the elements in terms of the base letters
+    group.element_names = tuple(p.cycle_string(sub.letters) for p in embedding.images)
     index = {perm: i for i, perm in enumerate(embedding.images)}
     block = tuple(index[p] for p in cols.perms)
     return GroupCover(sub, group, embedding, block)
@@ -315,13 +313,11 @@ def quotient_substitution(cover, normal):
     Accepts a GroupCover or a (FiniteGroup, block) pair.  Returns
     (quotient group, projected block, projection tuple).
     """
-    from .permgrp import quotient as _quotient
-
     if isinstance(cover, GroupCover):
         group, block = cover.group, cover.block
     else:
         group, block = cover
-    qgroup, proj = _quotient(group, normal)
+    qgroup, proj = quotient(group, normal)
     qblock = tuple(proj[b] for b in block)
     return qgroup, qblock, proj
 

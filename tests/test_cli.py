@@ -1040,3 +1040,47 @@ def test_benchmark_hooks_trace_a_run(tmp_path):
     assert spans
     names = {span[0] for span in spans}
     assert {"specfile.parse", "cli.bind", "streams.build.subst", "experiment.report"} <= names, names
+
+
+# One rule or block 2^20 + 2 symbols long, so blocks refuses its first stage before printing any.
+LONG = (1 << 20) + 2
+TMP_FILES = {
+    "long_subst.spec": 'substitution s on {a, b} {\n  a -> "%s";\n  b -> "%s";\n}\n' % ("ab" * (LONG // 2), "ba" * (LONG // 2)),
+    "long_morse.spec": 'morse m over Z2 blocks [repeat "%s"]\n' % ("01" * (LONG // 2)),
+    "afile": "",
+}
+HERNING_SPEC = str(SPECS / "herning.spec")
+REFUSALS = {
+    "gen_negative_n": (["gen", TM_SPEC, "--n", "-1"], "--n must be nonnegative, got -1"),
+    "hat_negative_n": (["hat", TM_SPEC, "--n", "-1"], "--n must be nonnegative, got -1"),
+    "gen_n_past_cap": (["gen", TM_SPEC, "--n", str(LIMIT_CAP + 1)],
+                       "--n %d is beyond the symbol cap %d" % (LIMIT_CAP + 1, LIMIT_CAP)),
+    "hat_n_past_cap": (["hat", TM_SPEC, "--n", str(LIMIT_CAP + 1)],
+                       "--n %d is beyond the symbol cap %d" % (LIMIT_CAP + 1, LIMIT_CAP)),
+    "unknown_observable": (["corr", TM_SPEC, "--observable", "nope"], "unknown observable 'nope' (have: ind01, w0)"),
+    "cover_of_morse": (["cover", HERNING_SPEC, "--system", "herning_cover"],
+                       "cover needs a substitution system, 'herning_cover' is not one"),
+    "blocks_of_rs": (["blocks", str(SPECS / "veech_rs.spec"), "--system", "rs11"],
+                     "blocks needs a substitution or morse system, 'rs11' is neither"),
+    "blocks_long_power_word": (["blocks", "{tmp}/long_subst.spec", "--t", "1"], "power word at t=1 exceeds 2^20 symbols"),
+    "blocks_long_stage": (["blocks", "{tmp}/long_morse.spec", "--t", "1"], "Toeplitz stage at t=1 exceeds 2^20 symbols"),
+    "bad_checkpoints": (["sarnak", TM_SPEC, "--observable", "w0", "--n", "64", "--checkpoints", "1,x"],
+                        "checkpoints must be 'pow2' or comma-separated integers, got '1,x'"),
+    "one_prime": (["kbsz", TM_SPEC, "--observable", "w0", "--n", "64", "--primes", "3"], "--primes expects R,S, got '3'"),
+    "run_without_experiments": (["run", HERNING_SPEC, "--out", "{tmp}/out"], "no experiment declarations in %s" % HERNING_SPEC),
+    "two_systems_no_system": (["gen", str(SPECS / "veech_rs.spec")], "--system is required when the file declares 2 systems"),
+    "out_under_a_file": (["sarnak", TM_SPEC, "--observable", "w0", "--n", "64", "--out", "{tmp}/afile/x.csv"],
+                         "[Errno 20] Not a directory: '{tmp}/afile/x.csv'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_flag_and_system_refusals_exit_two(capsys, tmp_path, argv, message):
+    """Each refusal exits 2 with its message on stderr and prints nothing on stdout."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    for name, text in TMP_FILES.items():
+        if any(name in a for a in argv):
+            (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message.format(tmp=tmp_path))
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -254,3 +255,129 @@ def test_product_table_matches_lookup_for_covers():
 def test_product_table_needs_closed_perms():
     with pytest.raises(ValueError, match="not closed"):
         _group_from_perms([Perm((0, 1, 2)), Perm((1, 2, 0))])
+
+
+def test_element_indices_outside_the_group_are_refused():
+    z6 = cyclic_group(6)
+    with pytest.raises(ValueError, match="^element index -1 is outside a group of order 6$"):
+        z6.subgroup_closure({-1})
+    with pytest.raises(ValueError, match="^element index 7 is outside a group of order 6$"):
+        quotient(z6, [0, 7])
+
+
+def test_closure_refuses_degree_zero():
+    with pytest.raises(ValueError, match="^degree must be positive, got 0$"):
+        closure([], degree=0)
+
+
+# Brute-force references: one Python mul call per product.
+
+
+def subgroup_closure_by_mul(group, subset):
+    elems = {0}
+    frontier = list({int(a) for a in subset})
+    elems.update(frontier)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(elems):
+                for c in (group.mul(a, b), group.mul(b, a)):
+                    if c not in elems:
+                        elems.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return frozenset(elems)
+
+
+def subgroups_by_mul(group):
+    found = {frozenset({0})}
+    frontier = [frozenset({0})]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g in range(group.order):
+                bigger = subgroup_closure_by_mul(group, sub | {g})
+                if bigger not in found:
+                    found.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return found
+
+
+def nonnormal_witness_by_mul(group, sub):
+    return next((g for g in range(group.order) if any(group.mul(group.mul(g, h), group.inv(g)) not in sub for h in sub)),
+                None)
+
+
+def quotient_by_mul(group, sub):
+    """(table, names, projection) of G/H, cosets numbered in the order a scan from 0 meets them."""
+    coset_of = [-1] * group.order
+    reps = []
+    for g in range(group.order):
+        if coset_of[g] < 0:
+            members = sorted(group.mul(g, h) for h in sub)
+            reps.append(members[0])
+            for member in members:
+                coset_of[member] = len(reps) - 1
+    table = [[coset_of[group.mul(a, b)] for b in reps] for a in reps]
+    return table, tuple("[%s]" % group.element_names[r] for r in reps), tuple(coset_of)
+
+
+HERNING = Substitution.from_words({"a": "aabaa", "b": "bcabb", "c": "cbccc"})
+
+
+def reference_groups():
+    s3, _ = symmetric_group(3)
+    s4, _ = symmetric_group(4)
+    dihedral8, _ = closure([Perm.from_cycles(4, (0, 1, 2, 3)), Perm.from_cycles(4, (0, 2))])
+    return {"S3": s3, "S4": s4, "Z12": cyclic_group(12), "D8": dihedral8, "herning": group_cover(HERNING).group}
+
+
+@pytest.mark.parametrize("name", ["S4", "Z12", "herning"])
+def test_subgroup_closure_matches_the_mul_walk(name):
+    group = reference_groups()[name]
+    for size in (1, 2):
+        for subset in itertools.combinations(range(group.order), size):
+            assert group.subgroup_closure(subset) == subgroup_closure_by_mul(group, subset), subset
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "Z12", "D8", "herning"])
+def test_normal_subgroups_and_quotients_match_the_mul_loops(name):
+    group = reference_groups()[name]
+    subgroups = subgroups_by_mul(group)
+    normals = [sub for sub in subgroups if nonnormal_witness_by_mul(group, sub) is None]
+    assert normal_subgroups(group) == sorted(normals, key=lambda s: (len(s), sorted(s)))
+    for sub in subgroups:
+        witness = nonnormal_witness_by_mul(group, sub)
+        if witness is not None:
+            with pytest.raises(ValueError, match=r"^subgroup is not normal \(fails at element %d\)$" % witness):
+                quotient(group, sub)
+            continue
+        q, projection = quotient(group, sub)
+        table, names, reference_projection = quotient_by_mul(group, sub)
+        assert q.table.tolist() == table and q.element_names == names and projection == reference_projection
+
+
+def test_closure_tables_match_lookup_for_random_generators():
+    rng = np.random.default_rng(26)
+    orders = set()
+    for degree in range(1, 8):
+        for _ in range(12):
+            gens = [Perm(rng.permutation(degree)) for _ in range(int(rng.integers(0, 4)))]
+            try:
+                group, emb = closure(gens, degree=degree, size_cap=120)
+            except CapacityError:
+                continue
+            orders.add(group.order)
+            assert np.array_equal(group.table, product_table_by_lookup(emb.images)), gens
+    assert len(orders) >= 8
+
+
+def test_s7_table_matches_perm_products_on_sampled_pairs():
+    group, emb = closure([Perm.from_cycles(7, tuple(range(7))), Perm.from_cycles(7, (0, 1))])
+    assert group.order == 5040
+    index = {p: i for i, p in enumerate(emb.images)}
+    rng = np.random.default_rng(7)
+    for a, b in rng.integers(0, group.order, size=(2000, 2)).tolist():
+        assert group.table[a, b] == index[emb.images[a] * emb.images[b]]
+    assert [emb.images[a] * emb.images[int(group.inverse[a])] for a in range(0, 5040, 97)] == [Perm.identity(7)] * 52

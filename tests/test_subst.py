@@ -189,3 +189,16 @@ def test_quotient_substitution():
     assert qgroup.order == 2
     assert qblock == tuple(proj[b] for b in cover.block)
     assert qblock[0] == 0
+
+
+def test_quotient_substitution_takes_a_group_and_a_block():
+    cover = group_cover(HERNING)
+    for normal in normal_subgroups(cover.group):
+        qgroup, qblock, proj = quotient_substitution((cover.group, cover.block), normal)
+        expected = quotient_substitution(cover, normal)
+        assert (qgroup.table.tolist(), qgroup.element_names, qblock, proj) == (
+            expected[0].table.tolist(), expected[0].element_names, expected[1], expected[2])
+    qgroup, qblock, proj = quotient_substitution((cover.group, cover.block), range(6))
+    assert (qgroup.order, qblock, proj) == (1, (0,) * 5, (0,) * 6)
+    with pytest.raises(ValueError, match="not normal"):
+        quotient_substitution((cover.group, cover.block), cover.group.subgroup_closure({1}))

@@ -3,15 +3,15 @@
     python tools/compare_sweeps.py REV [extra.spec ...]
 
 REV's src/ is extracted with `git archive` into a temporary directory.
-tools/cli_sweep.py, tools/level_sweep.py and tools/spec_sweep.py then run
-from the working tree, once with that src on PYTHONPATH and once with the
-working tree's src, so the scripts and the spec files they read are the
-same for both and only the package differs.  Spec files named after REV
-are passed to every sweep.  For each sweep the script prints a unified diff
-of the two outputs (empty when they agree) and a one-line summary.  Exit
-status: 0 when every sweep printed the same lines under both trees, 1 on
-any difference, 2 when a sweep or git fails.  Nothing is fetched; REV must
-be in the local repository.
+tools/cli_sweep.py, tools/level_sweep.py, tools/spec_sweep.py and
+tools/group_sweep.py then run from the working tree, once with that src on
+PYTHONPATH and once with the working tree's src, so the scripts and the
+spec files they read are the same for both and only the package differs.
+Spec files named after REV are passed to every sweep.  For each sweep the
+script prints a unified diff of the two outputs (empty when they agree) and
+a one-line summary.  Exit status: 0 when every sweep printed the same lines
+under both trees, 1 on any difference, 2 when a sweep or git fails.  Nothing
+is fetched; REV must be in the local repository.
 """
 
 import difflib
@@ -22,7 +22,7 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SWEEPS = ("tools/cli_sweep.py", "tools/level_sweep.py", "tools/spec_sweep.py")
+SWEEPS = ("tools/cli_sweep.py", "tools/level_sweep.py", "tools/spec_sweep.py", "tools/group_sweep.py")
 
 
 def sweep(script: str, src: str, extra) -> list:
