@@ -37,8 +37,13 @@ class Perm:
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles) -> "Perm":
-        images = list(range(degree))
+        images, moved = list(range(degree)), set()
         for cyc in cycles:
+            for a in cyc:
+                if not 0 <= a < degree or a in moved:
+                    raise ValueError("cycle point %d is %s a permutation of degree %d"
+                                     % (a, "repeated in" if a in moved else "outside", degree))
+                moved.add(a)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a] = b
         return cls(images)
@@ -136,16 +141,26 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.element_names)
 
+    def _elements(self, indices) -> list:
+        """The element indices as ints; ValueError names the least below 0, else the largest past the order."""
+        indices = [int(a) for a in indices]
+        for a in (min(indices, default=0), max(indices, default=0)):
+            if not 0 <= a < self.order:
+                raise ValueError("element index %d is outside a group of order %d" % (a, self.order))
+        return indices
+
     def mul(self, a: int, b: int) -> int:
+        a, b = self._elements((a, b))
         return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
+        (a,) = self._elements((a,))
         return int(self.inverse[a])
 
     def product(self, indices) -> int:
         """Left-to-right product of a sequence of element indices."""
         acc = 0
-        for a in indices:
+        for a in self._elements(indices):
             acc = int(self.table[acc, a])
         return acc
 
@@ -162,10 +177,7 @@ class FiniteGroup:
 
     def subgroup_closure(self, subset) -> frozenset:
         """Smallest subgroup containing the given element indices: a walk from the identity along their rows."""
-        gens = sorted({int(a) for a in subset})
-        for a in gens[:1] + gens[-1:]:
-            if not 0 <= a < self.order:
-                raise ValueError("element index %d is outside a group of order %d" % (a, self.order))
+        gens = sorted(set(self._elements(subset)))
         inside = np.arange(self.order) == 0
         frontier = np.zeros(1, dtype=np.intp)
         while frontier.size:
@@ -316,30 +328,26 @@ def centralizer_in_sym(perms, degree=None):
     return _group_from_perms(commuting)
 
 
-def _nonnormal_witness(group: FiniteGroup, members):
-    """Least g whose conjugate g h g^-1 of some member h is not a member, or None when the members are normal."""
-    inside = np.isin(np.arange(group.order), members)
-    fails = np.zeros(group.order, dtype=bool)
-    for h in members:
-        fails |= ~inside[group.table[group.table[:, h], group.inverse]]  # (g h) g^-1 at g
-    return int(fails.argmax()) if fails.any() else None
-
-
 def normal_subgroups(group: FiniteGroup):
-    """All normal subgroups, sorted by size then by element indices."""
+    """All normal subgroups, sorted by size then by element indices.
+
+    Every normal subgroup is a union of conjugacy classes, and a normal subgroup closed with a whole
+    class is normal again, so a walk from {e} closing each subgroup with each class outside it meets just these.
+    """
     if group.order > NORMAL_SUBGROUP_ORDER_CAP:
         raise CapacityError("normal subgroup scan capped at order %d, got %d" % (NORMAL_SUBGROUP_ORDER_CAP, group.order))
+    # the class of a is its conjugates (g a) g^-1 over all g, one O(order) gather per element
+    classes = sorted({tuple(np.unique(group.table[group.table[:, a], group.inverse]).tolist()) for a in range(group.order)})
     subgroups = [frozenset({0})]
     found = set(subgroups)
-    for sub in subgroups:  # grows as it goes: each subgroup is a smaller one closed with one more element
-        for g in range(group.order):
-            if g not in sub:
-                bigger = group.subgroup_closure(sub | {g})
+    for sub in subgroups:  # grows as it goes: each subgroup is a smaller one closed with one more class
+        for cls in classes:
+            if cls[0] not in sub:  # a normal subgroup holds all of a class or none of it
+                bigger = group.subgroup_closure(sub.union(cls))
                 if bigger not in found:
                     found.add(bigger)
                     subgroups.append(bigger)
-    normals = [sub for sub in subgroups if _nonnormal_witness(group, list(sub)) is None]
-    return sorted(normals, key=lambda s: (len(s), sorted(s)))
+    return sorted(subgroups, key=lambda s: (len(s), sorted(s)))
 
 
 def quotient(group: FiniteGroup, normal):
@@ -355,13 +363,14 @@ def quotient(group: FiniteGroup, normal):
         raise ValueError("a subgroup must contain the identity")
     if group.subgroup_closure(sub) != sub:
         raise ValueError("subset is not closed under multiplication")
-    g = _nonnormal_witness(group, list(sub))
-    if g is not None:
-        raise ValueError("subgroup is not normal (fails at element %d)" % g)
-
+    inside = np.isin(np.arange(group.order), list(sub))
+    fails = np.zeros(group.order, dtype=bool)
     least = np.arange(group.order)  # the least element of the coset gH, at g
     for h in sub:
+        fails |= ~inside[group.table[group.table[:, h], group.inverse]]  # (g h) g^-1 at g
         np.minimum(least, group.table[:, h], out=least)
+    if fails.any():
+        raise ValueError("subgroup is not normal (fails at element %d)" % fails.argmax())
     reps = np.flatnonzero(least == np.arange(group.order))
     coset_of = np.searchsorted(reps, least)
     names = tuple("[%s]" % group.element_names[r] for r in reps)

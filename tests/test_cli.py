@@ -389,6 +389,27 @@ def test_far_windows_read_only_the_window(tmp_path):
         assert want in proc.stdout, (want, proc.stdout)
 
 
+SPARSE_SPEC = 'substitution tm on {0, 1} {\n  0 -> "01";\n  1 -> "10";\n}\nobservable w = walsh {0, 1000000000}\n'
+
+
+@pytest.mark.parametrize("command", [
+    ["sarnak", "--weight", "none"],
+    ["kbsz", "--primes", "3,5"],
+    ["corr", "--lags", "64"],
+], ids=["sarnak_unweighted", "kbsz", "corr"])
+def test_sparse_windows_stay_bounded(tmp_path, command):
+    """A window {0, 10^9} reads short runs at both offsets, never the 10^9 symbols (4 GB of int32) between them."""
+    (tmp_path / "sparse.spec").write_text(SPARSE_SPEC)
+    proc = run_limited(command[0], "sparse.spec", "--observable", "w", "--n", "65536", *command[1:],
+                       cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    if command[0] == "sarnak":
+        # Thue-Morse is popcount parity, so the product at n is (-1)^(parity of n + parity of n + 10^9)
+        total = sum((-1) ** (bin(n).count("1") + bin(n + 10**9).count("1")) for n in range(1, 65537))
+        assert total / 65536 == 0.078125
+        assert proc.stdout.splitlines()[0] == "final = %s + 0i at N = 65536" % _format_number(total / 65536)
+
+
 def test_morse_over_a_large_group_reads_in_small_tables(tmp_path):
     """Zn(10000) has a 400 MB table; the digit levels add a few MiB, not order x 2^16 entries."""
     (tmp_path / "z.spec").write_text('morse m over Zn(10000) blocks [repeat "01"]\nobservable one = indicator "1" at 0\n')

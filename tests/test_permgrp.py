@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mobiuslab.errors import CapacityError
+from mobiuslab.morse import block_product
 from mobiuslab.permgrp import (
     FiniteGroup,
     Perm,
@@ -57,6 +58,17 @@ def test_perm_validation():
     q = Perm((1, 2, 0))
     with pytest.raises(ValueError):
         p * q
+
+
+def test_cycles_with_points_outside_the_degree_or_repeated_are_refused():
+    with pytest.raises(ValueError, match="^cycle point 5 is outside a permutation of degree 3$"):
+        Perm.from_cycles(3, (0, 5))
+    with pytest.raises(ValueError, match="^cycle point -1 is outside a permutation of degree 3$"):
+        Perm.from_cycles(3, (-1, 0))
+    with pytest.raises(ValueError, match="^cycle point 0 is repeated in a permutation of degree 3$"):
+        Perm.from_cycles(3, (0, 0))
+    with pytest.raises(ValueError, match="^cycle point 1 is repeated in a permutation of degree 4$"):
+        Perm.from_cycles(4, (0, 1), (1, 2))
 
 
 def test_closure_examples():
@@ -198,6 +210,8 @@ def test_normal_subgroups():
     assert [len(h) for h in normal_subgroups(trivial_group())] == [1]
     s4, _ = symmetric_group(4)
     assert [len(h) for h in normal_subgroups(s4)] == [1, 4, 12, 24]
+    s6, _ = symmetric_group(6)
+    assert [len(h) for h in normal_subgroups(s6)] == [1, 360, 720]
 
 
 def test_quotient():
@@ -263,6 +277,23 @@ def test_element_indices_outside_the_group_are_refused():
         z6.subgroup_closure({-1})
     with pytest.raises(ValueError, match="^element index 7 is outside a group of order 6$"):
         quotient(z6, [0, 7])
+    assert (z6.product([5, 4]), z6.mul(5, 4), z6.inv(5)) == (3, 3, 1)
+
+
+@pytest.mark.parametrize("call, index", [
+    (lambda z6: z6.product([-1]), -1),
+    (lambda z6: z6.product([1, 7, 2]), 7),
+    (lambda z6: z6.mul(-1, 2), -1),
+    (lambda z6: z6.mul(6, 0), 6),
+    (lambda z6: z6.mul(0, 6), 6),
+    (lambda z6: z6.inv(-1), -1),
+    (lambda z6: z6.inv(6), 6),
+    (lambda z6: block_product(z6, (0, 7), (0, 1)), 7),
+], ids=["product_negative", "product_past_order", "mul_negative", "mul_left_past_order", "mul_right_past_order",
+        "inv_negative", "inv_past_order", "block_product"])
+def test_mul_inv_and_product_refuse_indices_outside_the_group(call, index):
+    with pytest.raises(ValueError, match="^element index %d is outside a group of order 6$" % index):
+        call(cyclic_group(6))
 
 
 def test_closure_refuses_degree_zero():
@@ -270,7 +301,7 @@ def test_closure_refuses_degree_zero():
         closure([], degree=0)
 
 
-# Brute-force references: one Python mul call per product.
+# Brute-force references in pure Python: one mul call, or one lookup in the table's rows, per product.
 
 
 def subgroup_closure_by_mul(group, subset):
@@ -290,18 +321,28 @@ def subgroup_closure_by_mul(group, subset):
 
 
 def subgroups_by_mul(group):
-    found = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in range(group.order):
-                bigger = subgroup_closure_by_mul(group, sub | {g})
-                if bigger not in found:
-                    found.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    return found
+    """Every subgroup: each one found, with the generators it was found from, is closed with one
+    element g of each coset gH outside it, since <H, g> = <H, gh>.  Products are read off the
+    table's rows as Python lists: a mul call per product would take seconds at order 120."""
+    rows = group.table.tolist()
+    generators = {frozenset({0}): []}
+    walk = [frozenset({0})]
+    for sub in walk:
+        covered = set(sub)
+        for g in range(group.order):
+            if g not in covered:
+                covered.update(rows[g][h] for h in sub)
+                gens = generators[sub] + [g]
+                bigger, seen = [0], {0}  # every word in gens: a walk from e, one product per (element, generator)
+                for a in bigger:
+                    for c in (rows[a][b] for b in gens):
+                        if c not in seen:
+                            seen.add(c)
+                            bigger.append(c)
+                if frozenset(bigger) not in generators:
+                    generators[frozenset(bigger)] = gens
+                    walk.append(frozenset(bigger))
+    return set(generators)
 
 
 def nonnormal_witness_by_mul(group, sub):
@@ -329,8 +370,25 @@ HERNING = Substitution.from_words({"a": "aabaa", "b": "bcabb", "c": "cbccc"})
 def reference_groups():
     s3, _ = symmetric_group(3)
     s4, _ = symmetric_group(4)
+    s5, _ = symmetric_group(5)
     dihedral8, _ = closure([Perm.from_cycles(4, (0, 1, 2, 3)), Perm.from_cycles(4, (0, 2))])
-    return {"S3": s3, "S4": s4, "Z12": cyclic_group(12), "D8": dihedral8, "herning": group_cover(HERNING).group}
+    # GL(3, 2) of order 168, the symmetries of the Fano plane with lines {i, i + 1, i + 3} mod 7
+    fano, _ = closure([Perm.from_cycles(7, tuple(range(7))), Perm.from_cycles(7, (2, 4), (5, 6))])
+    cube = FiniteGroup([str(a) for a in range(8)], np.bitwise_xor.outer(np.arange(8), np.arange(8)))  # (Z_2)^3
+    return {"S3": s3, "S4": s4, "S5": s5, "Z12": cyclic_group(12), "Z30": cyclic_group(30), "Z2^3": cube,
+            "D8": dihedral8, "GL32": fano, "herning": group_cover(HERNING).group}
+
+
+def seeded_closures():
+    """Closures of seeded random generator sets of degree 2 to 7, those of order at most 168."""
+    rng = np.random.default_rng(27)
+    for degree in range(2, 8):
+        for _ in range(8):
+            gens = [Perm(rng.permutation(degree)) for _ in range(int(rng.integers(1, 4)))]
+            try:
+                yield closure(gens, degree=degree, size_cap=168)[0]
+            except CapacityError:
+                continue
 
 
 @pytest.mark.parametrize("name", ["S4", "Z12", "herning"])
@@ -341,9 +399,7 @@ def test_subgroup_closure_matches_the_mul_walk(name):
             assert group.subgroup_closure(subset) == subgroup_closure_by_mul(group, subset), subset
 
 
-@pytest.mark.parametrize("name", ["S3", "S4", "Z12", "D8", "herning"])
-def test_normal_subgroups_and_quotients_match_the_mul_loops(name):
-    group = reference_groups()[name]
+def assert_normal_subgroups_and_quotients_match_the_mul_loops(group):
     subgroups = subgroups_by_mul(group)
     normals = [sub for sub in subgroups if nonnormal_witness_by_mul(group, sub) is None]
     assert normal_subgroups(group) == sorted(normals, key=lambda s: (len(s), sorted(s)))
@@ -356,6 +412,19 @@ def test_normal_subgroups_and_quotients_match_the_mul_loops(name):
         q, projection = quotient(group, sub)
         table, names, reference_projection = quotient_by_mul(group, sub)
         assert q.table.tolist() == table and q.element_names == names and projection == reference_projection
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S5", "Z12", "Z30", "Z2^3", "D8", "GL32", "herning"])
+def test_normal_subgroups_and_quotients_match_the_mul_loops(name):
+    assert_normal_subgroups_and_quotients_match_the_mul_loops(reference_groups()[name])
+
+
+def test_normal_subgroups_and_quotients_match_the_mul_loops_on_seeded_closures():
+    orders = []
+    for group in seeded_closures():
+        assert_normal_subgroups_and_quotients_match_the_mul_loops(group)
+        orders.append(group.order)
+    assert len(set(orders)) >= 8 and max(orders) >= 120, orders
 
 
 def test_closure_tables_match_lookup_for_random_generators():

@@ -34,7 +34,7 @@ from mobiuslab.permgrp import Perm
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CAP = 1000
-NORMAL_ORDER = 24
+NORMAL_ORDER = 120
 CYCLIC = (1, 2, 6, 12, 30, 97)
 
 
