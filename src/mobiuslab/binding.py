@@ -1,10 +1,10 @@
 """The rules that turn spec declarations into systems, observables and experiments.
 
-specfile's validator resolves the names a document uses and then binds each
-system declaration once through these functions, and builds each
-experiment's config; a BindingError, ValueError or CapacityError they raise
-becomes a located diagnostic.  The document keeps the bound systems with
-their streams, and the CLI reads them from there.
+Every rule of a declaration lives here: a refusal (BindingError) carries the
+span of the rule, group or declaration at fault.  specfile's validator binds
+each system once, and checks each experiment with observable_span, which
+builds no Walsh or indicator table, and experiment.check_run.  The CLI reads
+the bound systems from the document and binds each observable it runs.
 
 Symbols: a key of a table observable, or a character of an indicator block,
 names a substitution letter or a symbol index (one base-36 digit, or a
@@ -23,7 +23,7 @@ from . import odometer as _odometer
 from . import spectral as _spectral
 from . import subst as _subst
 from .arith import DigitPattern, PatternReader
-from .experiment import ExperimentConfig
+from .errors import CapacityError
 from .permgrp import CLOSURE_CAP, FiniteGroup, cyclic_group, symmetric_group
 from .streams import SymbolStream
 
@@ -31,7 +31,11 @@ BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 class BindingError(ValueError):
-    """A spec document parsed cleanly but a reference or value cannot bind."""
+    """A reference or value cannot bind; span locates it in the document, if any (None: see build_group)."""
+
+    def __init__(self, message: str, span=None):
+        super().__init__(message)
+        self.span = span
 
 
 @dataclass(frozen=True)
@@ -58,39 +62,67 @@ class BoundSystem:
 
 
 def build_substitution(decl) -> "_subst.Substitution":
-    images = dict(decl.rules)
-    index = {c: a for a, c in enumerate(decl.letters)}
+    """The substitution of a declaration, refused at the rule at fault, else at the declaration."""
+    ruled = {}  # letter -> index of its first rule
+    for i, (letter, _) in enumerate(decl.rules):
+        if ruled.setdefault(letter, i) != i:
+            raise BindingError("letter %r has more than one rule" % letter, decl.rule_span(i))
+    missing = [l for l in decl.letters if l not in ruled]
+    if missing:
+        raise BindingError("missing rules for letters %s" % ", ".join(missing), decl.span)
+    for i, (letter, image) in enumerate(decl.rules):
+        for c in image:
+            if c not in ruled:  # the alphabet: every letter has a rule, and the parser refused rules for others
+                raise BindingError("rule for %r uses unknown letter %r" % (letter, c), decl.rule_span(i))
+    first = len(decl.rules[0][1])
+    for i, (letter, image) in enumerate(decl.rules):
+        if len(image) != first:
+            raise BindingError("rule for %r has length %d, others have %d" % (letter, len(image), first),
+                               decl.rule_span(i))
+    images, index = dict(decl.rules), {c: a for a, c in enumerate(decl.letters)}
     sub = _subst.Substitution([[index[c] for c in images[letter]] for letter in decl.letters], decl.letters)
     seeds = [a for a, row in enumerate(sub.rows) if row[0] == a]
     if not seeds:
-        raise BindingError("substitution %r has no letter fixed at position 0, so no one-sided fixed point" % decl.name)
+        raise BindingError("substitution %r has no letter fixed at position 0, so no one-sided fixed point" % decl.name,
+                           decl.span)
     return dataclasses.replace(sub, seed=seeds[0])
 
 
-def build_group(expr, systems: dict):
-    """(group, cover or None) of a group expression.
+def build_group(expr, systems: dict, bound: dict):
+    """(group, cover or None) of a group expression, refused at its span; a cover-of target is a bound substitution.
 
-    systems maps names to bound systems; a cover-of target must be a bound
-    substitution.
+    systems maps declared names to declarations, bound to BoundSystems; a target that failed to bind is refused
+    with no span, as its own refusal is located at it.
     """
-    if expr.kind == "Z2":
-        return cyclic_group(2), None
-    if expr.kind == "Zn":
-        if not 2 <= expr.param <= CLOSURE_CAP:  # the table has n^2 entries
-            raise BindingError("Zn needs 2 <= n <= %d, got %d" % (CLOSURE_CAP, expr.param))
-        return cyclic_group(expr.param), None
-    if expr.kind == "Sym":
-        return symmetric_group(expr.param)[0], None
-    cover = systems[expr.param].cover
-    return cover.group, cover
+    if expr.kind == "cover":
+        target = systems.get(expr.param)
+        if target is None:
+            raise BindingError("cover-of refers to unknown system %r" % expr.param, expr.span)
+        if target.kind != "substitution":
+            raise BindingError("cover-of needs a substitution, %r is not one" % expr.param, expr.span)
+        if expr.param not in bound:
+            raise BindingError("cover-of target %r did not bind" % expr.param)
+    try:
+        if expr.kind == "Z2":
+            return cyclic_group(2), None
+        if expr.kind == "Zn":
+            if not 2 <= expr.param <= CLOSURE_CAP:  # the table has n^2 entries
+                raise ValueError("Zn needs 2 <= n <= %d, got %d" % (CLOSURE_CAP, expr.param))
+            return cyclic_group(expr.param), None
+        if expr.kind == "Sym":
+            return symmetric_group(expr.param)[0], None
+        cover = bound[expr.param].cover
+        return cover.group, cover
+    except (ValueError, CapacityError) as exc:
+        raise BindingError(str(exc), expr.span) from None
 
 
-def _symbols(word: str, order: int, what: str) -> tuple:
+def _symbols(word: str, order: int, what: str, span) -> tuple:
     """Element indices of a block or psi word over a group of the given order."""
     values = tuple(BASE36.find(c.lower()) for c in word)
     for c, v in zip(word, values):
         if not 0 <= v < order:
-            raise BindingError("%s symbol %r is outside the group" % (what, c))
+            raise BindingError("%s symbol %r is outside the group" % (what, c), span)
     return values
 
 
@@ -107,19 +139,20 @@ def bind_system(decl, group: FiniteGroup | None = None, cover=None) -> BoundSyst
     if decl.kind == "morse":
         if cover is not None:
             if decl.blocks or decl.tail:
-                raise BindingError("cover-of systems take their block from the cover; drop the blocks clause")
+                raise BindingError("cover-of systems take their block from the cover; drop the blocks clause",
+                                   decl.span)
             spec = cover.morse_spec()
         elif not decl.tail:
-            raise BindingError('missing blocks clause (blocks [..., repeat "..."])')
+            raise BindingError('missing blocks clause (blocks [..., repeat "..."])', decl.span)
         else:
-            blocks = tuple(_symbols(b, group.order, "block") for b in decl.blocks)
-            spec = _morse.MorseSpec(group, blocks, _symbols(decl.tail, group.order, "block"))
+            blocks = tuple(_symbols(b, group.order, "block", decl.span) for b in decl.blocks)
+            spec = _morse.MorseSpec(group, blocks, _symbols(decl.tail, group.order, "block", decl.span))
         return BoundSystem(decl.name, "morse", spec, group.order, _morse.morse_stream(spec, name=decl.name), group=group)
     vspec = _odometer.VeechSpec(
         _odometer.OdometerSpec(tail=decl.base),
         group,
-        psi_head=_symbols(decl.psi_head, group.order, "psi head"),
-        psi_tail=_symbols(decl.psi_tail, group.order, "psi repeat block"),
+        psi_head=_symbols(decl.psi_head, group.order, "psi head", decl.span),
+        psi_tail=_symbols(decl.psi_tail, group.order, "psi repeat block", decl.span),
     )
     return BoundSystem(decl.name, "veech", vspec, group.order, _odometer.veech_stream(vspec, name=decl.name), group=group)
 
@@ -137,17 +170,33 @@ def resolve_symbol(bound: BoundSystem, key: str) -> int:
     raise BindingError("symbol %r is outside system %r" % (key, bound.name))
 
 
+def _arguments(decl, bound: BoundSystem) -> tuple:
+    """The checked arguments of a Walsh or indicator observable: (coords,) or (block, offset, alphabet size)."""
+    if decl.kind == "indicator":
+        return tuple(resolve_symbol(bound, c) for c in decl.block), decl.offset, bound.alphabet_size
+    if bound.alphabet_size != 2:
+        raise BindingError("walsh observables need a binary alphabet, system %r has %d symbols"
+                           % (bound.name, bound.alphabet_size))
+    return (decl.coords,)
+
+
+def observable_span(decl, bound: BoundSystem) -> int:
+    """The span of decl's observable over bound, refused as bind_observable refuses it.
+
+    Only a table observable, one entry per symbol, is built: a Walsh or
+    indicator window meets TABLE_CAP without its table.
+    """
+    if decl.kind == "table":
+        return bind_observable(decl, bound).span
+    window = _spectral.walsh_window if decl.kind == "walsh" else _spectral.indicator_window
+    return window(*_arguments(decl, bound))[-1] + 1
+
+
 def bind_observable(decl, bound: BoundSystem) -> "_spectral.Observable":
     if decl.kind == "walsh":
-        if bound.alphabet_size != 2:
-            raise BindingError(
-                "walsh observables need a binary alphabet, system %r has %d symbols"
-                % (bound.name, bound.alphabet_size)
-            )
-        return _spectral.make_walsh(decl.coords, name=decl.name)
+        return _spectral.make_walsh(*_arguments(decl, bound), name=decl.name)
     if decl.kind == "indicator":
-        block = tuple(resolve_symbol(bound, c) for c in decl.block)
-        return _spectral.make_block_indicator(block, decl.offset, bound.alphabet_size, name=decl.name)
+        return _spectral.make_block_indicator(*_arguments(decl, bound), name=decl.name)
     values, keys = {}, {}  # symbol -> its value, and the key that gave it
     for key, value in decl.entries:
         symbol = resolve_symbol(bound, key)
@@ -156,15 +205,3 @@ def bind_observable(decl, bound: BoundSystem) -> "_spectral.Observable":
         values[symbol] = value
         keys[symbol] = key
     return _spectral.make_symbol_table(values, bound.alphabet_size, name=decl.name)
-
-
-def bind_experiment(decl, bound: BoundSystem, observable: "_spectral.Observable") -> ExperimentConfig:
-    """The unweighted config of a declaration; building it checks every rule of the run."""
-    return ExperimentConfig(
-        name=decl.name,
-        stream=bound.stream,
-        observable=observable,
-        sample_size=decl.sample_size,
-        checkpoints=None if decl.checkpoints == "pow2" else decl.checkpoints,
-        kbsz=decl.kbsz,
-    )

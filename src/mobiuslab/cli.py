@@ -159,27 +159,30 @@ def _cmd_skeleton(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    """theta^t(seed) is the fixed point's first lambda^t symbols, c-hat_t the hat of the Morse sequence's first n_t."""
+    """theta^t(seed) is the fixed point's first lambda^t symbols, c-hat_t the hat of the Morse sequence's first n_t.
+
+    Every length is checked before a symbol is read, and every line spelt before one is printed.
+    """
     _, bound = _load_system(args)
     if args.t < 0:
         raise BindingError("--t must be nonnegative, got %d" % args.t)
-    spec, n = bound.definition, 1
-    if bound.kind == "substitution":
-        for t in range(1, args.t + 1):
-            n *= spec.lam
-            if n > 1 << 20:
-                raise BindingError("power word at t=%d exceeds 2^20 symbols" % t)
-            print("t=%d |word|=%d %s" % (t, n, render_word(bound.stream.prefix(n), spec.letters)))
-        return 0
-    if bound.kind == "morse":
-        for t in range(1, args.t + 1):
-            n *= spec.lam(t - 1)
-            if n > 1 << 20:
-                raise BindingError("Toeplitz stage at t=%d exceeds 2^20 symbols" % t)
-            values = render_word(_morse.hat_word(spec.group, bound.stream.prefix(n)))
-            print("t=%d n=%d hole=%d values=%s" % (t, n, n - 1, values))
-        return 0
-    raise BindingError("blocks needs a substitution or morse system, %r is neither" % bound.name)
+    if bound.kind not in ("substitution", "morse"):
+        raise BindingError("blocks needs a substitution or morse system, %r is neither" % bound.name)
+    spec, words, lengths = bound.definition, bound.kind == "substitution", [1]
+    for t in range(1, args.t + 1):
+        lengths.append(lengths[-1] * (spec.lam if words else spec.lam(t - 1)))
+        if lengths[-1] > 1 << 20:
+            raise BindingError("%s at t=%d exceeds 2^20 symbols" % ("power word" if words else "Toeplitz stage", t))
+    lines = []
+    for t, n in enumerate(lengths[1:], start=1):
+        word = bound.stream.prefix(n)
+        if words:
+            lines.append("t=%d |word|=%d %s\n" % (t, n, render_word(word, spec.letters)))
+        else:
+            values = render_word(_morse.hat_word(spec.group, word))
+            lines.append("t=%d n=%d hole=%d values=%s\n" % (t, n, n - 1, values))
+    sys.stdout.write("".join(lines))
+    return 0
 
 
 def _autocorrelation(args) -> "_spectral.AutocorrelationEstimate":
@@ -211,13 +214,14 @@ def _parse_checkpoints(text: str):
 
 
 def _experiment_config(decl, bound: BoundSystem, obs, experiments, tables, out=None) -> "_experiment.ExperimentConfig":
-    """decl's config: bound (checking every run rule), then out checked, then weighted from tables.
+    """decl's config: built (checking every run rule), then out checked, then weighted from tables.
 
     On the first weighted use, one sweep sieves every kind the Sarnak sums in experiments weight by, each to
     its widest reach (N under pow2, else the last checkpoint); each sum slices its kind's table, as mu(n) and
     lambda(n) ignore its length.
     """
-    config = _binding.bind_experiment(decl, bound, obs)
+    config = _experiment.ExperimentConfig(decl.name, bound.stream, obs, decl.sample_size, kbsz=decl.kbsz,
+                                          checkpoints=None if decl.checkpoints == "pow2" else decl.checkpoints)
     _check_out(out)
     if config.kbsz is not None or decl.weight == "none":
         return config

@@ -174,17 +174,37 @@ def block_sweep(
     return reports
 
 
+def check_run(sample_size: int, checkpoints, kbsz, span: int) -> tuple:
+    """(checkpoints, kbsz) of a run over an observable of the given span, after every check made before a read.
+
+    The checks: a positive sample size, the kbsz primes, the sample-size cap, the checkpoint grid (None:
+    powers of two up to sample_size), the int64 reach, and the grid against the sample size.
+    """
+    if sample_size < 1:
+        raise ValueError("N must be positive, got %d" % sample_size)
+    if kbsz is not None:
+        r, s = kbsz = tuple(int(p) for p in kbsz)
+        try:
+            primes = r != s and is_prime(r) and is_prime(s)
+        except ValueError as exc:
+            raise ValueError("kbsz pair (%d, %d): %s" % (r, s, exc)) from None
+        if not primes:
+            raise ValueError("kbsz needs two distinct primes, got (%d, %d)" % (r, s))
+    _check_reach(sample_size, 1)  # the cap on N, whatever the checkpoints
+    points = pow2_checkpoints(sample_size) if checkpoints is None else _validate_checkpoints(checkpoints)
+    _check_reach(points[-1], span, kbsz)
+    if points[-1] > sample_size:
+        raise ValueError("checkpoint %d beyond sample size %d" % (points[-1], sample_size))
+    return points, kbsz
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run: a stream, an observable, a weight, and the checkpoint grid.
 
     kbsz switches the run to the bilinear sums at the given prime pair, in
-    which case the weight is ignored.  Construction makes every check a run
-    makes before it reads the stream or sieves a weight: a positive sample
-    size, the kbsz primes, the sample-size cap, the checkpoint grid, the
-    int64 reach, and the grid against the sample size.  After it,
-    checkpoints holds the resolved grid; None asks for powers of two up to
-    sample_size.
+    which case the weight is ignored.  Construction passes check_run, and
+    checkpoints then holds the resolved grid.
     """
 
     name: str
@@ -196,25 +216,9 @@ class ExperimentConfig:
     kbsz: tuple | None = None
 
     def __post_init__(self):
-        if self.sample_size < 1:
-            raise ValueError("N must be positive, got %d" % self.sample_size)
-        if self.kbsz is not None:
-            r, s = (int(p) for p in self.kbsz)
-            try:
-                primes = r != s and is_prime(r) and is_prime(s)
-            except ValueError as exc:
-                raise ValueError("kbsz pair (%d, %d): %s" % (r, s, exc)) from None
-            if not primes:
-                raise ValueError("kbsz needs two distinct primes, got (%d, %d)" % (r, s))
-            object.__setattr__(self, "kbsz", (r, s))
-        _check_reach(self.sample_size, 1)  # the cap on N, whatever the checkpoints
-        points = pow2_checkpoints(self.sample_size)
-        if self.checkpoints is not None:
-            points = _validate_checkpoints(self.checkpoints)
-        _check_reach(points[-1], self.observable.span, self.kbsz)
-        if points[-1] > self.sample_size:
-            raise ValueError("checkpoint %d beyond sample size %d" % (points[-1], self.sample_size))
+        points, kbsz = check_run(self.sample_size, self.checkpoints, self.kbsz, self.observable.span)
         object.__setattr__(self, "checkpoints", points)
+        object.__setattr__(self, "kbsz", kbsz)
 
 
 def run_config(config: ExperimentConfig) -> ConvergenceReport:

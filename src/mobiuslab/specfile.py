@@ -32,11 +32,12 @@ declaration keyword outside brackets; a name that is a reserved keyword is
 refused before it is consumed.  Parsing is all or nothing: parse_spec returns a
 SpecDocument only when no diagnostic was raised, otherwise the list of
 diagnostics, each with the line, column and source line of the offending
-token.  The validator binds each system once through the binding module, and
-each experiment's observable and limits against it, so a document that parses
-also binds and runs within the sample-size cap; the document keeps its bound
-systems, each with its stream.  Document equality ignores source positions
-and bound systems, so parse(print_spec(doc)) == doc.
+token.  The validator scopes names, binds each system once through the binding
+module, which holds every rule of a declaration, and checks each experiment
+from declarations (binding.observable_span, experiment.check_run) with no Walsh
+or indicator table built, so a document that parses also binds and runs within
+the sample-size cap; it keeps its bound systems.  Document equality ignores
+source positions and bound systems, so parse(print_spec(doc)) == doc.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ import re
 from dataclasses import dataclass, field
 
 from .arith import WEIGHT_KINDS
-from .binding import bind_experiment, bind_observable, bind_system, build_group
+from .binding import BindingError, bind_system, build_group, observable_span
 from .errors import CapacityError
+from .experiment import check_run
 
 # Each declaration keyword, in grammar order, with what diagnostics call the name after it.
 DECL_KEYWORDS = {
@@ -528,97 +530,44 @@ class _Validator:
         self.diagnostics = []
         self.bound = {}  # system name -> BoundSystem
         self.groups = {}  # GroupExpr -> (group, cover) built once for the document
-        self.kept = (None, None)  # the last (observable, system) pair checked and its bound observable
 
     def error(self, message, span):
         self.diagnostics.append(_diagnostic(message, span.line, span.column, self.source_lines))
 
     def run(self):
-        systems = {}
-        observables = {}
-        experiments = {}
+        systems, observables, experiments = {}, {}, {}
         for decl in self.declarations:
-            if isinstance(decl, SYSTEM_DECLS):
-                scope = systems
-            elif isinstance(decl, ObservableDecl):
-                scope = observables
-            else:
-                scope = experiments
-            if decl.name in scope:
-                first = scope[decl.name].span
-                self.error(
-                    "duplicate name %r (first declared at line %d, column %d)" % (decl.name, first.line, first.column),
-                    decl.span,
-                )
-            else:
-                scope[decl.name] = decl
+            scope = {ObservableDecl: observables, ExperimentDecl: experiments}.get(type(decl), systems)
+            first = scope.setdefault(decl.name, decl).span
+            if scope[decl.name] is not decl:
+                where = "line %d, column %d" % (first.line, first.column)
+                self.error("duplicate name %r (first declared at %s)" % (decl.name, where), decl.span)
 
         # substitutions first: cover-of systems are built from bound ones
         for decl in sorted(systems.values(), key=lambda d: d.kind != "substitution"):
             self.bind(decl, systems)
-        # in (observable, system) order, so each pair's observable is bound once
-        every_experiment = [decl for decl in self.declarations if isinstance(decl, ExperimentDecl)]
-        for decl in sorted(every_experiment, key=lambda d: (d.observable, d.system)):
-            self.check_experiment(decl, systems, observables)
+        for decl in self.declarations:
+            if isinstance(decl, ExperimentDecl):
+                self.check_experiment(decl, systems, observables)
         return sorted(self.diagnostics, key=lambda d: (d.line, d.column))
 
     def bind(self, decl, systems):
-        if isinstance(decl, SubstitutionDecl) and not self.check_substitution(decl):
-            return
-        group = cover = None
-        if isinstance(decl, (MorseDecl, VeechDecl)):
-            if not self.check_cover_target(decl.group, systems):
-                return
-            try:
-                if decl.group not in self.groups:  # a failed build is retried, so each declaration is located
-                    self.groups[decl.group] = build_group(decl.group, self.bound)
-                group, cover = self.groups[decl.group]
-            except (ValueError, CapacityError) as exc:
-                self.error(str(exc), decl.group.span)
-                return
+        """Bind a system, locating a refusal at its BindingError's span, or else at the declaration."""
         try:
+            group = cover = None
+            if isinstance(decl, (MorseDecl, VeechDecl)):
+                if decl.group not in self.groups:  # a failed build is retried, so each declaration is located
+                    self.groups[decl.group] = build_group(decl.group, systems, self.bound)
+                group, cover = self.groups[decl.group]
             self.bound[decl.name] = bind_system(decl, group, cover)
+        except BindingError as exc:
+            if exc.span is not None:  # None: a cover-of target's refusal, located at that target
+                self.error(str(exc), exc.span)
         except (ValueError, CapacityError) as exc:
             self.error(str(exc), decl.span)
 
-    def check_substitution(self, decl) -> bool:
-        """Rule-level checks located at the rule; the binder checks the rest."""
-        ruled = {}  # letter -> index of its first rule
-        for i, (letter, _) in enumerate(decl.rules):
-            if ruled.setdefault(letter, i) != i:
-                self.error("letter %r has more than one rule" % letter, decl.rule_span(i))
-                return False
-        missing = [l for l in decl.letters if l not in ruled]
-        if missing:
-            self.error("missing rules for letters %s" % ", ".join(missing), decl.span)
-            return False
-        for i, (letter, image) in enumerate(decl.rules):
-            for c in image:
-                if c not in ruled:  # the alphabet: every letter has a rule, and the parser refused rules for others
-                    self.error("rule for %r uses unknown letter %r" % (letter, c), decl.rule_span(i))
-                    return False
-        first = len(decl.rules[0][1])
-        for i, (letter, image) in enumerate(decl.rules):
-            if len(image) != first:
-                self.error("rule for %r has length %d, others have %d" % (letter, len(image), first), decl.rule_span(i))
-                return False
-        return True
-
-    def check_cover_target(self, group: GroupExpr, systems) -> bool:
-        """False when a cover-of target is not a bound substitution.
-
-        A target that failed to bind has its own diagnostic already.
-        """
-        if group.kind != "cover":
-            return True
-        target = systems.get(group.param)
-        if target is None:
-            self.error("cover-of refers to unknown system %r" % group.param, group.span)
-        elif not isinstance(target, SubstitutionDecl):
-            self.error("cover-of needs a substitution, %r is not one" % group.param, group.span)
-        return isinstance(target, SubstitutionDecl) and target.name in self.bound
-
     def check_experiment(self, decl, systems, observables):
+        """Check every run rule of decl against its system, from its observable's declaration."""
         if decl.system not in systems:
             self.error("experiment refers to unknown system %r" % decl.system, decl.span)
         obs = observables.get(decl.observable)
@@ -628,10 +577,8 @@ class _Validator:
         if system is None or obs is None:
             return
         try:
-            if self.kept[0] != (decl.observable, decl.system):  # a failed bind is retried, so each is located
-                self.kept = (None, None)  # the last pair's table is freed before this one is built
-                self.kept = ((decl.observable, decl.system), bind_observable(obs, system))
-            bind_experiment(decl, system, self.kept[1])  # building the config is the check
+            checkpoints = None if decl.checkpoints == "pow2" else decl.checkpoints
+            check_run(decl.sample_size, checkpoints, decl.kbsz, observable_span(obs, system))
         except ValueError as exc:
             self.error(str(exc), decl.span)
 
@@ -694,15 +641,10 @@ def print_spec(doc: SpecDocument) -> str:
                 body = ", ".join("%s: %s" % (k, _render_value(v)) for k, v in decl.entries)
                 chunks.append("observable %s = table {%s}" % (decl.name, body))
         elif isinstance(decl, ExperimentDecl):
-            lines = ["experiment %s {" % decl.name]
-            lines.append("  system: %s;" % decl.system)
-            lines.append("  observable: %s;" % decl.observable)
-            lines.append("  weight: %s;" % decl.weight)
-            lines.append("  N: %d;" % decl.sample_size)
-            if decl.checkpoints == "pow2":
-                lines.append("  checkpoints: pow2;")
-            else:
-                lines.append("  checkpoints: [%s];" % ", ".join(map(str, decl.checkpoints)))
+            points = "pow2" if decl.checkpoints == "pow2" else "[%s]" % ", ".join(map(str, decl.checkpoints))
+            lines = ["experiment %s {" % decl.name, "  system: %s;" % decl.system,
+                     "  observable: %s;" % decl.observable, "  weight: %s;" % decl.weight,
+                     "  N: %d;" % decl.sample_size, "  checkpoints: %s;" % points]
             if decl.kbsz is not None:
                 lines.append("  kbsz: (%d, %d);" % decl.kbsz)
             lines.append("}")

@@ -256,14 +256,20 @@ def _table_size(window, alphabet_size) -> int:
     return size
 
 
+def walsh_window(coords) -> tuple:
+    """The window of make_walsh(coords), refused above TABLE_CAP: the coordinates in order, or (0,) for none."""
+    window = tuple(sorted(int(c) for c in set(coords))) or (0,)
+    _table_size(window, 2)
+    return window
+
+
 def make_walsh(coords, name: str | None = None) -> Observable:
     """f(x) = (-1)^(sum of x at the coordinates) on the binary alphabet.
 
     The empty coordinate set gives the constant 1 observable on window {0}.
     """
     coords = tuple(sorted(int(c) for c in set(coords)))
-    window = coords if coords else (0,)
-    _table_size(window, 2)
+    window = walsh_window(coords)
     # the Kronecker product of one factor [1, -1] per coordinate: each doubles v to [v, -v]
     values = np.ones(1 if coords else 2, dtype=np.int8)
     for _ in coords:
@@ -278,16 +284,23 @@ def make_walsh(coords, name: str | None = None) -> Observable:
     )
 
 
-def make_block_indicator(block, offset: int = 0, alphabet_size: int = 2, name: str | None = None) -> Observable:
-    """1 when the window starting at the offset spells the block, else 0."""
-    block = tuple(int(b) for b in block)
+def indicator_window(block, offset: int, alphabet_size: int) -> tuple:
+    """The window of make_block_indicator(block, offset, alphabet_size), refused as it refuses."""
     if not block:
         raise ValueError("block must be nonempty")
     for b in block:
         if not 0 <= b < alphabet_size:
             raise ValueError("block symbol %d outside alphabet of size %d" % (b, alphabet_size))
     window = tuple(range(offset, offset + len(block)))
-    values = np.zeros(_table_size(window, alphabet_size), dtype=np.complex128)
+    _table_size(window, alphabet_size)
+    return window
+
+
+def make_block_indicator(block, offset: int = 0, alphabet_size: int = 2, name: str | None = None) -> Observable:
+    """1 when the window starting at the offset spells the block, else 0."""
+    block = tuple(int(b) for b in block)
+    window = indicator_window(block, offset, alphabet_size)
+    values = np.zeros(alphabet_size ** len(window), dtype=np.complex128)
     values.reshape((alphabet_size,) * len(block))[block] = 1.0
     return Observable(
         window=window,

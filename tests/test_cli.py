@@ -70,7 +70,7 @@ def test_symbols_without_a_digit_exit_two(capsys, tmp_path, block, command):
     (tmp_path / "z.spec").write_text(ZN % block)
     code, out, err = run(capsys, command[0], str(tmp_path / "z.spec"), *command[1:])
     assert code == 2 and err.startswith("error: symbol ") and "base-36" in err
-    assert out == ("t=1 n=2 hole=1 values=1\nt=2 n=4 hole=3 values=101\n" if command[0] == "blocks" else "")
+    assert out == ""  # blocks spells every stage before it prints one
 
 
 def test_gen_spells_every_letter(capsys, tmp_path):
@@ -440,10 +440,14 @@ def test_symbol_counts_beyond_the_cap_exit_two(command):
 
 def test_morse_stages_beyond_2_20_exit_two():
     proc = run_limited("blocks", str(SPECS / "herning.spec"), "--system", "herning_cover", "--t", "40")
-    assert proc.returncode == 2
-    lines = proc.stdout.splitlines()
-    assert [line.split()[1] for line in lines] == ["n=%d" % 5**t for t in range(1, 9)]  # 5^9 > 2^20
-    assert proc.stderr == "error: Toeplitz stage at t=9 exceeds 2^20 symbols\n"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: Toeplitz stage at t=9 exceeds 2^20 symbols\n"  # 5^9 > 2^20
+
+
+def test_power_words_beyond_2_20_are_refused_before_any_is_printed():
+    """t = 1..20 would print 2 MiB of Thue-Morse before t = 21 (2^21 symbols) is refused."""
+    proc = run_limited("blocks", TM_SPEC, "--t", "21")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: power word at t=21 exceeds 2^20 symbols\n")
 
 
 def test_skeleton_with_a_huge_t_answers_at_once():
@@ -458,8 +462,7 @@ def test_power_words_beyond_2_20_are_refused_before_they_are_built(tmp_path):
         'substitution s on {a, b} {\n  a -> "%s";\n  b -> "%s";\n}\n' % ("ab" * 10000, "ba" * 10000)
     )
     proc = run_limited("blocks", "long.spec", "--t", "2", cwd=str(tmp_path))
-    assert proc.returncode == 2
-    assert proc.stdout.startswith("t=1 |word|=20000 abab") and len(proc.stdout.splitlines()) == 1
+    assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: power word at t=2 exceeds 2^20 symbols\n"
 
 
@@ -810,27 +813,50 @@ def test_run_keeps_one_observable_table_alive(tmp_path):
     assert code == 0 and maxrss_kib < 450 << 10, maxrss_kib
 
 
+PEAK_OF_CALL = """
+import sys
+from mobiuslab import cli
+
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(code, [int(line.split()[1]) for line in fh if line.startswith("VmHWM:")][0])
+"""
+
+
+@pytest.mark.parametrize("command", [["gen", "--n", "16"], ["cover"]], ids=["gen", "cover"])
+def test_parsing_a_wide_walsh_observable_builds_no_table(tmp_path, command):
+    """A file whose experiment reads a 24-coordinate Walsh table (256 MiB): commands that never run it stay small."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    (tmp_path / "wide.spec").write_text(
+        REUSE_SYSTEMS.replace("walsh {0}", "walsh {%s}" % ", ".join(map(str, range(24))))
+        + "experiment a { system: tm; observable: w0; weight: none; N: 1024; }\n"
+    )
+    proc = run_limited(command[0], "wide.spec", *command[1:], python=("-c", PEAK_OF_CALL), cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0 and peak_kib < 64 << 10, peak_kib
+
+
 def test_run_binds_a_repeated_observable_once(capsys, tmp_path, monkeypatch):
     """Consecutive experiments over one (observable, system) pair share its table; another pair rebinds.
 
-    The file's validation binds each pair once as well, so two experiments
-    over one walsh {0, 1} build it twice, and a, b, c, d over w01, w01, w0,
-    w01 build w01 three times.
+    Parsing builds no Walsh table, so two experiments over one walsh {0, 1}
+    build it once, and a, b, c, d over w01, w01, w0, w01 build w01 twice.
     """
     from mobiuslab import spectral
 
     built, make_walsh = [], spectral.make_walsh
     monkeypatch.setattr(spectral, "make_walsh", lambda coords, name=None: built.append(name) or make_walsh(coords, name))
     experiment = "experiment e%d { system: tm; observable: %s; weight: none; N: 64; }\n"
-    for label, observables, builds in (("two", "w01 w01", ["w01"] * 2),
-                                       ("four", "w01 w01 w0 w01", ["w01", "w0"] * 2 + ["w01"])):
+    for label, observables, builds in (("two", "w01 w01", ["w01"]), ("four", "w01 w01 w0 w01", ["w01", "w0", "w01"])):
         spec = tmp_path / (label + ".spec")
         spec.write_text(REUSE_SYSTEMS + "observable w01 = walsh {0, 1}\n"
                         + "".join(experiment % (i, o) for i, o in enumerate(observables.split())))
         built.clear()
         code, _, err = run(capsys, "run", str(spec), "--out", str(tmp_path / label))
         assert (code, err) == (0, "")
-        assert sorted(built) == sorted(builds), label
+        assert built == builds, label
 
 
 def test_run_keeps_one_weight_table_per_kind_alive(tmp_path):

@@ -476,19 +476,25 @@ experiment f { system: tm; observable: w0; N: 8; }
 """
 
 
-def test_each_observable_and_system_pair_is_bound_once_while_parsing(monkeypatch):
-    """Experiments are checked in (observable, system) order, one pair's table at a time."""
-    pairs, bind = [], specfile.bind_observable
+def test_parsing_builds_no_walsh_or_indicator_table(monkeypatch):
+    """Experiments are checked from their observables' declarations; only run builds a table."""
+    from mobiuslab import spectral
 
-    def counting(decl, bound):
-        pairs.append((decl.name, bound.name))
-        return bind(decl, bound)
+    built = []
 
-    monkeypatch.setattr(specfile, "bind_observable", counting)
-    parse_ok(PAIRS_SPEC)
-    assert pairs == [("w0", "r"), ("w0", "tm"), ("w1", "tm")]
+    def counting(make):
+        return lambda *args, **kwargs: built.append(args) or make(*args, **kwargs)
 
-    # a pair that fails to bind is retried, so each of its experiments is located at its own line
+    for maker in ("make_walsh", "make_block_indicator"):
+        monkeypatch.setattr(spectral, maker, counting(getattr(spectral, maker)))
+    doc = parse_ok(PAIRS_SPEC + 'observable i1 = indicator "1" at 3\n'
+                   "experiment g { system: tm; observable: i1; N: 64; kbsz: (3, 5); }\n"
+                   "observable wide = walsh {%s}\n"
+                   "experiment h { system: tm; observable: wide; N: 64; }\n" % ", ".join(map(str, range(24))))
+    assert built == [] and len(doc.experiments()) == 8
+
+
+def test_each_experiment_over_a_failing_pair_is_located_at_its_own_line():
     herning = (SPECS / "valid" / "herning.spec").read_text()
     top = len(herning.splitlines())
     diags = parse_bad(herning + "observable w = walsh {0}\n"
@@ -497,6 +503,35 @@ def test_each_observable_and_system_pair_is_bound_once_while_parsing(monkeypatch
                       "experiment e2 { system: herning; observable: w; N: 32; }\n")
     assert [(d.line, d.column) for d in diags] == [(top + 2, 1), (top + 4, 1)]
     assert all(d.message == diags[0].message and "binary" in d.message for d in diags)
+
+
+def declarations(text):
+    """The declarations text parses to, before any is bound."""
+    lines = text.split("\n")
+    return specfile._Parser(specfile._tokenize(lines), lines).parse_document()
+
+
+def test_binding_refuses_a_declaration_at_its_rule_or_group():
+    """build_substitution and build_group, called directly, carry the span of the rule or group at fault."""
+    for a, b, span, message in (("ab", "bab", (3, 8), "rule for 'b' has length 3, others have 2"),
+                                ("ab", "bc", (3, 8), "rule for 'b' uses unknown letter 'c'"),
+                                ("ba", "ab", (1, 1), "substitution 's' has no letter fixed at position 0")):
+        (decl,) = declarations('substitution s on {a, b} {\n  a -> "%s";\n  b -> "%s";\n}\n' % (a, b))
+        with pytest.raises(binding.BindingError, match=re.escape(message)) as caught:
+            binding.build_substitution(decl)
+        assert (caught.value.span.line, caught.value.span.column) == span
+    decls = declarations('rs r pattern "11"\nmorse m over cover-of r\nmorse z over Zn(1)\nmorse y over cover-of x\n'
+                         'substitution s on {a, b} {\n  a -> "ba";\n  b -> "ab";\n}\nmorse c over cover-of s\n')
+    systems = {d.name: d for d in decls}
+    for decl, message in ((decls[1], "cover-of needs a substitution, 'r' is not one"),
+                          (decls[2], "Zn needs 2 <= n <= 10000, got 1"),
+                          (decls[3], "cover-of refers to unknown system 'x'")):
+        with pytest.raises(binding.BindingError, match=re.escape(message)) as caught:
+            binding.build_group(decl.group, systems, {})
+        assert caught.value.span == decl.group.span and caught.value.span.line == decls.index(decl) + 1
+    with pytest.raises(binding.BindingError) as caught:  # s failed to bind: its own refusal is located at it
+        binding.build_group(decls[5].group, systems, {})
+    assert caught.value.span is None
 
 
 def test_cover_of_a_substitution_that_fails_to_bind_is_reported_once():

@@ -9,9 +9,11 @@ PYTHONPATH and once with the working tree's src, so the scripts and the
 spec files they read are the same for both and only the package differs.
 Spec files named after REV are passed to every sweep.  For each sweep the
 script prints a unified diff of the two outputs (empty when they agree) and
-a one-line summary.  Exit status: 0 when every sweep printed the same lines
-under both trees, 1 on any difference, 2 when a sweep or git fails.  Nothing
-is fetched; REV must be in the local repository.
+a one-line summary; a last line gives the line count of src/**/*.py under
+REV and under the working tree, for information only.  Exit status: 0 when
+every sweep printed the same lines under both trees, 1 on any difference,
+2 when a sweep or git fails.  Nothing is fetched; REV must be in the local
+repository.
 """
 
 import difflib
@@ -34,6 +36,11 @@ def sweep(script: str, src: str, extra) -> list:
     return proc.stdout.splitlines(keepends=True)
 
 
+def src_lines(src: pathlib.Path) -> int:
+    """Lines of every .py file under src, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+
+
 def main(argv) -> int:
     if not argv:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -51,6 +58,8 @@ def main(argv) -> int:
                 sys.stdout.writelines(diff)
                 print("%s: %d and %d lines, %s" % (script, len(before), len(after), "DIFFER" if diff else "identical"))
                 differ = differ or bool(diff)
+            before, after = src_lines(pathlib.Path(tmp, "src")), src_lines(ROOT / "src")
+            print("src/**/*.py: %d lines under %s, %d in the working tree (%+d)" % (before, rev, after, after - before))
         except (subprocess.CalledProcessError, RuntimeError) as exc:
             stderr = getattr(exc, "stderr", None)
             print("error: %s%s" % (exc, "\n" + stderr.decode(errors="replace") if stderr else ""), file=sys.stderr)
