@@ -91,33 +91,31 @@ class WeightTable:
         return int(self.values[n])
 
 
-# Positions per sieve block: its int8 signs and int32 smooth parts (5 MiB)
-# stay small next to the tables, and larger blocks are no faster.
+# Positions per sieve block: its int32 signed smooth parts (2 MiB) stay
+# small next to the tables, and larger blocks are no faster.
 _BLOCK = 1 << 19
 
 
 def _block_weights(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """lambda on lo..hi-1 for 1 <= lo < hi <= 2^31 (smooth parts are int32).
+    """lambda on lo..hi-1 for 1 <= lo < hi <= 2^31 (v is int32 and |v| <= n).
 
     primes must hold every prime <= isqrt(hi - 1).
 
-    Each prime power q = p^k flips the sign of its multiples and multiplies
-    their smooth part by p, leaving (-1)^(prime factors <= sqrt, with
-    multiplicity) and the product of those factors.  Where the smooth part
-    falls short of n, the rest is a single prime above isqrt(hi - 1), which
-    flips the sign once more: an int8 multiply by 1 - 2 [smooth != n].
+    Each prime power q = p^k multiplies v at its multiples by -p, leaving
+    (-1)^k s for the product s of the k prime factors <= sqrt, with
+    multiplicity.  Where s falls short of n, the rest is a single prime
+    above isqrt(hi - 1), which flips the sign once more: lambda(n) = -1
+    exactly where v is in (0, n) or v = -n, where [v > 0] != [|v| = n].
     """
-    sign = np.ones(hi - lo, dtype=np.int8)
-    smooth = np.ones(hi - lo, dtype=np.int32)
+    v = np.ones(hi - lo, dtype=np.int32)
     for p in primes.tolist():
         q = p
         while q < hi:
-            start = -lo % q
-            sign[start::q] *= -1
-            smooth[start::q] *= p
+            v[-lo % q :: q] *= -p
             q *= p
-    sign *= 1 - 2 * (smooth != np.arange(lo, hi, dtype=np.int32)).view(np.int8)
-    return sign
+    neg = v > 0
+    neg ^= np.abs(v, out=v) == np.arange(lo, hi, dtype=np.int32)
+    return 1 - 2 * neg.view(np.int8)
 
 
 def weight_tables(reaches: dict) -> dict:
@@ -237,6 +235,8 @@ class PatternReader:
         self._low = None
 
     def __call__(self, key) -> np.ndarray:
+        if isinstance(key, slice) and (key.step or 1) > 1:  # every step-th symbol of the run
+            return np.ascontiguousarray(self(slice(key.start, key.stop))[:: key.step])
         m, mask, value = self._m, self._mask, self._value
         out = np.zeros(key.stop - key.start if isinstance(key, slice) else len(key), dtype=np.uint8)
         if m > 64:

@@ -22,12 +22,13 @@ has no effect.
 
 Sarnak sums read each piece as a run of the stream and weight it from the
 table.  The bilinear sums read v(pn) for a piece of n through
-Observable.indices with step p: up to spectral._STRIDE_MAX as one run of
-p (count - 1) + 1 symbols, kept every p-th, and above it at the positions
-pn with SymbolStream.at.  Every system the CLI binds is read from the
-digits of each position, so the sums hold a few pieces, not an N-long
-vector, and a run holds at most _STRIDE_MAX pieces of symbols whatever s
-is.  A weighted Sarnak sum still holds its N-entry weight table (one byte
+Observable.indices with step p: up to spectral._STRIDE_MAX as one stepped
+run, SymbolStream.block(start, count, p), and above it at the positions pn
+with SymbolStream.at.  Every system the CLI binds is read from the digits
+of each position, so the sums hold a few pieces, not an N-long vector.  A
+substitution or Morse run copies only the count symbols it keeps; RS and
+Veech read p (count - 1) + 1 symbols and keep every p-th, so a run holds
+at most _STRIDE_MAX pieces of symbols whatever s is.  A weighted Sarnak sum still holds its N-entry weight table (one byte
 per n).
 """
 

@@ -126,7 +126,8 @@ def hat_stream(group: FiniteGroup, stream: SymbolStream, name: str | None = None
             raise ValueError("hat at position %d reads its source at %d, beyond the int64 limit %d"
                              % (reach - 1, reach, INT64_MAX))
         if isinstance(key, slice):
-            return hat_word(group, stream.block(key.start, key.stop - key.start + 1))
+            run = hat_word(group, stream.block(key.start, key.stop - key.start + 1))
+            return np.ascontiguousarray(run[:: key.step or 1])
         return group.table[stream.at(key + 1), group.inverse[stream.at(key)]]
 
     return SymbolStream(

@@ -228,7 +228,7 @@ def veech_stream(vspec: VeechSpec, start: int = 0, name: str = "veech") -> Symbo
 
     def read(key):
         if isinstance(key, slice):
-            return _psi_run(vspec, start + key.start, key.stop - key.start)
+            return np.ascontiguousarray(_psi_run(vspec, start + key.start, key.stop - key.start)[:: key.step or 1])
         taus = _tau_at(vspec.odometer, start + key)
         return np.array([0] + [vspec.psi(t) for t in range(1, int(taus.max(initial=1)) + 1)], dtype=np.int32).take(taus)
 
@@ -340,7 +340,7 @@ def rs_extension_stages(choices, max_level: int, tail_choice: int = 0):
     bits = np.array([choice(s) for s in range(1, 65)], dtype=np.int64)
 
     def read(key):
-        n = key.start + np.arange(key.stop - key.start, dtype=np.int64) if isinstance(key, slice) else key
+        n = key.start + np.arange(0, key.stop - key.start, key.step or 1, dtype=np.int64) if isinstance(key, slice) else key
         low = ~n & (n + 1)  # 2^k for k trailing ones; at n = 2^63 - 1 it wraps to -2^63, k still 63
         k = np.frexp(low)[1] - 1  # exact: low is a power of two
         return bits[k] ^ ((n & (low << 1)) != 0)

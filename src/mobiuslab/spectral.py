@@ -42,9 +42,11 @@ GRID_CAP = 1 << 22  # spectrum at this grid peaks near 260 MiB: the periodogram,
 # of 2^19 ran the KBSZ sums 2x slower.
 _LEAF = 1 << 15
 _NEG_ZERO = complex(-0.0, -0.0)  # adds nothing to any value, -0.0 included
-# Widest step Observable.evaluate reads as a run.  Over 2^22 values in
-# pieces of _LEAF, runs took 0.025-0.06 s at steps 2 to 16 against 0.08 s
-# by position, and broke even at 23 to 31; a run at 16 is 2 MiB of int32.
+# Widest step Observable.indices reads as a run.  Over 2^22 values in
+# pieces of _LEAF (best of 3, 2 cores), stepped runs against positions took
+# 0.0036 / 0.037 s at step 16 on Thue-Morse and 0.0045 / 0.040 s on an S_3
+# cover, and broke even near step 1000 (at 25 to 31 when a run was read
+# whole).  RS and Veech still read the whole run, 2 MiB of int32 at 16.
 _STRIDE_MAX = 16
 # Least FFT size M of a float table's autocorrelation piece of M - L
 # positions, and the FFT points of a batch of an exact table's pieces.  Float
@@ -212,9 +214,9 @@ class Observable:
     def indices(self, stream: SymbolStream, start: int, count: int, step: int = 1) -> np.ndarray:
         """Table indices of the windows at start, start + step, ..., start + step (count - 1), a fresh int32 array.
 
-        Up to _STRIDE_MAX each window offset is one run of the stream, of
-        step (count - 1) + 1 symbols, of which every step-th is kept; a
-        wider step reads the positions with stream.at.
+        Up to _STRIDE_MAX each window offset is one stepped run of the
+        stream, stream.block(start + off, count, step); a wider step reads
+        the positions with stream.at.
         """
         if start < 0 or count < 0 or step < 1:
             raise ValueError("read out of range: start=%d count=%d step=%d" % (start, count, step))
@@ -223,9 +225,7 @@ class Observable:
         self._check_last(start + step * (count - 1))
         if step > _STRIDE_MAX:
             return self._indices_at(stream, start + step * np.arange(count, dtype=np.int64))
-        length = step * (count - 1) + 1
-        # a contiguous copy of every step-th symbol, so the run is freed at once
-        return self._gather(stream, lambda off: np.ascontiguousarray(stream.block(start + off, length)[::step]))
+        return self._gather(stream, lambda off: stream.block(start + off, count, step))
 
     def _indices_at(self, stream: SymbolStream, positions) -> np.ndarray:
         """Table indices of the windows at arbitrary nonnegative positions, a fresh int32 array."""

@@ -1,16 +1,17 @@
 """Lazy one-sided symbol sequences, read in runs and at positions.
 
-prefix(), block() and iteration read contiguous runs (Sarnak sums,
-autocorrelations, and the KBSZ sums at a dilation up to
-spectral._STRIDE_MAX, which keep every p-th symbol of a run); at() reads
-arbitrary positions (KBSZ sums at a wider dilation).
-Every stream reads both through its one reader.  Each system computes a
-symbol from the digits of its position: substitution and Morse streams
-through DigitReader, the one place digit levels are built, RS through
-arith.PatternReader and Veech through odometer._psi_run and _tau_at.
-Composed streams (hat, factor) read their source at the same positions.
-So a run costs memory in its length and a positional read in the number
-of positions, wherever they lie.
+prefix(), block() and iteration read runs, contiguous (Sarnak sums,
+autocorrelations) or stepped (KBSZ sums at a dilation up to
+spectral._STRIDE_MAX); at() reads arbitrary positions (KBSZ sums at a
+wider dilation).  Every stream reads both through its one reader.  Each
+system computes a symbol from the digits of its position: substitution
+and Morse streams through DigitReader, the one place digit levels are
+built, which copies only the symbols a stepped run keeps; RS through
+arith.PatternReader and Veech through odometer._psi_run and _tau_at, which
+keep every step-th symbol of the whole run.  Composed streams (hat,
+factor) read their source at the same positions.  So a run costs memory
+in its length at most and a positional read in the number of positions,
+wherever they lie.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class SymbolStream:
     """Deterministic sequence over {0..alphabet_size-1}, read through read(key).
 
     read(key) returns the symbols at a slice(lo, hi), 0 <= lo <= hi <= 2^63,
-    or at a nonempty int64 array of nonnegative positions, in an array no
-    other read shares.  prefix(), block(), at() and iteration all call it;
-    block() reads do not move the iteration cursor.
+    at every step-th position of one, slice(lo, hi, step > 1), or at a
+    nonempty int64 array of nonnegative positions, in an array no other read
+    shares.  prefix(), block(), at() and iteration all call it; block()
+    reads do not move the iteration cursor.
     """
 
     def __init__(self, read, name: str = "stream", alphabet_size: int | None = None, letters=None):
@@ -58,7 +60,7 @@ class SymbolStream:
         self.position = 0
 
     def _get(self, key) -> np.ndarray:
-        """Symbols at a slice(lo, hi) or a nonempty array of positions."""
+        """Symbols at a slice, stepped or not, or at a nonempty array of positions."""
         return np.asarray(self._read(key), dtype=np.int32)
 
     def prefix(self, n: int) -> np.ndarray:
@@ -66,10 +68,12 @@ class SymbolStream:
             raise ValueError("length must be nonnegative, got %d" % n)
         return self._get(slice(0, n))
 
-    def block(self, start: int, count: int) -> np.ndarray:
-        if start < 0 or count < 0 or start + count > 1 << 63:
-            raise ValueError("block read out of range: start=%d count=%d" % (start, count))
-        return self._get(slice(start, start + count))
+    def block(self, start: int, count: int, step: int = 1) -> np.ndarray:
+        """Symbols at start, start + step, ..., start + step (count - 1), as int32."""
+        stop = start + step * (count - 1) + 1 if count else start
+        if start < 0 or count < 0 or step < 1 or stop > 1 << 63:
+            raise ValueError("block read out of range: start=%d count=%d step=%d" % (start, count, step))
+        return self._get(slice(start, stop, step) if step > 1 else slice(start, stop))
 
     def at(self, positions) -> np.ndarray:
         """Symbols at arbitrary positions in 0..INT64_MAX, as int32."""
@@ -110,7 +114,8 @@ class DigitReader:
     read from the levels above the first.  T_j[start, 0] must be start, so
     leading zero digits change nothing and reads below R_0 use one table.
     A run [lo, hi) reads y at lo // R_0 .. (hi - 1) // R_0 through the
-    levels above the first, gathers those rows of T_0 and slices.
+    levels above the first and copies every step-th entry of those rows of
+    T_0 row by row, so it holds only the symbols it keeps.
     """
 
     def __init__(self, start: int, head, tail):
@@ -135,9 +140,21 @@ class DigitReader:
         if not isinstance(key, slice):
             return self._at(key, int(key.max()), 0)
         radix, table = self._level(0)
-        first, last = key.start // radix, (key.stop - 1) // radix
-        rows = table[self._at(np.arange(first, last + 1, dtype=np.int64), last, 1)]
-        return rows.reshape(-1)[key.start - first * radix : key.stop - first * radix]
+        step, first, last = key.step or 1, key.start // radix, (key.stop - 1) // radix
+        y = self._at(np.arange(first, last + 1, dtype=np.int64), last, 1)
+        col = key.start - first * radix  # of the first symbol, in the first row
+        # rows narrower than 2^13 are gathered whole: over 2^22 values in runs of 2^15 (tables of
+        # 2^17 entries, best of 5, 2 cores), a gather against a row copy took 0.9 / 1.3 ms at step 1
+        # and 19.8 / 11.3 ms at step 16 for radix 2^12, 0.8 / 1.0 and 17.8 / 7.3 ms for 2^13 (3.1 /
+        # 2.7 ms at step 3), and 1.4 / 0.8 and 28.5 / 3.3 ms for 2^16
+        if radix < 1 << 13:
+            return np.ascontiguousarray(table[y].reshape(-1)[col : key.stop - first * radix : step])
+        out, done = np.empty(len(range(key.start, key.stop, step)), dtype=np.int32), 0
+        for row in y.tolist():
+            part = table[row, col : col + step * (len(out) - done) : step]
+            out[done : done + len(part)] = part
+            done, col = done + len(part), (col - radix) % step
+        return out
 
 
 def _digit_levels(head: tuple, tail: np.ndarray):
@@ -188,7 +205,7 @@ def periodic_stream(word, name: str = "periodic", alphabet_size: int | None = No
 
     def read(key):
         if isinstance(key, slice):
-            key = np.arange(key.stop - key.start, dtype=np.int64) + key.start % len(base)
+            key = np.arange(0, key.stop - key.start, key.step or 1, dtype=np.int64) + key.start % len(base)
         return base[key % len(base)]
 
     return SymbolStream(read, name=name, alphabet_size=alphabet_size)

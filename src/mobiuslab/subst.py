@@ -248,8 +248,10 @@ def factor_stream(cover: GroupCover, stream: SymbolStream, seed: int | None = No
     """The base word of a cover stream: each read maps the cover's symbols at the same key."""
 
     def read(key):
-        word = stream.block(key.start, key.stop - key.start) if isinstance(key, slice) else stream.at(key)
-        return factor_map(cover, word, seed)
+        if isinstance(key, slice):
+            run = range(key.start, key.stop, key.step or 1)
+            return factor_map(cover, stream.block(run.start, len(run), run.step), seed)
+        return factor_map(cover, stream.at(key), seed)
 
     return SymbolStream(
         read,

@@ -290,8 +290,12 @@ def test_sums_at_the_cap_run_in_flat_memory(command):
     assert proc.stdout.splitlines()[-1].startswith("%d," % LIMIT_CAP)
 
 
-HAT_MAXRSS = """
-import resource, sys
+# VmHWM is the child's own peak RSS; ru_maxrss would also hold the peak of the process that started it
+needs_vmhwm = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                 reason="no /proc/self/status to read VmHWM from")
+
+HAT_PEAK = """
+import sys
 from mobiuslab import cli
 
 letters = [chr(0x4E00 + i) for i in range(int(sys.argv[1]))]
@@ -299,25 +303,28 @@ rules = "".join('  %s -> "%s%s";\\n' % (c, c, letters[(i + 1) % len(letters)]) f
 with open("wide.spec", "w", encoding="utf-8") as fh:
     fh.write("substitution wide on {%s} {\\n%s}\\n" % (", ".join(letters), rules))
 code = cli.main(["hat", "wide.spec", "--n", "8"])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(code, [int(line.split()[1]) for line in fh if line.startswith("VmHWM:")][0])
 """
 
 
+@needs_vmhwm
 def test_hat_refuses_z_r_above_the_closure_cap(tmp_path):
     """A 10,001-letter substitution would need a 10,001^2 Z/r table (400 MB); it is refused before it is built."""
-    proc = run_limited("10001", python=("-c", HAT_MAXRSS), cwd=str(tmp_path))
+    proc = run_limited("10001", python=("-c", HAT_PEAK), cwd=str(tmp_path))
     assert proc.stderr == "error: hat over Z/10001 is beyond the group cap 10000\n", proc.stderr
-    code, maxrss_kib = map(int, proc.stdout.split())
-    assert code == 2 and maxrss_kib < 200 << 10, maxrss_kib
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 2 and peak_kib < 200 << 10, peak_kib
 
 
+@needs_vmhwm
 @pytest.mark.parametrize("letters", [37, 10000])
 def test_hat_refuses_an_unprintable_z_r_before_building_it(tmp_path, monkeypatch, capsys, letters):
     """Z/r above 36 has no base-36 digit for r - 1; at 10,000 letters the table would be 400 MB."""
-    proc = run_limited(str(letters), python=("-c", HAT_MAXRSS), cwd=str(tmp_path))
+    proc = run_limited(str(letters), python=("-c", HAT_PEAK), cwd=str(tmp_path))
     assert proc.stderr == "error: symbol %d has no letter or base-36 digit to print\n" % (letters - 1), proc.stderr
-    code, maxrss_kib = map(int, proc.stdout.split())
-    assert code == 2 and maxrss_kib < 200 << 10, maxrss_kib
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 2 and peak_kib < 200 << 10, peak_kib
     monkeypatch.setattr(cli, "cyclic_group", lambda r: pytest.fail("Z/%d built before the refusal" % r))
     assert run(capsys, "hat", str(tmp_path / "wide.spec"), "--n", "1")[0] == 2
 
@@ -337,10 +344,9 @@ with open("/proc/self/status", encoding="ascii") as fh:
     ["sarnak", "--weight", "none"],
     ["corr", "--lags", "256"],
 ], ids=["kbsz", "sarnak_unweighted", "corr"])
+@needs_vmhwm
 def test_peak_memory_does_not_grow_with_n(command):
     """The peak RSS (VmHWM, KiB) of a sum at N = 2^24 is within 4 MiB of that at 2^20."""
-    if not os.path.exists("/proc/self/status"):
-        pytest.skip("no /proc/self/status to read VmHWM from")
     peaks = []
     for n in (1 << 20, 1 << 24):
         proc = run_limited(str(n), command[0], TM_SPEC, "--observable", "w0", *command[1:],
@@ -790,29 +796,6 @@ def test_run_sieves_each_weight_once_per_file(capsys, tmp_path, monkeypatch):
                 assert (tmp_path / label / (name + ext)).read_bytes() == solo, (label, name)
 
 
-RUN_MAXRSS = """
-import resource, sys
-from mobiuslab import cli
-
-code = cli.main(["run", "wide.spec", "--out", "out"])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
-
-
-def test_run_keeps_one_observable_table_alive(tmp_path):
-    """Two experiments over a 24-coordinate Walsh table (256 MiB): the first is freed before the second is built."""
-    (tmp_path / "wide.spec").write_text(
-        REUSE_SYSTEMS.replace("walsh {0}", "walsh {%s}" % ", ".join(map(str, range(24))))
-        + "".join("experiment %s { system: tm; observable: w0; weight: none; N: 1024; }\n" % name for name in "ab")
-    )
-    proc = run_limited(python=("-c", RUN_MAXRSS), cwd=str(tmp_path))
-    lines = proc.stdout.splitlines()
-    assert proc.returncode == 0 and lines[:2] == ["experiment a: final = 0.6640625 + 0i -> out/a.csv, out/a.json",
-                                                   "experiment b: final = 0.6640625 + 0i -> out/b.csv, out/b.json"], proc
-    code, maxrss_kib = map(int, lines[2].split())
-    assert code == 0 and maxrss_kib < 450 << 10, maxrss_kib
-
-
 PEAK_OF_CALL = """
 import sys
 from mobiuslab import cli
@@ -821,13 +804,28 @@ code = cli.main(sys.argv[1:])
 with open("/proc/self/status", encoding="ascii") as fh:
     print(code, [int(line.split()[1]) for line in fh if line.startswith("VmHWM:")][0])
 """
+RUN_WIDE = ("run", "wide.spec", "--out", "out")
 
 
+@needs_vmhwm
+def test_run_keeps_one_observable_table_alive(tmp_path):
+    """Two experiments over a 24-coordinate Walsh table (256 MiB): the first is freed before the second is built."""
+    (tmp_path / "wide.spec").write_text(
+        REUSE_SYSTEMS.replace("walsh {0}", "walsh {%s}" % ", ".join(map(str, range(24))))
+        + "".join("experiment %s { system: tm; observable: w0; weight: none; N: 1024; }\n" % name for name in "ab")
+    )
+    proc = run_limited(*RUN_WIDE, python=("-c", PEAK_OF_CALL), cwd=str(tmp_path))
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0 and lines[:2] == ["experiment a: final = 0.6640625 + 0i -> out/a.csv, out/a.json",
+                                                   "experiment b: final = 0.6640625 + 0i -> out/b.csv, out/b.json"], proc
+    code, peak_kib = map(int, lines[2].split())
+    assert code == 0 and peak_kib < 450 << 10, peak_kib
+
+
+@needs_vmhwm
 @pytest.mark.parametrize("command", [["gen", "--n", "16"], ["cover"]], ids=["gen", "cover"])
 def test_parsing_a_wide_walsh_observable_builds_no_table(tmp_path, command):
     """A file whose experiment reads a 24-coordinate Walsh table (256 MiB): commands that never run it stay small."""
-    if not os.path.exists("/proc/self/status"):
-        pytest.skip("no /proc/self/status to read VmHWM from")
     (tmp_path / "wide.spec").write_text(
         REUSE_SYSTEMS.replace("walsh {0}", "walsh {%s}" % ", ".join(map(str, range(24))))
         + "experiment a { system: tm; observable: w0; weight: none; N: 1024; }\n"
@@ -859,6 +857,7 @@ def test_run_binds_a_repeated_observable_once(capsys, tmp_path, monkeypatch):
         assert built == builds, label
 
 
+@needs_vmhwm
 def test_run_keeps_one_weight_table_per_kind_alive(tmp_path):
     """Six Moebius sums reaching up from 2^22 - 5 hold one 4 MiB table at a time, as one sum does."""
     peaks = []
@@ -866,14 +865,15 @@ def test_run_keeps_one_weight_table_per_kind_alive(tmp_path):
         (tmp_path / "wide.spec").write_text(REUSE_SYSTEMS + "".join(
             "experiment e%d { system: tm; observable: w0; weight: moebius; N: %d; }\n" % (i, n)
             for i, n in enumerate(reaches)))
-        proc = run_limited(python=("-c", RUN_MAXRSS), cwd=str(tmp_path))
+        proc = run_limited(*RUN_WIDE, python=("-c", PEAK_OF_CALL), cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
-        code, maxrss_kib = map(int, proc.stdout.splitlines()[-1].split())
+        code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
         assert code == 0
-        peaks.append(maxrss_kib)
+        peaks.append(peak_kib)
     assert peaks[1] - peaks[0] <= 3 << 10, peaks  # each table held beside another adds 4 MiB
 
 
+@needs_vmhwm
 def test_one_sweep_holds_one_table_per_kind_and_derives_a_lone_mu_in_place(tmp_path):
     """mu and lambda sums at 2^22 hold two 4 MiB tables, no third; sarnak's mu at 2^24 holds one 16 MiB table."""
     peaks = []
@@ -881,7 +881,7 @@ def test_one_sweep_holds_one_table_per_kind_and_derives_a_lone_mu_in_place(tmp_p
         (tmp_path / "wide.spec").write_text(REUSE_SYSTEMS + "".join(
             "experiment %s { system: tm; observable: w0; weight: %s; N: 4194304; }\n" % (kind[:3], kind)
             for kind in kinds))
-        proc = run_limited(python=("-c", RUN_MAXRSS), cwd=str(tmp_path))
+        proc = run_limited(*RUN_WIDE, python=("-c", PEAK_OF_CALL), cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         peaks.append(int(proc.stdout.splitlines()[-1].split()[1]))
     # lambda's sieve block is freed before mu is copied out of it, so the second table costs about 1 MiB
@@ -889,12 +889,12 @@ def test_one_sweep_holds_one_table_per_kind_and_derives_a_lone_mu_in_place(tmp_p
     assert peaks[1] - peaks[0] <= 3 << 10, peaks
     peaks = []
     for weight in ("none", "moebius"):
-        proc = run_limited(python=("-c", "import resource; from mobiuslab import cli; cli.main(%r); "
-                                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)" % [
-                                       "sarnak", TM_SPEC, "--observable", "w0", "--n", str(1 << 24),
-                                       "--weight", weight, "--out", str(tmp_path / "out.csv")]))
+        proc = run_limited("sarnak", TM_SPEC, "--observable", "w0", "--n", str(1 << 24), "--weight", weight,
+                           "--out", str(tmp_path / "out.csv"), python=("-c", PEAK_OF_CALL))
         assert proc.returncode == 0, proc.stderr
-        peaks.append(int(proc.stdout.splitlines()[-1]))
+        code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0
+        peaks.append(peak_kib)
     assert peaks[1] - peaks[0] <= 22 << 10, peaks  # the table and one sieve block; a copy adds 16 MiB
 
 

@@ -360,7 +360,7 @@ def test_pieces_sum_in_numpys_order():
 
 
 def test_kbsz_reads_positions_without_a_prefix():
-    """No read is s N long: each run holds at most _STRIDE_MAX _LEAF + span symbols.
+    """No read is s N long: each strided run returns at most _LEAF + span symbols.
 
     At (3, 5) every value comes from a strided run; a pair above the bound
     reads only positions, so prefix and block both fail there.
@@ -371,15 +371,15 @@ def test_kbsz_reads_positions_without_a_prefix():
     def refuse(*args):
         raise AssertionError("kbsz built a prefix")
 
-    def recorded(start, count):
+    def recorded(start, count, step=1):
         lengths.append(count)
-        return block(start, count)
+        return block(start, count, step)
 
     stream.prefix, stream.block = refuse, recorded
     frozen = json.loads((GOLDEN / "kbsz_tm_3_5.json").read_text())
     final = kbsz_series(stream, W0, 3, 5, (1 << 18,)).final
     assert final.real == frozen["value"] and final.imag == 0.0
-    assert lengths and max(lengths) <= _STRIDE_MAX * _LEAF + W0.span
+    assert lengths and max(lengths) <= _LEAF + W0.span
     stream.block = refuse
     r, s, n = 17, 19, 1 << 12
     assert min(r, s) > _STRIDE_MAX

@@ -438,14 +438,14 @@ def test_indices_are_fresh_int32_that_evaluate_looks_up(kind):
 def test_strided_reads_use_runs_up_to_the_bound_and_positions_above_it():
     calls = []
     stream = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
-    stream.block = lambda start, count: calls.append(("block", count)) or TM.block(start, count)
+    stream.block = lambda start, count, step=1: calls.append(("block", count, step)) or TM.block(start, count, step)
     stream.at = lambda positions: calls.append(("at", len(positions))) or TM.at(positions)
     w = make_walsh((0, 2))
     for step in (_STRIDE_MAX, _STRIDE_MAX + 1):
         calls.clear()
         w.evaluate(stream, 7, 50, step)
         kind = "block" if step <= _STRIDE_MAX else "at"
-        assert calls == [(kind, step * 49 + 1 if kind == "block" else 50)] * 2
+        assert calls == [("block", 50, step) if kind == "block" else ("at", 50)] * 2
     calls.clear()
     for step in (1, 3, _STRIDE_MAX + 1):
         empty = w.evaluate(stream, INT64_MAX, 0, step)  # no read, and no block of negative length

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mobiuslab import arith, morse, streams, subst
 from mobiuslab.arith import pattern_parity
 from mobiuslab.cli import build_system
-from mobiuslab.odometer import OdometerSpec, VeechSpec, veech_stream, veech_tau
+from mobiuslab.odometer import OdometerSpec, VeechSpec, rs_extension_stages, veech_stream, veech_tau
 from mobiuslab.permgrp import cyclic_group
 from mobiuslab.specfile import parse_spec
 from mobiuslab.streams import LEVEL_MAX, LEVEL_MIN, SymbolStream, periodic_stream, word_stream
@@ -363,6 +365,53 @@ def test_runs_on_many_levels_match_the_builders():
                 assert make().block(start, count).tolist() == prefix[start : start + count].tolist()
 
     check()
+
+
+# stepped runs: the streams above, a Morse stream whose first level (256 wide)
+# is gathered row by row rather than copied, an RS pattern past 64 characters
+# (the reader's early return) and the RS extension
+Z700 = morse.MorseSpec(cyclic_group(700), (), (0, 1))
+STEPPED = [(name, make, L) for name, make, L, _ in SYSTEMS + COMPOSED] + [
+    ("z700", lambda: morse.morse_stream(Z700), first_level(Z700)),
+    ("rs65", lambda: SymbolStream(arith.PatternReader("1" + "*" * 63 + "1"), alphabet_size=2), 1 << 16),
+    ("rs_extension", lambda: rs_extension_stages([1, 0, 1], max_level=4)[1], 1 << 16),
+]
+
+
+@pytest.mark.parametrize("name,make,L", STEPPED, ids=[s[0] for s in STEPPED])
+def test_a_stepped_block_is_every_step_th_symbol_of_its_run(name, make, L):
+    """block(start, count, step) equals block(start, step (count - 1) + 1)[::step] for steps 1..16."""
+    stream = make()
+    reach = len(TM_WORD) if name == "word" else 1 << 63
+    starts = [0, 1, L - 1, L, L + 1, 7 * L // 3, (1 << 40) - L // 2, (1 << 40) + 3]
+    for step in range(1, 17):
+        many_rows = 3 * L // step + 5  # crosses three rows or more
+        for start in starts:
+            for count in (0, 1, 2, 37, many_rows):
+                stop = start + step * (count - 1) + 1 if count else start
+                if stop > reach:
+                    continue
+                got = stream.block(start, count, step)
+                assert got.dtype == np.int32 and got.shape == (count,), (start, count, step)
+                want = stream.block(start, stop - start)[::step]
+                assert got.tolist() == want.tolist(), (start, count, step)
+    with pytest.raises(ValueError):
+        stream.block((1 << 63) - 32, 3, 16)  # its last position would pass int64
+
+
+def test_a_stepped_digit_read_holds_only_the_symbols_it_keeps():
+    """Thue-Morse at step 16: the kept 2^15 symbols (128 KiB), not a run of 2^19 (2 MiB)."""
+    stream = subst.fixed_point_stream(TM_SUB)
+    step, count, start = 16, 1 << 15, (1 << 40) + 3
+    stream.block(0, 1)  # builds the digit levels
+    tracemalloc.start()
+    try:
+        got = stream.block(start, count, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [bin(n).count("1") % 2 for n in range(start, start + step * count, step)]
+    assert peak < step * count * 4 // 8, peak
 
 
 @pytest.mark.parametrize("name,make,L,symbol", SYSTEMS + COMPOSED, ids=IDS + [c[0] for c in COMPOSED])
