@@ -91,30 +91,37 @@ class WeightTable:
         return int(self.values[n])
 
 
-# Positions per sieve block: its int32 signed smooth parts (2 MiB) stay
-# small next to the tables, and larger blocks are no faster.
-_BLOCK = 1 << 19
+# Positions per sieve block, within one octave [2^k, 2^(k+1)): the int32
+# signed smooth parts of its 2^19 odd n (2 MiB) stay small next to the
+# tables.  Blocks of 2^19 positions ran no faster.
+_BLOCK = 1 << 20
 
 
-def _block_weights(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """lambda on lo..hi-1 for 1 <= lo < hi <= 2^31 (v is int32 and |v| <= n).
+def _block_weights(lo: int, hi: int, primes: np.ndarray, wheel: np.ndarray) -> np.ndarray:
+    """lambda at the odd n in lo..hi-1 for 1 <= lo < hi <= 2^31 (v is int32 and |v| <= n).
 
-    primes must hold every prime <= isqrt(hi - 1).
+    primes must hold every prime <= isqrt(hi - 1), and wheel[i] the product
+    of -p over the prime powers q = p^k dividing both len(wheel) and 2 i + 1.
 
-    Each prime power q = p^k multiplies v at its multiples by -p, leaving
-    (-1)^k s for the product s of the k prime factors <= sqrt, with
-    multiplicity.  Where s falls short of n, the rest is a single prime
-    above isqrt(hi - 1), which flips the sign once more: lambda(n) = -1
-    exactly where v is in (0, n) or v = -n, where [v > 0] != [|v| = n].
+    Each odd prime power q = p^k multiplies v at its odd multiples, q apart
+    in v, by -p (the wheel's, tiled from it), leaving (-1)^k s for the
+    product s of the k prime factors <= sqrt, with multiplicity.  Where s
+    falls short of n, the rest is a single prime above isqrt(hi - 1), which
+    flips the sign once more: lambda(n) = -1 exactly where v is in (0, n) or
+    v = -n, where [v > 0] != [|v| = n].
     """
-    v = np.ones(hi - lo, dtype=np.int32)
-    for p in primes.tolist():
+    first = lo | 1
+    v = np.resize(np.roll(wheel, -(first // 2)), (hi - first + 1) // 2)
+    for p in primes.tolist()[1:]:
+        if p * p >= hi:
+            break
         q = p
         while q < hi:
-            v[-lo % q :: q] *= -p
+            if len(wheel) % q:
+                v[-first * ((q + 1) // 2) % q :: q] *= -p  # n = first + 2 j with q | n: j = -first / 2 mod q
             q *= p
     neg = v > 0
-    neg ^= np.abs(v, out=v) == np.arange(lo, hi, dtype=np.int32)
+    neg ^= np.abs(v, out=v) == np.arange(first, hi, 2, dtype=np.int32)
     return 1 - 2 * neg.view(np.int8)
 
 
@@ -122,10 +129,13 @@ def weight_tables(reaches: dict) -> dict:
     """The WeightTable of each kind in reaches (kind -> limit), from one segmented sqrt sieve.
 
     The primes up to the isqrt of the widest limit are found once; one sweep
-    of _BLOCK positions at a time (_block_weights) fills lambda to that
-    limit.  mu is lambda with the multiples of each p^2 set to 0.  The widest
-    kind keeps the sweep's array and the other copies its prefix first, so
-    a mu-only request derives mu in place and two kinds hold two tables.
+    fills lambda to that limit in blocks of at most _BLOCK positions, each
+    inside one octave [2^k, 2^(k+1)).  A block copies lambda(n) = -lambda(n/2)
+    at its even n from the octave below and sieves only its odd n
+    (_block_weights), tiling the prime powers of 45045 = 9 5 7 11 13.  mu is
+    lambda with the multiples of each p^2 set to 0.  The widest kind keeps
+    the sweep's array and the other copies its prefix first, so a mu-only
+    request derives mu in place and two kinds hold two tables.
     """
     for kind, limit in reaches.items():
         if kind not in WEIGHT_KINDS:
@@ -136,9 +146,14 @@ def weight_tables(reaches: dict) -> dict:
     primes = primes_up_to(math.isqrt(reaches[widest]))
     lam = np.empty(reaches[widest] + 1, dtype=np.int8)
     lam[0] = 0
-    for lo in range(1, len(lam), _BLOCK):
-        hi = min(lo + _BLOCK, len(lam))
-        lam[lo:hi] = _block_weights(lo, hi, primes)
+    wheel = np.ones(9 * 5 * 7 * 11 * 13, dtype=np.int32)  # their strides were most of the sieve's work
+    for p, q in ((3, 3), (3, 9), (5, 5), (7, 7), (11, 11), (13, 13)):
+        wheel[(q - 1) // 2 :: q] *= -p
+    for k in range(reaches[widest].bit_length()):
+        for lo in range(1 << k, min(2 << k, len(lam)), _BLOCK):
+            hi = min(lo + _BLOCK, 2 << k, len(lam))
+            np.negative(lam[(lo + 1) // 2 : (hi + 1) // 2], out=lam[lo + (lo & 1) : hi : 2])
+            lam[lo | 1 : hi : 2] = _block_weights(lo, hi, primes, wheel)
     values = {kind: lam if kind == widest else lam[: limit + 1].copy() for kind, limit in reaches.items()}
     if "moebius" in values:
         for p in primes.tolist():

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import itertools
 import os
 import pathlib
 import stat
@@ -267,15 +268,22 @@ def _cmd_run(args) -> int:
     pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)  # as run_experiment would, before any sieve
     tables = {}  # weight kind -> its one table, all kinds sieved at once to their widest reaches in the file
     pair = obs = None  # the last experiment's (observable, system) and its bound observable
-    for decl in experiments:
-        bound = build_system(doc, decl.system)
-        if pair != (decl.observable, decl.system):
-            obs = None  # the last pair's table is freed before this one is built
-            pair, obs = (decl.observable, decl.system), bind_observable(doc, decl.observable, bound)
-        config = _experiment_config(decl, bound, obs, experiments, tables)
-        report, paths = _experiment.run_experiment(config, args.out, formats)
-        del config  # so the next experiment's observable table is not built beside this one
-        print("experiment %s: %s -> %s" % (decl.name, _final(report), ", ".join(str(p) for p in paths)))
+    # each run of consecutive Sarnak experiments over one pair is counted at once; a KBSZ experiment runs alone
+    for _, decls in itertools.groupby(experiments, lambda e: (e.observable, e.system) if e.kbsz is None else e.name):
+        group = []  # dropped before the next pair's observable table is built
+        for decl in decls:
+            bound = build_system(doc, decl.system)
+            if pair != (decl.observable, decl.system):
+                obs = None  # the last pair's table is freed before this one is built
+                pair, obs = (decl.observable, decl.system), bind_observable(doc, decl.observable, bound)
+            group.append(_experiment_config(decl, bound, obs, experiments, tables))
+        if len(group) == 1:
+            results = [_experiment.run_experiment(group[0], args.out, formats)]
+        else:
+            reports = _experiment._sarnak_reports(group[0].stream, obs, [(c.weight, c.checkpoints) for c in group])
+            results = (_experiment._write_reports(r, c.name, args.out, formats) for r, c in zip(reports, group))
+        for name, (report, paths) in zip([c.name for c in group], results):  # each written, then its line printed
+            print("experiment %s: %s -> %s" % (name, _final(report), ", ".join(str(p) for p in paths)))
     return 0
 
 

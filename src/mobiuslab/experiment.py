@@ -28,8 +28,14 @@ with SymbolStream.at.  Every system the CLI binds is read from the digits
 of each position, so the sums hold a few pieces, not an N-long vector.  A
 substitution or Morse run copies only the count symbols it keeps; RS and
 Veech read p (count - 1) + 1 symbols and keep every p-th, so a run holds
-at most _STRIDE_MAX pieces of symbols whatever s is.  A weighted Sarnak sum still holds its N-entry weight table (one byte
-per n).
+at most _STRIDE_MAX pieces of symbols whatever s is.
+
+The CLI's run counts each run of consecutive Sarnak experiments over one
+(observable, system) pair with one read and one np.bincount per piece
+(_sarnak_reports); each sum reads the counts at its own checkpoints, so
+its bytes are those it has alone.  block_sweep is one count over the
+window 0..k - 1.  A weighted sum reads its kind's one weight table (one
+byte per n).
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import WeightTable, is_prime
-from .spectral import _LEAF, Observable, _check_reach, _class_sums, make_block_indicator
+from .spectral import (_LEAF, Observable, _check_reach, _class_counts, _class_sums, _count_sum, _count_sums,
+                       _exact_parts, make_block_indicator)
 from .streams import SymbolStream
-from .subst import _distinct_blocks
 
 
 def pow2_checkpoints(limit: int) -> tuple:
@@ -97,6 +103,63 @@ def _report(partials, checkpoints, stream: SymbolStream, obs: Observable, **tags
 
 
 _SIGNS = np.array([-1, 0, 1], dtype=np.int8)  # the weights, a weight w at column w + 1
+# The column of _SIGNS at each state 2 [lambda(n) = 1] + [mu(n) != 0] of n under both kinds; mu(n) = lambda(n)
+# wherever mu(n) != 0.
+_BOTH = {"moebius": [1, 0, 1, 2], "liouville": [0, 0, 2, 2]}
+
+
+def _sarnak_classes(stream: SymbolStream, obs: Observable, tables: dict):
+    """(classes, S): classes(lo, hi) gives idx(n) S + state(n) for n = 1 + lo .. hi under the tables (kind -> table).
+
+    The state is none (S = 1) under no kind, w(n) + 1 under one and
+    2 [lambda(n) = 1] + [mu(n) != 0] under both.  Past lambda's reach its
+    bit is [mu(n) = 1], lambda's wherever mu(n) != 0; no sum reads past mu's.
+    """
+    width = (1, 3, 4)[len(tables)]
+
+    def classes(lo, hi):
+        c = obs.indices(stream, 1 + lo, hi - lo)
+        c *= width
+        for kind, table in tables.items():
+            w = table.values[1 + lo : 1 + hi]
+            c[: len(w)] += w + 1 if width == 3 or kind == "liouville" else w != 0
+            if width == 4 and kind == "moebius":
+                end = max(0, tables["liouville"].limit - lo)
+                c[end : len(w)] += 2 * (w[end:] == 1)
+        return c
+
+    return classes, width
+
+
+def _state_table(values: np.ndarray, kind: str | None, width: int) -> np.ndarray:
+    """The products of each value at each state: the value itself unweighted (times 1 can move a -0.0), else value conj(w)."""
+    if kind is None:
+        return np.repeat(values, width)
+    own = values[:, None] * np.conjugate(_SIGNS)
+    return own if width == 3 else own[:, _BOTH[kind]]
+
+
+def _sarnak_reports(stream: SymbolStream, obs: Observable, members) -> list:
+    """The Sarnak report of each member (weights, checkpoints), with one count of their classes (_sarnak_classes).
+
+    One table per kind, reaching its kind's last checkpoint.  A lone member,
+    more than _LEAF classes or a member failing its gate (_exact_parts, at
+    its own N) is summed alone by _class_sums.
+    """
+    tables = {weights.kind: weights for weights, _ in members if weights is not None}
+    classes, width = _sarnak_classes(stream, obs, tables)
+    joint = len(members) > 1 and len(obs.values) * width <= _LEAF
+    exact = [joint and _exact_parts(_state_table(obs.values, weights and weights.kind, width), points[-1])
+             for weights, points in members]
+    counted = iter(_count_sums(classes, len(obs.values) * width, [parts for parts in exact if parts],
+                               [points for parts, (_, points) in zip(exact, members) if parts]))
+    reports = []
+    for parts, (weights, points) in zip(exact, members):
+        right = None if weights is None else lambda lo, hi: weights.values[1 + lo : 1 + hi] + 1
+        sums = next(counted) if parts else _class_sums(lambda lo, hi: obs.indices(stream, 1 + lo, hi - lo),
+                                                        obs.values, right, _SIGNS, points)
+        reports.append(_report(sums, points, stream, obs, weight=weights.kind if weights is not None else "none"))
+    return reports
 
 
 def sarnak_series(
@@ -111,10 +174,7 @@ def sarnak_series(
     _check_reach(limit, obs.span)
     if weights is not None and weights.limit < limit:
         raise ValueError("weight table reaches %d, need %d" % (weights.limit, limit))
-    right = None if weights is None else lambda lo, hi: weights.values[1 + lo : 1 + hi] + 1
-    partials = _class_sums(lambda lo, hi: obs.indices(stream, 1 + lo, hi - lo), obs.values, right, _SIGNS,
-                           checkpoints)
-    return _report(partials, checkpoints, stream, obs, weight=weights.kind if weights is not None else "none")
+    return _sarnak_reports(stream, obs, [(weights, checkpoints)])[0]
 
 
 def kbsz_series(
@@ -148,11 +208,12 @@ def block_sweep(
     checkpoints,
     alphabet_size: int | None = None,
 ):
-    """One Sarnak report per length-k block appearing in the scanned windows.
+    """One Sarnak report per length-k block seen, keyed by the block tuple, from one count over the window 0..k - 1.
 
-    Returns a dict keyed by the block tuple.  The windows start at 0..N, so
-    they cover every window the reports read; they are scanned one run of
-    _LEAF windows at a time.
+    The blocks are the nonzero counts over n = 1..N and the window at 0.
+    Each report reads the counts with its indicator table under the rule of
+    spectral._count_sums; the products are 0 and +-1, so every float sum of
+    them gives those bits too.
     """
     if k < 1:
         raise ValueError("block length must be positive, got %d" % k)
@@ -165,13 +226,17 @@ def block_sweep(
         alphabet_size = stream.alphabet_size
     if alphabet_size is None:
         raise ValueError("alphabet size unknown, pass alphabet_size")
-    blocks = set()
-    for lo in range(0, limit + 1, _LEAF):
-        blocks |= _distinct_blocks(stream.block(lo, min(_LEAF, limit + 1 - lo) + k - 1), k)
+    obs = make_block_indicator((0,) * k, 0, alphabet_size)  # any block: its window is every block's
+    kind = None if weights is None else weights.kind
+    classes, width = _sarnak_classes(stream, obs, {} if weights is None else {kind: weights})
+    seen = [(np.flatnonzero(c), c[c > 0]) for c in _class_counts(classes, len(obs.values) * width, checkpoints)]
     reports = {}
-    for block in sorted(blocks):
-        obs = make_block_indicator(block, 0, alphabet_size)
-        reports[block] = sarnak_series(stream, obs, weights, checkpoints)
+    for b in sorted(set((seen[-1][0] // width).tolist()) | {int(obs.indices(stream, 0, 1)[0])}):
+        block = tuple(int(x) for x in np.unravel_index(b, (alphabet_size,) * k))
+        indicator = make_block_indicator(block, 0, alphabet_size)
+        table = _exact_parts(_state_table(indicator.values, kind, width), limit)
+        sums = [_count_sum(counts, [(ints[i], signed[i]) for ints, signed in table]) for i, counts in seen]
+        reports[block] = _report(sums, checkpoints, stream, indicator, weight=kind or "none")
     return reports
 
 
@@ -294,12 +359,16 @@ def run_experiment(config: ExperimentConfig, out_dir, formats=("csv", "json")):
     files on every rerun.
     """
     formats = check_formats(formats)
-    report = run_config(config)
+    return _write_reports(run_config(config), config.name, out_dir, formats)
+
+
+def _write_reports(report: ConvergenceReport, name: str, out_dir, formats) -> tuple:
+    """(report, paths) after writing the report as NAME.FORMAT in out_dir for each format."""
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for fmt in formats:
-        path = out_dir / ("%s.%s" % (config.name, fmt))
+        path = out_dir / ("%s.%s" % (name, fmt))
         path.write_bytes(REPORTS[fmt](report))
         paths.append(path)
     return report, paths

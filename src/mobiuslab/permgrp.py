@@ -332,18 +332,20 @@ def normal_subgroups(group: FiniteGroup):
     """All normal subgroups, sorted by size then by element indices.
 
     Every normal subgroup is a union of conjugacy classes, and a normal subgroup closed with a whole
-    class is normal again, so a walk from {e} closing each subgroup with each class outside it meets just these.
+    class C is normal again.  That closure is the closure with the normal subgroup <C> C generates,
+    so a walk from {e} closing each subgroup with each distinct <C> outside it meets just these.
     """
     if group.order > NORMAL_SUBGROUP_ORDER_CAP:
         raise CapacityError("normal subgroup scan capped at order %d, got %d" % (NORMAL_SUBGROUP_ORDER_CAP, group.order))
     # the class of a is its conjugates (g a) g^-1 over all g, one O(order) gather per element
-    classes = sorted({tuple(np.unique(group.table[group.table[:, a], group.inverse]).tolist()) for a in range(group.order)})
+    classes = {tuple(np.unique(group.table[group.table[:, a], group.inverse]).tolist()) for a in range(group.order)}
+    closures = sorted({group.subgroup_closure(cls) for cls in classes}, key=lambda s: (len(s), sorted(s)))
     subgroups = [frozenset({0})]
     found = set(subgroups)
-    for sub in subgroups:  # grows as it goes: each subgroup is a smaller one closed with one more class
-        for cls in classes:
-            if cls[0] not in sub:  # a normal subgroup holds all of a class or none of it
-                bigger = group.subgroup_closure(sub.union(cls))
+    for sub in subgroups:  # grows as it goes: each subgroup is a smaller one closed with one more <C>
+        for closed in closures:
+            if not closed <= sub:
+                bigger = group.subgroup_closure(sub | closed)
                 if bigger not in found:
                     found.add(bigger)
                     subgroups.append(bigger)

@@ -17,7 +17,8 @@ clamped at zero so downstream consumers may rely on the sign.
 
 Every statistic passes _check_reach before it reads.  The Sarnak and KBSZ
 series and atom masses are each one call of _class_sums, the sums of
-values[left(n)] conj(factors[right(n)]) by class counts for small integer
+values[left(n)] conj(factors[right(n)]) by class counts (_count_sums, which
+also counts several Sarnak sums of one stream at once) for small integer
 product tables, else by the float reduction _partial_sums; autocorrelation
 adds a float table's FFT piece sums in piece order and rounds a
 Gaussian-integer table's, summed as spectra over groups of pieces, into
@@ -88,6 +89,46 @@ def _partial_sums(fill, checkpoints):
     return [complex(v) for v in np.cumsum(segments)]
 
 
+def _class_counts(classes, size: int, checkpoints):
+    """The counts of classes(0, M) in [0, size) at each checkpoint M, one int64 array counted _LEAF at a time."""
+    counts, a = np.zeros(size, dtype=np.int64), 0
+    for b in checkpoints:
+        for lo in range(a, b, _LEAF):
+            counts += np.bincount(classes(lo, min(lo + _LEAF, b)), minlength=size)
+        yield counts
+        a = b
+
+
+def _exact_parts(table, limit: int):
+    """The gate: each part's (integers, not -0.0) of the class products if they are integers with limit max|part| <= 2^53."""
+    # the gate reads Python floats: each numpy ufunc faults in 64-128 KiB of
+    # numpy's code on its first call, and the sums need few of them.  Where
+    # the class products are integers no operand order moves a bit.
+    table = table.reshape(-1).tolist()
+    parts = [z.real for z in table], [z.imag for z in table]
+    bound = (1 << 53) // limit
+    if not all(abs(v) <= bound and v.is_integer() for part in parts for v in part):  # NaN and inf fail
+        return None
+    return [(np.array([int(v) for v in part], dtype=np.int64),
+             np.array([v != 0 or math.copysign(1.0, v) > 0 for v in part])) for part in parts]  # not -0.0
+
+
+def _count_sum(counts, table) -> complex:
+    """counts . table over the classes counted, each part -0.0 when the part of every counted product is."""
+    return complex(*(float(counts @ ints) if counts[signed].any() else -0.0 for ints, signed in table))
+
+
+def _count_sums(classes, size: int, tables, checkpoints) -> list:
+    """Partial sums of each exact table (_exact_parts) at its checkpoints, one list per table, from one count."""
+    sums = [[] for _ in tables]
+    wanted = sorted(set().union(*checkpoints))
+    for m, counts in zip(wanted, _class_counts(classes, size, wanted)):
+        for table, points, out in zip(tables, checkpoints, sums):
+            if m in points:
+                out.append(_count_sum(counts, table))
+    return sums
+
+
 def _class_sums(left, values, right, factors, checkpoints):
     """Partial sums of values[left(n)] conj(factors[right(n)]), or of values[left(n)] when right is None.
 
@@ -96,9 +137,7 @@ def _class_sums(left, values, right, factors, checkpoints):
     A product is entry left(n) F + right(n) (its class) of the class table,
     for F factors.  When there are at most _LEAF classes and their products
     are integers with N max|part| <= 2^53 (N the last checkpoint), every
-    float sum of them is exact in any order: a partial sum is the integer
-    counts . table, and a part is -0.0 exactly when each product counted so
-    far has that part -0.0.  The classes are counted _LEAF at a time.
+    float sum of them is exact in any order, and _count_sums gives it.
     """
     width = 1 if right is None else len(factors)
     size = len(values) * width
@@ -115,26 +154,9 @@ def _class_sums(left, values, right, factors, checkpoints):
             c += right(lo, hi)
         return c
 
-    # the gate reads Python floats: each numpy ufunc faults in 64-128 KiB of
-    # numpy's code on its first call, and the sums need few of them.  Where
-    # the class products are integers no operand order moves a bit.
-    table = []
-    if size <= _LEAF:
-        table = (values if right is None else values[:, None] * np.conjugate(factors)).reshape(-1).tolist()
-    parts = [z.real for z in table], [z.imag for z in table]
-    bound = (1 << 53) // checkpoints[-1]
-    if not table or not all(abs(v) <= bound and v.is_integer() for part in parts for v in part):  # NaN and inf fail
-        return _partial_sums(fill, checkpoints)
-    exact = [(np.array([int(v) for v in part], dtype=np.int64),
-              np.array([v != 0 or math.copysign(1.0, v) > 0 for v in part])) for part in parts]  # not -0.0
-    counts = np.zeros(size, dtype=np.int64)
-    sums, a = [], 0
-    for b in checkpoints:
-        for lo in range(a, b, _LEAF):
-            counts += np.bincount(classes(lo, min(lo + _LEAF, b)), minlength=size)
-        sums.append(complex(*(float(counts @ ints) if counts[signed].any() else -0.0 for ints, signed in exact)))
-        a = b
-    return sums
+    exact = size <= _LEAF and _exact_parts(values if right is None else values[:, None] * np.conjugate(factors),
+                                           checkpoints[-1])
+    return _count_sums(classes, size, [exact], [checkpoints])[0] if exact else _partial_sums(fill, checkpoints)
 
 
 def _check_reach(limit: int, span: int, kbsz: tuple | None = None) -> None:

@@ -148,6 +148,15 @@ def test_shared_sweep_matches_all_primes_sieve_across_blocks():
     check_shared_sweep({"moebius": MULTI_BLOCK_LIMIT}, oracle)
 
 
+def test_sweep_matches_all_primes_sieve_at_octave_edges():
+    # the sweep's blocks end at each power of two, where even n copy lambda(n/2) from the octave below
+    oracle = {kind: all_primes_sieve(kind, (1 << 21) + 1).tobytes() for kind in arith.WEIGHT_KINDS}
+    for k in range(18, 22):
+        for limit in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            for kind in arith.WEIGHT_KINDS:
+                assert weight_table(kind, limit).values.tobytes() == oracle[kind][: limit + 1], (kind, limit)
+
+
 def test_multiplicative_across_block_boundaries():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

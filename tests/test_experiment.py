@@ -18,7 +18,8 @@ from mobiuslab.experiment import (
     run_experiment,
     sarnak_series,
 )
-from mobiuslab.spectral import make_symbol_table, make_walsh
+from mobiuslab.spectral import Observable, make_symbol_table, make_walsh
+from mobiuslab.specfile import parse_spec
 from mobiuslab.spectral import _LEAF, _STRIDE_MAX, make_block_indicator
 from mobiuslab.streams import SymbolStream, periodic_stream, word_stream
 from mobiuslab.subst import Substitution, fixed_point_stream
@@ -510,3 +511,110 @@ def test_series_gate_follows_the_sample_size(monkeypatch):
         sarnak_series(TM, huge, weight_table("moebius", n), pow2_checkpoints(n))
     kbsz_series(TM, make_symbol_table({0: 1, 1: 0.5}), 3, 5, (4,))
     assert ran == [10, 4]
+
+
+SYSTEMS = parse_spec(
+    'substitution abc on {a, b, c} {\n  a -> "abb";\n  b -> "bac";\n  c -> "cca";\n}\n'
+    'morse cov over cover-of abc\nrs rsd pattern "1*10"\n').bound
+
+
+def _grouped_equal_alone(stream, obs, members):
+    """_sarnak_reports of the members equal each member's sarnak_series, float hex and JSON bytes."""
+    from mobiuslab.experiment import _sarnak_reports
+
+    for got, (weights, points) in zip(_sarnak_reports(stream, obs, members), members, strict=True):
+        want = sarnak_series(stream, obs, weights, points)
+        assert _hex(got.values) == _hex(want.values) and report_json(got) == report_json(want), (weights, points)
+
+
+def test_grouped_sums_equal_each_sum_alone_and_count_once(monkeypatch):
+    """None, mu and lambda members, pow2 and ragged checkpoints, different N; lambda's table ends before mu's.
+
+    The tables hold -0.0 parts, the reals of both signs: an unweighted
+    product is the table value itself.  Every member is counted, and the
+    group reads each piece of the stream once.
+    """
+    from mobiuslab import spectral
+    from mobiuslab.experiment import _sarnak_reports
+
+    def refuse(fill, checkpoints):
+        raise AssertionError("an integer table fell back to the float reduction")
+
+    monkeypatch.setattr(spectral, "_partial_sums", refuse)
+    n = 2 * _LEAF + 3
+    mu, lam = weight_table("moebius", n), weight_table("liouville", _LEAF + 7)
+    ragged = (1, 2, 3, 5, 6, 7, 100, 101, _LEAF, _LEAF + 1, n)
+    members = [(None, pow2_checkpoints(n)), (mu, ragged), (lam, pow2_checkpoints(_LEAF + 7)), (mu, (4, 999)),
+               (None, (1, 2, 777)), (lam, ragged[:8])]
+    rng = np.random.default_rng(30)
+    signed = Observable(window=(0,), alphabet_size=2, values=[complex(-2, -0.0), complex(3, -0.0)])
+    for obs in (signed, W0, Observable(window=(0, 1), alphabet_size=2, values=_signed_integer_table(rng, 4, 0.6))):
+        for kinds in ((None,), (mu,), (lam,), (mu, lam), (None, mu, lam)):
+            _grouped_equal_alone(TM, obs, [m for m in members if m[0] in kinds])
+    assert "-0.0" in report_json(_sarnak_reports(TM, signed, members[:2])[0]).decode()
+    reads, block = [], TM.block
+    monkeypatch.setattr(TM, "block", lambda start, count, step=1: reads.append((start, count)) or block(start, count, step))
+    _sarnak_reports(TM, W0, [(mu, pow2_checkpoints(n)), (lam, pow2_checkpoints(_LEAF + 7))])
+    assert sorted(reads) == reads and sum(count for _, count in reads) == n  # each of n = 1..N read once
+    assert all(a + c == b for (a, c), (b, _) in zip(reads, reads[1:])) and reads[0][0] == 1
+
+
+def test_grouped_members_keep_their_own_gate(monkeypatch):
+    """1e15 passes 2^53 / N at N = 9 and fails at N = 10; a float table fails at any N.  Each failing member
+    is summed alone by the float reduction, the others are counted, and every report is the sum's alone."""
+    from mobiuslab import spectral
+    from mobiuslab.experiment import _sarnak_reports
+
+    partial, ran = spectral._partial_sums, []
+    monkeypatch.setattr(spectral, "_partial_sums", lambda fill, points: ran.append(points[-1]) or partial(fill, points))
+    mu, lam = weight_table("moebius", 12), weight_table("liouville", 12)
+    huge, half = make_symbol_table({0: 1e15, 1: -3}), make_symbol_table({0: 0.5, 1: -1.25})
+    members = [(mu, pow2_checkpoints(9)), (lam, (3, 10)), (None, (2, 9)), (mu, (1, 12))]
+    for obs, floats in ((huge, [10, 12]), (half, [9, 10, 9, 12])):
+        ran.clear()
+        _sarnak_reports(TM, obs, members)
+        assert ran == floats, obs
+        _grouped_equal_alone(TM, obs, members)
+
+
+@pytest.mark.parametrize("system", ["thue_morse", "cov", "rsd"])
+def test_block_sweep_equals_each_indicator_sum(system):
+    """Weighted and unweighted sweeps, pow2 and given checkpoints, on a substitution, a cover and an RS stream."""
+    stream = TM if system == "thue_morse" else SYSTEMS[system].stream
+    letters = stream.alphabet_size or 2
+    n = 3000
+    for k in (1, 3):
+        windows = np.lib.stride_tricks.sliding_window_view(stream.prefix(n + k), k)
+        blocks = sorted(map(tuple, np.unique(windows, axis=0).tolist()))
+        for weights in (None, weight_table("moebius", n), weight_table("liouville", n)):
+            for points in (pow2_checkpoints(n), (1, 2, 5, 1000, 2999, n)):
+                got = block_sweep(stream, k, weights, points, letters)
+                assert list(got) == blocks
+                for block in blocks:
+                    want = sarnak_series(stream, make_block_indicator(block, 0, letters), weights, points)
+                    assert _hex(got[block].values) == _hex(want.values) and report_json(got[block]) == report_json(want)
+
+
+def test_block_sweep_past_leaf_classes_equals_the_float_sums():
+    """At k = 14 a weighted indicator has 3 2^14 > _LEAF classes, so sarnak_series sums it as floats."""
+    n = 1500
+    got = block_sweep(TM, 14, weight_table("liouville", n), (7, n))
+    assert len(got) > 10
+    for block, report in got.items():
+        want = sarnak_series(TM, make_block_indicator(block, 0, 2), weight_table("liouville", n), (7, n))
+        assert _hex(report.values) == _hex(want.values) and report_json(report) == report_json(want)
+
+
+def test_block_sweep_reads_do_not_grow_with_the_blocks():
+    """Thue-Morse has 10 blocks of length 4 and a random word all 16: the sweeps make the same stream reads."""
+    n, k = 3 * _LEAF, 4
+    rng = np.random.default_rng(4)
+    reads = []
+    for stream in (TM, word_stream(rng.integers(0, 2, n + k), alphabet_size=2)):
+        calls, block = [], stream.block
+        stream.block = lambda start, count, step=1, block=block, calls=calls: calls.append((start, count)) or block(
+            start, count, step)
+        reads.append((len(block_sweep(stream, k, weight_table("moebius", n), pow2_checkpoints(n))), calls))
+    (tm_blocks, tm_calls), (word_blocks, word_calls) = reads
+    assert (tm_blocks, word_blocks) == (10, 16)
+    assert tm_calls == word_calls and sum(count for _, count in tm_calls) == k * (n + 1)

@@ -214,6 +214,38 @@ def test_normal_subgroups():
     assert [len(h) for h in normal_subgroups(s6)] == [1, 360, 720]
 
 
+def normal_subgroups_by_class_walk(group):
+    """The walk from {e} that closes each normal subgroup with each conjugacy class outside it."""
+    classes = sorted({tuple(sorted({group.mul(group.mul(g, a), group.inv(g)) for g in range(group.order)}))
+                      for a in range(group.order)})
+    subgroups, found = [frozenset({0})], {frozenset({0})}
+    for sub in subgroups:
+        for cls in classes:
+            if cls[0] not in sub:
+                bigger = group.subgroup_closure(sub.union(cls))
+                if bigger not in found:
+                    found.add(bigger)
+                    subgroups.append(bigger)
+    return sorted(subgroups, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("group", [symmetric_group(d)[0] for d in (3, 4, 5)] + [cyclic_group(n) for n in (1, 2, 6, 12, 30, 36)])
+def test_normal_subgroups_match_the_class_walk(group):
+    assert normal_subgroups(group) == normal_subgroups_by_class_walk(group)
+
+
+def test_normal_subgroups_close_each_class_once_and_walk_the_distinct_closures(monkeypatch):
+    """Z_360 has 360 classes and 24 subgroups: one closure per class, then at most one per (subgroup, <C>) pair."""
+    group, calls = cyclic_group(360), []
+    closure = FiniteGroup.subgroup_closure
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", lambda self, subset: calls.append(1) or closure(self, subset))
+    assert len(normal_subgroups(group)) == 24
+    assert len(calls) <= 360 + 24 * 24
+    calls.clear()
+    normal_subgroups_by_class_walk(group)
+    assert len(calls) > 24 * 300  # the class walk closes each subgroup with nearly every class
+
+
 def test_quotient():
     s3, emb = symmetric_group(3)
     a3 = next(h for h in normal_subgroups(s3) if len(h) == 3)

@@ -23,7 +23,7 @@ type and message as stderr.  The calls are:
   (printed as RISING), whose weighted reaches only go up, for both kinds,
   and which holds a checkpoint list ending below its N and a kbsz
   experiment that declares weight: moebius; and over edges.spec (printed
-  as EDGES), whose reaches cross 2^19-position sieve blocks: Moebius at
+  as EDGES), whose reaches cross sieve octaves and blocks: Moebius at
   3 * 2^19 + 12345, Liouville at 2^19 + 1 and a Moebius sum whose
   checkpoints end at 2^20 + 7;
 - corr and spectrum over GAUSS (written beside far.spec), whose observable
