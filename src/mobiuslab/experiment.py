@@ -9,16 +9,17 @@ and the bilinear test sums compare two prime dilations of the same orbit,
     C_M = (1/M) sum_{n=1..M} v(r n) conj(v(s n)).
 
 Partial sums at ascending checkpoints pass spectral._check_reach first,
-the one rule for the cap and the int64 reach.  Each series is one call of
-spectral._class_sums, the sums of values[left(n)] conj(factors[right(n)]):
-a Sarnak sum reads idx(n) and w(n) + 1 into the weights (-1, 0, 1), a KBSZ
-sum idx(rn) and idx(sn) into the table.  It counts the classes left F +
-right of each piece when their products are small integers, and otherwise
-sums the products in the fixed order of
-np.cumsum(np.add.reduceat(products, starts)) (spectral._partial_sums);
-both give those bytes, so reports are bit-identical on every rerun.
-Everything runs on one thread; the CLI's --workers flag is accepted and
-has no effect.
+the one rule for the cap and the int64 reach.  Every series is a member of
+one call of spectral._class_sums, which sums values[left(n)]
+conj(factors[right(n)]) for each member over two shared index reads: a
+KBSZ sum reads idx(rn) and idx(sn) into the table, and a Sarnak sum idx(n)
+and the weight state of n (_weight_states) into its kind's weights.  It
+counts the classes left F + right of each piece for every member whose
+products are small integers, and sums any other member's products in the
+fixed order of np.cumsum(np.add.reduceat(products, starts))
+(spectral._partial_sums); both give those bytes, so reports are
+bit-identical on every rerun.  Everything runs on one thread; the CLI's
+--workers flag is accepted and has no effect.
 
 Sarnak sums read each piece as a run of the stream and weight it from the
 table.  The bilinear sums read v(pn) for a piece of n through
@@ -30,12 +31,14 @@ substitution or Morse run copies only the count symbols it keeps; RS and
 Veech read p (count - 1) + 1 symbols and keep every p-th, so a run holds
 at most _STRIDE_MAX pieces of symbols whatever s is.
 
-The CLI's run counts each run of consecutive Sarnak experiments over one
-(observable, system) pair with one read and one np.bincount per piece
-(_sarnak_reports); each sum reads the counts at its own checkpoints, so
-its bytes are those it has alone.  block_sweep is one count over the
-window 0..k - 1.  A weighted sum reads its kind's one weight table (one
-byte per n).
+The CLI's run sums each run of consecutive Sarnak experiments over one
+(observable, system) pair as the members of one _class_sums call
+(_sarnak_reports): one read of the window index and of the weight state
+per piece, the state w(n) + 1 under one kind and 2 [lambda(n) = 1] +
+[mu(n) != 0] under both.  Each member reads its own checkpoints, so its
+bytes are those it has alone.  block_sweep is one count over the window
+0..k - 1 and the weight state.  A weighted sum reads its kind's one weight
+table (one byte per n).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import WeightTable, is_prime
-from .spectral import (_LEAF, Observable, _check_reach, _class_counts, _class_sums, _count_sum, _count_sums,
+from .spectral import (Observable, _check_reach, _class_counts, _class_sums, _class_table, _classes, _count_sum,
                        _exact_parts, make_block_indicator)
 from .streams import SymbolStream
 
@@ -108,58 +111,40 @@ _SIGNS = np.array([-1, 0, 1], dtype=np.int8)  # the weights, a weight w at colum
 _BOTH = {"moebius": [1, 0, 1, 2], "liouville": [0, 0, 2, 2]}
 
 
-def _sarnak_classes(stream: SymbolStream, obs: Observable, tables: dict):
-    """(classes, S): classes(lo, hi) gives idx(n) S + state(n) for n = 1 + lo .. hi under the tables (kind -> table).
+def _weight_states(tables: dict):
+    """(states, factors): states(lo, hi) gives the weight state of n = 1 + lo .. hi under the tables (kind -> table),
+    and factors[kind] the kind's weight at each state.
 
-    The state is none (S = 1) under no kind, w(n) + 1 under one and
-    2 [lambda(n) = 1] + [mu(n) != 0] under both.  Past lambda's reach its
-    bit is [mu(n) = 1], lambda's wherever mu(n) != 0; no sum reads past mu's.
+    The state is w(n) + 1 under one kind and 2 [lambda(n) = 1] + [mu(n) != 0]
+    under both; it is 0 past every table's reach.  Past lambda's reach its bit
+    is [mu(n) = 1], lambda's wherever mu(n) != 0; no sum reads past mu's.
     """
-    width = (1, 3, 4)[len(tables)]
+    both = len(tables) == 2
 
-    def classes(lo, hi):
-        c = obs.indices(stream, 1 + lo, hi - lo)
-        c *= width
+    def states(lo, hi):
+        s = np.zeros(hi - lo, dtype=np.int8)
         for kind, table in tables.items():
             w = table.values[1 + lo : 1 + hi]
-            c[: len(w)] += w + 1 if width == 3 or kind == "liouville" else w != 0
-            if width == 4 and kind == "moebius":
+            s[: len(w)] += w + 1 if not both or kind == "liouville" else w != 0
+            if both and kind == "moebius":
                 end = max(0, tables["liouville"].limit - lo)
-                c[end : len(w)] += 2 * (w[end:] == 1)
-        return c
+                s[end : len(w)] += 2 * (w[end:] == 1)
+        return s
 
-    return classes, width
-
-
-def _state_table(values: np.ndarray, kind: str | None, width: int) -> np.ndarray:
-    """The products of each value at each state: the value itself unweighted (times 1 can move a -0.0), else value conj(w)."""
-    if kind is None:
-        return np.repeat(values, width)
-    own = values[:, None] * np.conjugate(_SIGNS)
-    return own if width == 3 else own[:, _BOTH[kind]]
+    return states, {kind: _SIGNS[_BOTH[kind]] if both else _SIGNS for kind in tables}
 
 
 def _sarnak_reports(stream: SymbolStream, obs: Observable, members) -> list:
-    """The Sarnak report of each member (weights, checkpoints), with one count of their classes (_sarnak_classes).
+    """The Sarnak report of each member (weights, checkpoints), from one _class_sums over the members' weight states.
 
-    One table per kind, reaching its kind's last checkpoint.  A lone member,
-    more than _LEAF classes or a member failing its gate (_exact_parts, at
-    its own N) is summed alone by _class_sums.
+    One table per kind, reaching its kind's last checkpoint.
     """
     tables = {weights.kind: weights for weights, _ in members if weights is not None}
-    classes, width = _sarnak_classes(stream, obs, tables)
-    joint = len(members) > 1 and len(obs.values) * width <= _LEAF
-    exact = [joint and _exact_parts(_state_table(obs.values, weights and weights.kind, width), points[-1])
-             for weights, points in members]
-    counted = iter(_count_sums(classes, len(obs.values) * width, [parts for parts in exact if parts],
-                               [points for parts, (_, points) in zip(exact, members) if parts]))
-    reports = []
-    for parts, (weights, points) in zip(exact, members):
-        right = None if weights is None else lambda lo, hi: weights.values[1 + lo : 1 + hi] + 1
-        sums = next(counted) if parts else _class_sums(lambda lo, hi: obs.indices(stream, 1 + lo, hi - lo),
-                                                        obs.values, right, _SIGNS, points)
-        reports.append(_report(sums, points, stream, obs, weight=weights.kind if weights is not None else "none"))
-    return reports
+    states, factors = _weight_states(tables)
+    sums = _class_sums(lambda lo, hi: obs.indices(stream, 1 + lo, hi - lo), obs.values, states,
+                       [(None if weights is None else factors[weights.kind], points) for weights, points in members])
+    return [_report(partials, points, stream, obs, weight="none" if weights is None else weights.kind)
+            for partials, (weights, points) in zip(sums, members)]
 
 
 def sarnak_series(
@@ -197,7 +182,7 @@ def kbsz_series(
     checkpoints = _validate_checkpoints(checkpoints)
     _check_reach(checkpoints[-1], obs.span, (r, s))
     left, right = (lambda lo, hi, p=p: obs.indices(stream, p * (1 + lo), hi - lo, p) for p in (r, s))
-    partials = _class_sums(left, obs.values, right, obs.values, checkpoints)
+    (partials,) = _class_sums(left, obs.values, right, [(obs.values, checkpoints)])
     return _report(partials, checkpoints, stream, obs, primes=(r, s))
 
 
@@ -210,10 +195,10 @@ def block_sweep(
 ):
     """One Sarnak report per length-k block seen, keyed by the block tuple, from one count over the window 0..k - 1.
 
-    The blocks are the nonzero counts over n = 1..N and the window at 0.
-    Each report reads the counts with its indicator table under the rule of
-    spectral._count_sums; the products are 0 and +-1, so every float sum of
-    them gives those bits too.
+    The blocks are the nonzero counts over n = 1..N and the window at 0.  A
+    block's products are 1 or 0 times the weight at each state, so one gate
+    serves every block, and each report counts its own classes and the
+    others at each state under the rule of spectral._count_sum.
     """
     if k < 1:
         raise ValueError("block length must be positive, got %d" % k)
@@ -228,15 +213,23 @@ def block_sweep(
         raise ValueError("alphabet size unknown, pass alphabet_size")
     obs = make_block_indicator((0,) * k, 0, alphabet_size)  # any block: its window is every block's
     kind = None if weights is None else weights.kind
-    classes, width = _sarnak_classes(stream, obs, {} if weights is None else {kind: weights})
+    states, factors = _weight_states({} if weights is None else {kind: weights})
+    width = len(factors[kind]) if factors else 1
+    parts = _exact_parts(_class_table(np.array([1.0, 0.0], dtype=np.complex128), factors.get(kind), width), limit)
+    classes = _classes(lambda lo, hi: obs.indices(stream, 1 + lo, hi - lo), states, width)
     seen = [(np.flatnonzero(c), c[c > 0]) for c in _class_counts(classes, len(obs.values) * width, checkpoints)]
+    blocks = np.union1d(seen[-1][0] // width, obs.indices(stream, 0, 1))
+    own = []  # at each checkpoint, each block's counts at each state and their sum over the blocks
+    for nonzero, c in seen:
+        counts = np.zeros((len(blocks), width), dtype=np.int64)
+        counts[np.searchsorted(blocks, nonzero // width), nonzero % width] = c
+        own.append((counts, counts.sum(axis=0)))
     reports = {}
-    for b in sorted(set((seen[-1][0] // width).tolist()) | {int(obs.indices(stream, 0, 1)[0])}):
+    for i, b in enumerate(blocks):
         block = tuple(int(x) for x in np.unravel_index(b, (alphabet_size,) * k))
-        indicator = make_block_indicator(block, 0, alphabet_size)
-        table = _exact_parts(_state_table(indicator.values, kind, width), limit)
-        sums = [_count_sum(counts, [(ints[i], signed[i]) for ints, signed in table]) for i, counts in seen]
-        reports[block] = _report(sums, checkpoints, stream, indicator, weight=kind or "none")
+        sums = [_count_sum(np.concatenate((counts[i], total - counts[i])), parts) for counts, total in own]
+        reports[block] = _report(sums, checkpoints, stream, make_block_indicator(block, 0, alphabet_size),
+                                 weight=kind or "none")
     return reports
 
 

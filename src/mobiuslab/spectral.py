@@ -15,12 +15,12 @@ periodogram of an exact autocorrelation sequence nonnegative; the windowed
 estimate can dip below zero by a boundary term of order L^2/N, which is
 clamped at zero so downstream consumers may rely on the sign.
 
-Every statistic passes _check_reach before it reads.  The Sarnak and KBSZ
-series and atom masses are each one call of _class_sums, the sums of
-values[left(n)] conj(factors[right(n)]) by class counts (_count_sums, which
-also counts several Sarnak sums of one stream at once) for small integer
-product tables, else by the float reduction _partial_sums; autocorrelation
-adds a float table's FFT piece sums in piece order and rounds a
+Every statistic passes _check_reach before it reads.  Every Sarnak and
+KBSZ series and atom mass is a member of one _class_sums call, whose
+members share two index reads and each sum values[left(n)]
+conj(factors[right(n)]): by one count of the classes for small integer
+products, else by the float reduction _partial_sums; autocorrelation adds
+a float table's FFT piece sums in piece order and rounds a
 Gaussian-integer table's, summed as spectra over groups of pieces, into
 int64, so each gives the same bits whatever the BLAS threads.
 """
@@ -118,45 +118,50 @@ def _count_sum(counts, table) -> complex:
     return complex(*(float(counts @ ints) if counts[signed].any() else -0.0 for ints, signed in table))
 
 
-def _count_sums(classes, size: int, tables, checkpoints) -> list:
-    """Partial sums of each exact table (_exact_parts) at its checkpoints, one list per table, from one count."""
-    sums = [[] for _ in tables]
-    wanted = sorted(set().union(*checkpoints))
-    for m, counts in zip(wanted, _class_counts(classes, size, wanted)):
-        for table, points, out in zip(tables, checkpoints, sums):
-            if m in points:
-                out.append(_count_sum(counts, table))
-    return sums
+def _class_table(values, factors, width: int):
+    """The product of each value at each of width right classes: the value itself when factors is None (times 1 can
+    move a -0.0), else value conj(factor)."""
+    return np.repeat(values, width) if factors is None else values[:, None] * np.conjugate(factors)
 
 
-def _class_sums(left, values, right, factors, checkpoints):
-    """Partial sums of values[left(n)] conj(factors[right(n)]), or of values[left(n)] when right is None.
-
-    left(lo, hi) and right(lo, hi) give fresh integer indices for n in
-    [lo, hi), and the sums are _partial_sums of the products, bit for bit.
-    A product is entry left(n) F + right(n) (its class) of the class table,
-    for F factors.  When there are at most _LEAF classes and their products
-    are integers with N max|part| <= 2^53 (N the last checkpoint), every
-    float sum of them is exact in any order, and _count_sums gives it.
-    """
-    width = 1 if right is None else len(factors)
-    size = len(values) * width
-
-    def fill(lo, hi):
-        # one expression, left gather first: numpy may write the product into a
-        # temporary operand, and which operand comes first can move a bit
-        return values[left(lo, hi)] if right is None else values[left(lo, hi)] * np.conjugate(factors[right(lo, hi)])
-
+def _classes(left, right, radix: int):
+    """classes(lo, hi): left(n) radix + right(n) for n in [lo, hi), or left itself at radix 1."""
     def classes(lo, hi):
         c = left(lo, hi)
-        if right is not None:
-            c *= width
-            c += right(lo, hi)
+        c *= radix
+        c += right(lo, hi)
         return c
 
-    exact = size <= _LEAF and _exact_parts(values if right is None else values[:, None] * np.conjugate(factors),
-                                           checkpoints[-1])
-    return _count_sums(classes, size, [exact], [checkpoints])[0] if exact else _partial_sums(fill, checkpoints)
+    return left if radix == 1 else classes
+
+
+def _class_sums(left, values, right, members) -> list:
+    """Partial sums of each member (factors, checkpoints): of values[left(n)] conj(factors[right(n)]), or of
+    values[left(n)] when factors is None, bit for bit _partial_sums of the products.
+
+    left(lo, hi) and right(lo, hi) give fresh integer indices for n in
+    [lo, hi), read once for every member.  A product is entry left(n) F +
+    right(n) (its class) of the member's _class_table, for F factors, and an
+    unweighted member counts left(n) alone above _LEAF classes.  One count
+    gives the sums of every member with at most _LEAF classes whose products
+    are integers with N max|part| <= 2^53 (N its last checkpoint), exact in
+    any order; every other member takes _partial_sums.
+    """
+    width = max((len(factors) for factors, _ in members if factors is not None), default=1)
+    radix = width if len(values) * width <= _LEAF else 1
+    exact = [len(values) * (radix if factors is None else width) <= _LEAF
+             and _exact_parts(_class_table(values, factors, radix), points[-1]) for factors, points in members]
+    # one expression, left gather first: numpy may write the product into a
+    # temporary operand, and which operand comes first can move a bit
+    sums = [[] if parts else _partial_sums(lambda lo, hi, factors=factors: values[left(lo, hi)] if factors is None
+                                           else values[left(lo, hi)] * np.conjugate(factors[right(lo, hi)]), points)
+            for parts, (factors, points) in zip(exact, members)]
+    wanted = sorted(set().union(*(points for parts, (_, points) in zip(exact, members) if parts)))
+    for m, counts in zip(wanted, _class_counts(_classes(left, right, radix), len(values) * radix, wanted)):
+        for parts, (_, points), out in zip(exact, members, sums):
+            if parts and m in points:
+                out.append(_count_sum(counts, parts))
+    return sums
 
 
 def _check_reach(limit: int, span: int, kbsz: tuple | None = None) -> None:
@@ -532,8 +537,8 @@ def atom_mass(stream: SymbolStream, obs: Observable, frequency, sample_size: int
     _check_reach(sample_size, obs.span - 1)  # v(0..N-1), one short of a Sarnak sum's reach
     # v(n) times the phase of n mod q, as v(n) conj(conj(phase)): conj is exact
     conjugates = np.conjugate(np.exp(-2j * np.pi * p * np.arange(q) / q))
-    (total,) = _class_sums(lambda lo, hi: obs.indices(stream, lo, hi - lo), obs.values,
-                           lambda lo, hi: np.arange(lo, hi) % q, conjugates, (sample_size,))
+    ((total,),) = _class_sums(lambda lo, hi: obs.indices(stream, lo, hi - lo), obs.values,
+                              lambda lo, hi: np.arange(lo, hi) % q, [(conjugates, (sample_size,))])
     return float(abs(total / sample_size) ** 2)
 
 

@@ -269,13 +269,12 @@ def test_kbsz_blocks_sum_like_one_gathered_vector():
     several pieces and a ragged tail, the table is float-valued and complex,
     and the window has two offsets.
     """
-    from mobiuslab import experiment
     from mobiuslab.spectral import Observable
 
     rng = np.random.default_rng(11)
     sub = Substitution.from_words({"a": "abb", "b": "bac", "c": "cca"})
     obs = Observable(window=(0, 2), alphabet_size=3, values=rng.normal(size=9) + 1j * rng.normal(size=9))
-    n = 3 * experiment._LEAF + 17
+    n = 3 * _LEAF + 17
     checkpoints = pow2_checkpoints(n)
     r, s = 7, 3
     prefix = fixed_point_stream(sub).prefix(r * n + obs.span)
@@ -416,22 +415,26 @@ def test_class_counts_sum_to_the_float_reductions_bytes(monkeypatch):
     def refuse(fill, checkpoints):
         raise AssertionError("an integer table fell back to the float reduction")
 
-    def checked(left, values, right, factors, checkpoints):
-        got = spectral._class_sums(left, values, right, factors, checkpoints)
-        width = 1 if right is None else len(factors)
-        table = values if right is None else (values[:, None] * np.conjugate(factors)).reshape(-1)
-        assert len(table) == len(values) * width
+    def checked(left, values, right, members):
+        sums = spectral._class_sums(left, values, right, members)
+        width = max((len(factors) for factors, _ in members if factors is not None), default=1)
+        for got, (factors, checkpoints) in zip(sums, members, strict=True):
+            table = (np.repeat(values, width) if factors is None
+                     else (values[:, None] * np.conjugate(factors)).reshape(-1))
+            assert len(table) == len(values) * width
 
-        def classes(lo, hi):
-            return left(lo, hi) if right is None else left(lo, hi) * width + right(lo, hi)
+            def classes(lo, hi):
+                return left(lo, hi) if width == 1 else left(lo, hi) * width + right(lo, hi)
 
-        def fill(lo, hi):
-            return values[left(lo, hi)] if right is None else values[left(lo, hi)] * np.conjugate(factors[right(lo, hi)])
+            def fill(lo, hi, factors=factors):
+                if factors is None:
+                    return values[left(lo, hi)]
+                return values[left(lo, hi)] * np.conjugate(factors[right(lo, hi)])
 
-        assert _hex(got) == _hex(partial(lambda lo, hi: table[classes(lo, hi)], checkpoints))
-        assert _hex(got) == _hex(partial(fill, checkpoints))
-        counted.append(got)
-        return got
+            assert _hex(got) == _hex(partial(lambda lo, hi: table[classes(lo, hi)], checkpoints))
+            assert _hex(got) == _hex(partial(fill, checkpoints))
+            counted.append(got)
+        return sums
 
     monkeypatch.setattr(spectral, "_partial_sums", refuse)
     monkeypatch.setattr(experiment, "_class_sums", checked)
@@ -494,7 +497,7 @@ def test_class_sums_count_only_exact_tables(monkeypatch, case, counted):
             return super().tolist()
 
     monkeypatch.setattr(spectral, "_partial_sums", recorded)
-    got = spectral._class_sums(lambda lo, hi: cls[lo:hi].copy(), table.view(Recorded), None, None, checkpoints)
+    (got,) = spectral._class_sums(lambda lo, hi: cls[lo:hi].copy(), table.view(Recorded), None, [(None, checkpoints)])
     assert ran == ([] if counted else ["float"])
     assert built == ([] if size > _LEAF else [size])
     assert _hex(got) == _hex(partial(lambda lo, hi: table[cls[lo:hi]], checkpoints))
@@ -575,6 +578,24 @@ def test_grouped_members_keep_their_own_gate(monkeypatch):
         _sarnak_reports(TM, obs, members)
         assert ran == floats, obs
         _grouped_equal_alone(TM, obs, members)
+
+
+def test_grouped_sums_past_leaf_joint_classes_split_by_member(monkeypatch):
+    """A 2^14-entry Walsh table under none, mu and lambda has 2^16 joint classes: the unweighted member is still
+    counted over its 2^14, each weighted one is summed as floats, and every report is the sum's alone.  Lambda's
+    table ends before mu's."""
+    from mobiuslab import spectral
+    from mobiuslab.experiment import _sarnak_reports
+
+    partial, ran = spectral._partial_sums, []
+    monkeypatch.setattr(spectral, "_partial_sums", lambda fill, points: ran.append(points[-1]) or partial(fill, points))
+    obs = make_walsh(range(14))
+    assert len(obs.values) <= _LEAF < 3 * len(obs.values)
+    mu, lam = weight_table("moebius", 3000), weight_table("liouville", 2000)
+    members = [(None, pow2_checkpoints(2500)), (mu, (1, 5, 999, 3000)), (lam, pow2_checkpoints(2000))]
+    _sarnak_reports(TM, obs, members)
+    assert ran == [3000, 2000]
+    _grouped_equal_alone(TM, obs, members)
 
 
 @pytest.mark.parametrize("system", ["thue_morse", "cov", "rsd"])
