@@ -250,8 +250,10 @@ class PatternReader:
         self._low = None
 
     def __call__(self, key) -> np.ndarray:
-        if isinstance(key, slice) and (key.step or 1) > 1:  # every step-th symbol of the run
-            return np.ascontiguousarray(self(slice(key.start, key.stop))[:: key.step])
+        if isinstance(key, slice) and (key.step or 1) > 1:  # a whole run and positions of "1*10" over 2^15 took
+            if key.step <= 32:  # 0.33 / 0.54 ms at step 32 and 0.75 / 0.77 ms at 64 (best of 7, 2 cores)
+                return np.ascontiguousarray(self(slice(key.start, key.stop))[:: key.step])
+            key = key.start + key.step * np.arange(len(range(key.start, key.stop, key.step)), dtype=np.int64)
         m, mask, value = self._m, self._mask, self._value
         out = np.zeros(key.stop - key.start if isinstance(key, slice) else len(key), dtype=np.uint8)
         if m > 64:

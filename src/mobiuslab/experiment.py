@@ -23,13 +23,11 @@ bit-identical on every rerun.  Everything runs on one thread; the CLI's
 
 Sarnak sums read each piece as a run of the stream and weight it from the
 table.  The bilinear sums read v(pn) for a piece of n through
-Observable.indices with step p: up to spectral._STRIDE_MAX as one stepped
-run, SymbolStream.block(start, count, p), and above it at the positions pn
-with SymbolStream.at.  Every system the CLI binds is read from the digits
-of each position, so the sums hold a few pieces, not an N-long vector.  A
-substitution or Morse run copies only the count symbols it keeps; RS and
-Veech read p (count - 1) + 1 symbols and keep every p-th, so a run holds
-at most _STRIDE_MAX pieces of symbols whatever s is.
+Observable.indices with step p, one SymbolStream.block(start, count, p)
+per window offset whatever p is, which the stream's reader serves at a
+cost that follows count (see streams).  Every system the CLI binds is read
+from the digits of each position, so the sums hold a few pieces, not an
+N-long vector, whatever s is.
 
 The CLI's run sums each run of consecutive Sarnak experiments over one
 (observable, system) pair as the members of one _class_sums call
@@ -171,8 +169,8 @@ def kbsz_series(
 ) -> ConvergenceReport:
     """Bilinear averages C_M = (1/M) sum v(rn) conj(v(sn)) at each checkpoint.
 
-    Each piece reads v at r n and s n through Observable.indices with steps
-    r and s: a strided run for a step up to _STRIDE_MAX, positions above it.
+    Each piece reads v at r n and s n through Observable.indices, one
+    stepped run of the stream per window offset at steps r and s.
     The reduction fixes the order, so the sums depend neither on the piece
     size nor on the read.  Positions must fit in int64.
     """

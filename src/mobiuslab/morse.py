@@ -118,7 +118,7 @@ def hat_word(group: FiniteGroup, word) -> np.ndarray:
 
 
 def hat_stream(group: FiniteGroup, stream: SymbolStream, name: str | None = None) -> SymbolStream:
-    """hat(y) as a stream: hat(y)[n] reads y at n and n + 1, through block() or at()."""
+    """hat(y) as a stream: hat(y)[n] reads y at n and at n + 1, as two stepped runs or two positional reads."""
 
     def read(key):
         reach = key.stop if isinstance(key, slice) else int(key.max()) + 1
@@ -126,9 +126,11 @@ def hat_stream(group: FiniteGroup, stream: SymbolStream, name: str | None = None
             raise ValueError("hat at position %d reads its source at %d, beyond the int64 limit %d"
                              % (reach - 1, reach, INT64_MAX))
         if isinstance(key, slice):
-            run = hat_word(group, stream.block(key.start, key.stop - key.start + 1))
-            return np.ascontiguousarray(run[:: key.step or 1])
-        return group.table[stream.at(key + 1), group.inverse[stream.at(key)]]
+            run = range(key.start, key.stop, key.step or 1)
+            here, there = (stream.block(run.start + d, len(run), run.step) for d in (0, 1))
+        else:
+            here, there = stream.at(key), stream.at(key + 1)
+        return group.table[there, group.inverse[here]]
 
     return SymbolStream(
         read,

@@ -195,40 +195,43 @@ def _tau_at(spec: OdometerSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psi_run(vspec: VeechSpec, start: int, count: int) -> np.ndarray:
-    """Psi(tau(v)) for v = start..start+count-1, one arithmetic progression per stage.
+def _psi_run(vspec: VeechSpec, start: int, count: int, step: int = 1) -> np.ndarray:
+    """Psi(tau(v)) for v = start + step i, i = 0..count-1, one arithmetic progression per stage.
 
     v = -1 mod n_{t+1} implies v = -1 mod n_t, so tau(v) - 1 is the last t
-    with v = -1 mod n_t, and on the run those v sit at the indices
-    (-1 - start) mod n_t, (-1 - start) mod n_t + n_t, ...  The run starts as
-    Psi(1) and each stage t >= 1 writes Psi(t + 1) on its progression, so
-    later stages overwrite earlier ones and leave Psi(tau).  Stages stop once
-    n_t - 1 exceeds every |v|: a v >= 0 below n_t - 1 is its own residue,
-    and a v <= -2 has residue n_t + v, which is not n_t - 1.
+    with v = -1 mod n_t, and on the run those v sit at the i with i step = c
+    mod n_t, c = -1 - start: one residue mod n_t / g if g = gcd(step, n_t)
+    divides c, else none.  The run starts as Psi(1) and each stage t >= 1
+    writes Psi(t + 1) on its progression, so later stages overwrite earlier
+    ones and leave Psi(tau).  The stages stop at the first that keeps no
+    point, as each keeps a subset of the last; only -1 is -1 mod every n_t.
     """
-    if start <= -1 < start + count:
+    if start <= -1 <= start + step * (count - 1) and (-1 - start) % step == 0:
         raise UndefinedPointError("orbit passes through -theta where tau is undefined")
     out = np.full(count, vspec.psi(1), dtype=np.int32)
-    reach = max(abs(start), abs(start + count - 1))
-    t, n_t = 1, vspec.odometer.lam(0)
-    while n_t - 1 <= reach:
-        out[(-1 - start) % n_t :: n_t] = vspec.psi(t + 1)
+    t, n_t, c = 1, vspec.odometer.lam(0), -1 - start
+    while True:
+        g = math.gcd(step, n_t)
+        m = n_t // g
+        first = c // g * pow(step // g, -1, m) % m if step > g else c // g % m
+        if c % g or first >= count:  # no kept point, or none before count
+            return out
+        out[first::m] = vspec.psi(t + 1)
         n_t *= vspec.odometer.lam(t)
         t += 1
-    return out
 
 
 def veech_stream(vspec: VeechSpec, start: int = 0, name: str = "veech") -> SymbolStream:
     """The sequence n -> Psi(tau(start + n)) along the orbit of a point.
 
-    A run writes each stage's Psi on its progression of points
+    A run, stepped or not, writes each stage's Psi on its kept points
     v = -1 mod n_t (_psi_run); positions count the trailing top digits of
     start + position (_tau_at) and take Psi of the count.
     """
 
     def read(key):
         if isinstance(key, slice):
-            return np.ascontiguousarray(_psi_run(vspec, start + key.start, key.stop - key.start)[:: key.step or 1])
+            return _psi_run(vspec, start + key.start, len(range(key.start, key.stop, key.step or 1)), key.step or 1)
         taus = _tau_at(vspec.odometer, start + key)
         return np.array([0] + [vspec.psi(t) for t in range(1, int(taus.max(initial=1)) + 1)], dtype=np.int32).take(taus)
 

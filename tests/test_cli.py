@@ -294,6 +294,55 @@ def test_sums_at_the_cap_run_in_flat_memory(command):
 needs_vmhwm = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                                  reason="no /proc/self/status to read VmHWM from")
 
+STEPPED_READS = """
+import numpy as np
+from mobiuslab.cli import build_system
+from mobiuslab.morse import MorseSpec, hat_stream, morse_stream
+from mobiuslab.permgrp import cyclic_group
+from mobiuslab.specfile import parse_spec
+from mobiuslab.subst import factor_stream
+
+doc = parse_spec('''substitution h on {a, b, c} { a -> "aabaa"; b -> "bcabb"; c -> "cbccc"; }
+morse hc over cover-of h
+morse kak over Zn(4) blocks ["01", "02", repeat "0123"]
+rs rs1 pattern "1*10"
+veech v base 2 group Z2 psi repeat "10"
+''')
+z2, cover = cyclic_group(2), build_system(doc, "h").cover
+streams = {kind: build_system(doc, name).stream for kind, name in
+           (("substitution", "h"), ("cover", "hc"), ("morse", "kak"), ("rs", "rs1"), ("veech", "v"))}
+streams.update(hat=hat_stream(z2, morse_stream(MorseSpec(z2, (), (0, 1)))), factor=factor_stream(cover, cover.stream()))
+start, count = (1 << 40) + 3, 1 << 15
+
+def peak_kib():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return [int(line.split()[1]) for line in fh if line.startswith("VmHWM:")][0]
+
+for stream in streams.values():  # every table the reads below need
+    stream.at([start, start + 10 ** 5 * count])
+base = peak_kib()
+for kind, stream in streams.items():
+    for step in (17, 64, 1024, 10 ** 4, 10 ** 5):
+        got = stream.block(start, count, step)
+        assert np.array_equal(got, stream.at(start + step * np.arange(count, dtype=np.int64))), (kind, step)
+print(base, peak_kib())
+"""
+
+
+@needs_vmhwm
+def test_stepped_reads_hold_what_they_keep():
+    """block(start, 2^15, step) equals the positions it keeps on every system kind, at steps up to 10^5.
+
+    No reader holds the whole run it steps through: 10^5 * 2^15 int32 would
+    be 13 GB, and the child's peak stays within 32 MiB of its peak after
+    the digit tables are built.
+    """
+    proc = run_limited(python=("-c", STEPPED_READS))
+    assert proc.returncode == 0, proc.stderr
+    base, peak = map(int, proc.stdout.split())
+    assert peak - base < 32 << 10, (base, peak)
+
+
 HAT_PEAK = """
 import sys
 from mobiuslab import cli

@@ -20,7 +20,7 @@ from mobiuslab.experiment import (
 )
 from mobiuslab.spectral import Observable, make_symbol_table, make_walsh
 from mobiuslab.specfile import parse_spec
-from mobiuslab.spectral import _LEAF, _STRIDE_MAX, make_block_indicator
+from mobiuslab.spectral import _LEAF, make_block_indicator
 from mobiuslab.streams import SymbolStream, periodic_stream, word_stream
 from mobiuslab.subst import Substitution, fixed_point_stream
 
@@ -362,8 +362,8 @@ def test_pieces_sum_in_numpys_order():
 def test_kbsz_reads_positions_without_a_prefix():
     """No read is s N long: each strided run returns at most _LEAF + span symbols.
 
-    At (3, 5) every value comes from a strided run; a pair above the bound
-    reads only positions, so prefix and block both fail there.
+    Every value comes from a strided run, at (3, 5) and at (17, 19), and no
+    read builds a prefix.
     """
     stream = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
     block, lengths = stream.block, []
@@ -380,12 +380,12 @@ def test_kbsz_reads_positions_without_a_prefix():
     final = kbsz_series(stream, W0, 3, 5, (1 << 18,)).final
     assert final.real == frozen["value"] and final.imag == 0.0
     assert lengths and max(lengths) <= _LEAF + W0.span
-    stream.block = refuse
+    lengths.clear()
     r, s, n = 17, 19, 1 << 12
-    assert min(r, s) > _STRIDE_MAX
     # Thue-Morse is popcount parity, so the final is a direct sum
     want = sum((-1) ** (bin(r * k).count("1") + bin(s * k).count("1")) for k in range(1, n + 1)) / n
     assert kbsz_series(stream, W0, r, s, (n,)).final == want
+    assert lengths and max(lengths) <= _LEAF + W0.span
 
 
 def _signed_integer_table(rng, size, zero_share):
@@ -405,7 +405,7 @@ def test_class_counts_sum_to_the_float_reductions_bytes(monkeypatch):
     the class table at the classes and over the float products, by float
     hex.  The tables hold -0.0 and +0.0 parts, the checkpoints have
     one-position segments, where a -0.0 total shows, and the KBSZ steps lie
-    below and above _STRIDE_MAX.
+    on both sides of 16.
     """
     from mobiuslab import experiment, spectral
     from mobiuslab.spectral import Observable

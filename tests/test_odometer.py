@@ -182,6 +182,37 @@ def test_psi_run_matches_tau_at_on_random_runs(tail, head):
         assert _psi_run(vspec, start, count).tolist() == psi_at(vspec, values), (start, count)
 
 
+@pytest.mark.parametrize("tail", [2, 3, 10, 1 << 40, 1 << 64])
+@pytest.mark.parametrize("head", [(), (3, 2, 7)], ids=["nohead", "head327"])
+def test_stepped_psi_run_matches_tau_at(tail, head):
+    """A run at every step-th point equals _tau_at there, for steps that share factors with the bases or not."""
+    spec = OdometerSpec(head=head, tail=tail)
+    vspec = VeechSpec(spec, cyclic_group(67), **DISTINCT_PSI)
+    rng = np.random.default_rng(tail % 1000 + len(head) + 7)
+    steps = [2, 3, 6, 7, 12, 42, 1000, 1 << 20, 3 ** 30] + [spec.n(t) for t in range(1, 6)]
+    steps += [int(v) for v in rng.integers(2, 1 << 40, 6)]
+    for step in (step for step in steps if step * 3001 < 1 << 62):
+        # from 0, ending at -step, keeping -1 at index 1500, passing over it, and from a random point
+        starts = [0, -step * 3000, -1 - step * 1500, -2 - step * 1500, int(rng.integers(-(1 << 61), 1 << 61))]
+        for start, count in ((start, 3000) for start in starts):
+            values = start + step * np.arange(count, dtype=np.int64)
+            if np.any(values == -1):
+                with pytest.raises(UndefinedPointError):
+                    _psi_run(vspec, start, count, step)
+                continue
+            assert _psi_run(vspec, start, count, step).tolist() == psi_at(vspec, values), (step, start, count)
+
+
+def test_a_stepped_veech_run_refuses_only_a_kept_all_top_point():
+    """From -4 at step 4 the run keeps -4 and 0 and passes over -theta; at step 3 it keeps -1 and is refused."""
+    stream = veech_stream(VeechSpec(DYADIC, Z2, psi_tail=(0, 1)), start=-4)
+    assert stream.block(0, 2, 4).tolist() == stream.at([0, 4]).tolist() == [0, 0]
+    with pytest.raises(UndefinedPointError):
+        stream.block(0, 2, 3)
+    with pytest.raises(UndefinedPointError):
+        stream.at([0, 3])
+
+
 INT64_EDGES = [(1 << 63) - 1, -(1 << 63), -2, -(1 << 62) - 1]
 
 

@@ -16,7 +16,6 @@ from mobiuslab.spectral import (
     _FFT_EXACT,
     _FFT_MIN,
     _LEAF,
-    _STRIDE_MAX,
     GRID_CAP,
     Observable,
     _exact_correlation,
@@ -29,12 +28,13 @@ from mobiuslab.spectral import (
     periodogram,
     wiener_average,
 )
-from mobiuslab.streams import INT64_MAX, SymbolStream, periodic_stream, word_stream
+from mobiuslab.streams import INT64_MAX, DigitReader, SymbolStream, periodic_stream, word_stream
 from mobiuslab.subst import Substitution, factor_stream, fixed_point_stream
 
 Z2 = cyclic_group(2)
 TM = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
 PD = hat_stream(Z2, morse_stream(MorseSpec(Z2, (), (0, 1))))
+WIDE_STEP = 17  # past 16, the widest step Observable.indices once read as a run
 
 
 def test_evaluate_returns_fresh_memory():
@@ -345,7 +345,7 @@ def test_reads_whose_window_passes_int64_are_refused_before_any_offset():
         make_walsh((5,)).evaluate_at(unread_stream(), [3, INT64_MAX - 1])
     with pytest.raises(ValueError, match="^window at position %d reads position %d, %s" % (INT64_MAX - 3, INT64_MAX + 2, limit)):
         make_walsh((0, 5)).evaluate(unread_stream(), INT64_MAX - 4, 2)
-    for step in (3, _STRIDE_MAX + 1):  # a run and positions
+    for step in (3, WIDE_STEP, 1 << 12):  # row copies, and positions past radix >> 7
         start = INT64_MAX - 1 - 99 * step  # the 100th window ends at 2^63 - 1
         assert make_walsh((0, 1)).evaluate(TM, start, 100, step).shape == (100,)
         with pytest.raises(ValueError, match="^window at position %d reads position %d, %s" % (INT64_MAX, INT64_MAX + 1, limit)):
@@ -372,7 +372,7 @@ def test_a_stream_over_more_letters_than_the_table_is_refused_before_reading():
     obs = make_walsh((0, 1))
     with pytest.raises(ValueError, match="^stream 'v3' has an alphabet of size 3, the observable one of size 2$"):
         autocorrelation(stream, obs, 64, 4)
-    for read in (lambda: sarnak_series(stream, obs, None, (64,)), lambda: obs.indices(stream, 0, 5, _STRIDE_MAX + 1),
+    for read in (lambda: sarnak_series(stream, obs, None, (64,)), lambda: obs.indices(stream, 0, 5, WIDE_STEP),
                  lambda: obs.evaluate_at(stream, [0, 5])):
         with pytest.raises(ValueError, match="alphabet of size 3, the observable one of size 2$"):
             read()
@@ -405,13 +405,19 @@ def _kind_stream(kind):
 
 @pytest.mark.parametrize("kind", ["substitution", "cover", "morse", "rs", "veech", "hat", "factor"])
 def test_strided_reads_equal_positional_reads(kind):
-    """evaluate(start, count, step) is evaluate_at on start + step k, value for value, on each side of _STRIDE_MAX."""
+    """evaluate(start, count, step) is evaluate_at on start + step k, value for value, at every step.
+
+    511..513 straddle radix >> 7 of the first digit level of Thue-Morse and
+    kak (2^16) and 609..611 that of Herning and its cover (5^7), where a
+    digit reader turns from row copies to positions; 32 and 33 straddle the
+    widest step PatternReader reads whole.
+    """
     stream, top = _kind_stream(kind)
     rng = np.random.default_rng(5)
     size = stream.alphabet_size
     obs = Observable(window=(0, 3), alphabet_size=size, values=rng.normal(size=size * size) + 1j * rng.normal(size=size * size))
     count = 100
-    for step in (1, 2, _STRIDE_MAX, _STRIDE_MAX + 1):
+    for step in (1, 2, 16, WIDE_STEP, 32, 33, 64, 511, 512, 513, 609, 610, 611, 1024, 10 ** 5):
         near_top = top - (obs.span - 1) - step * (count - 1)  # the last window ends at top
         for start in (0, 5, (1 << 40) + 3, near_top):
             want = obs.evaluate_at(stream, start + step * np.arange(count, dtype=np.int64))
@@ -426,7 +432,7 @@ def test_indices_are_fresh_int32_that_evaluate_looks_up(kind):
     size = stream.alphabet_size
     for window in ((0,), (0, 3)):
         obs = Observable(window=window, alphabet_size=size, values=np.arange(size ** len(window)) * (1 - 1j))
-        for step in (1, 3, _STRIDE_MAX + 1):
+        for step in (1, 3, WIDE_STEP, 1 << 12):
             idx = obs.indices(stream, 7, 300, step)
             assert idx.dtype == np.int32
             assert np.array_equal(obs.values[idx], obs.evaluate(stream, 7, 300, step))
@@ -436,21 +442,29 @@ def test_indices_are_fresh_int32_that_evaluate_looks_up(kind):
 
 
 def test_strided_reads_use_runs_up_to_the_bound_and_positions_above_it():
-    calls = []
-    stream = fixed_point_stream(Substitution(((0, 1), (1, 0)), ("0", "1")))
-    stream.block = lambda start, count, step=1: calls.append(("block", count, step)) or TM.block(start, count, step)
-    stream.at = lambda positions: calls.append(("at", len(positions))) or TM.at(positions)
+    """indices hands the reader one stepped slice per window offset at every step.
+
+    A digit reader copies rows while a first-level row keeps at least 128
+    symbols (step <= radix >> 7) and reads the kept positions above that,
+    so its first read at level 0 is positional only past the bound.
+    """
+    reader = DigitReader(0, (), np.array([[0, 1], [1, 0]], dtype=np.int32))  # Thue-Morse
+    radix = reader._level(0)[0]
+    keys, levels, at = [], [], reader._at
+    reader._at = lambda q, top, j: levels.append((j, len(q))) or at(q, top, j)
+    stream = SymbolStream(lambda key: keys.append(key) or reader(key), name="tm", alphabet_size=2)
     w = make_walsh((0, 2))
-    for step in (_STRIDE_MAX, _STRIDE_MAX + 1):
-        calls.clear()
-        w.evaluate(stream, 7, 50, step)
-        kind = "block" if step <= _STRIDE_MAX else "at"
-        assert calls == [("block", 50, step) if kind == "block" else ("at", 50)] * 2
-    calls.clear()
-    for step in (1, 3, _STRIDE_MAX + 1):
+    for step in (16, WIDE_STEP, radix >> 7, (radix >> 7) + 1):
+        keys.clear(), levels.clear()
+        got = w.evaluate(stream, 7, 50, step)
+        assert np.array_equal(got, w.evaluate_at(TM, 7 + step * np.arange(50)))
+        assert keys == [slice(7 + off, 7 + off + step * 49 + 1, step) for off in w.window]
+        assert levels.count((0, 50)) == (2 if step > radix >> 7 else 0), step
+    keys.clear()
+    for step in (1, 3, WIDE_STEP):
         empty = w.evaluate(stream, INT64_MAX, 0, step)  # no read, and no block of negative length
         assert empty.shape == (0,) and empty.dtype == np.complex128
-    assert calls == []
+    assert keys == []
 
 
 ATOM_BITS = """

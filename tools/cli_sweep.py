@@ -8,10 +8,11 @@ type and message as stderr.  The calls are:
 
 - run over specs/*.spec and tests/fixtures/specs/valid/*.spec;
 - gen, hat, blocks and cover for every system of those files;
-- corr, spectrum, sarnak (Moebius JSON, Liouville CSV) and kbsz (primes 3,7
-  and 5,2, read as strided runs; 13,17, one run and one positional read;
-  19,23, positional reads only) for every system and observable of the
-  file, at N = 100000;
+- corr, spectrum, sarnak (Moebius JSON, Liouville CSV) and kbsz (primes 3,7,
+  5,2, 13,17 and 19,23, which a digit stream reads as row copies; 37,1031,
+  where RS reads positions past its whole-run bound of 32 and a digit
+  stream past its bound of a row keeping 128 symbols) for every system and
+  observable of the file, at N = 100000;
 - a fixed list of refusals (see refusals()): N one past the sample-size cap,
   a window past int64 (from far.spec, which the sweep writes to a
   temporary directory, printed as FAR), both at once, bad lags and N for
@@ -44,8 +45,8 @@ type and message as stderr.  The calls are:
 - run over DIGITS (written beside far.spec), whose RS patterns have
   lengths 2, 4 (with '*'), 17, 18, 63, 64 and 65 and whose Veech systems
   have a psi head, base 3, base 2^40 and a base beyond int64, with one
-  experiment per system, and kbsz (3,7 as strided runs, 19,23 by
-  position) and corr on each of those systems.  All at N = 3 * 2^16 + 5,
+  experiment per system, and kbsz (3,7, 19,23 and 37,1031) and corr on
+  each of those systems.  All at N = 3 * 2^16 + 5,
   so the runs cross 2^16-position blocks;
 - run and gen over every tests/fixtures/specs/malformed/*.spec, and run
   over the LEX specs (see LEX_SPECS; written beside far.spec, printed as
@@ -164,7 +165,7 @@ def calls(spec):
             yield ["spectrum", *on, "--n", N, "--out", "OUT/spectrum.csv"]
             yield ["sarnak", *on, "--n", N, "--weight", "moebius", "--format", "json", "--out", "OUT/mu.json"]
             yield ["sarnak", *on, "--n", N, "--weight", "liouville", "--format", "csv", "--out", "OUT/lambda.csv"]
-            for primes in ("3,7", "5,2", "13,17", "19,23"):
+            for primes in ("3,7", "5,2", "13,17", "19,23", "37,1031"):
                 yield ["kbsz", *on, "--n", N, "--primes", primes]
 
 
@@ -211,6 +212,7 @@ def digit_reads(digits):
         on = [digits, "--system", system.split()[1], "--observable", obs, "--n", str(DIGITS_N)]
         yield ["kbsz", *on, "--primes", "3,7"]
         yield ["kbsz", *on, "--primes", "19,23"]
+        yield ["kbsz", *on, "--primes", "37,1031"]
         yield ["corr", *on, "--out", "OUT/corr.csv"]
 
 

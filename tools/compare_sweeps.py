@@ -7,6 +7,9 @@ tools/cli_sweep.py, tools/level_sweep.py, tools/spec_sweep.py and
 tools/group_sweep.py then run from the working tree, once with that src on
 PYTHONPATH and once with the working tree's src, so the scripts and the
 spec files they read are the same for both and only the package differs.
+The two runs of a sweep start together, each in its own process (every
+sweep writes only to its own temporary directories), and the script waits
+for both before it prints.
 Spec files named after REV are passed to every sweep.  For each sweep the
 script prints a unified diff of the two outputs (empty when they agree) and
 a one-line summary; a last line gives the line count of src/**/*.py under
@@ -22,6 +25,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SWEEPS = ("tools/cli_sweep.py", "tools/level_sweep.py", "tools/spec_sweep.py", "tools/group_sweep.py")
@@ -51,9 +55,10 @@ def main(argv) -> int:
         try:
             archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True, check=True)
             subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+            srcs = (os.path.join(tmp, "src"), str(ROOT / "src"))
             for script in SWEEPS:
-                before = sweep(script, os.path.join(tmp, "src"), extra)
-                after = sweep(script, str(ROOT / "src"), extra)
+                with ThreadPoolExecutor(2) as pool:  # two threads, each waiting on one sweep process
+                    before, after = pool.map(lambda src: sweep(script, src, extra), srcs)
                 diff = list(difflib.unified_diff(before, after, "%s (%s src)" % (script, rev), script + " (working src)"))
                 sys.stdout.writelines(diff)
                 print("%s: %d and %d lines, %s" % (script, len(before), len(after), "DIFFER" if diff else "identical"))
