@@ -1,6 +1,8 @@
 """Multiplicative weights and binary digit patterns.
 
-Weight tables hold mu or lambda on 1..limit:
+Weight tables hold mu or lambda on 1..limit, read from the one packed array
+of weight states 2 [lambda(n) = 1] + [mu(n) != 0], two bits per n, that
+their sweep (weight_tables) writes:
 
     mu(1) = 1, mu(n) = (-1)^k if n is a product of k distinct primes, else 0
     lambda(n) = (-1)^Omega(n), Omega counting prime factors with multiplicity
@@ -23,6 +25,7 @@ with low a table of 0..2^16 - 1.  straddle(n) xors the windows across bit
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,90 +80,130 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# The weight state of n is 2 [lambda(n) = 1] + [mu(n) != 0]; each kind's weight at each state, as mu(n) = lambda(n)
+# wherever mu(n) != 0.
+_STATE_WEIGHTS = {"moebius": np.array([0, -1, 0, 1], dtype=np.int8),
+                  "liouville": np.array([-1, -1, 1, 1], dtype=np.int8)}
+# The tables are built in Python: a numpy ufunc called at import faults in pages of numpy's code that a run
+# without weights never needs (a KBSZ run's peak RSS rose by 0.2-0.6 MiB).
+# The four states of each byte of a packed array: n = 4 i + j in bits 2 j and 2 j + 1 of byte i.
+_UNPACK = np.array([[b >> 2 * j & 3 for j in range(4)] for b in range(256)], dtype=np.uint8)
+# The state of 2 m is (s(m) ^ 2) & (2 + m % 2): lambda(2 m) = -lambda(m), and 2 m is squarefree only when m is odd
+# and squarefree.  _EVEN[b] holds those of the n = 2 m of a byte b of m = 4 i + j, 4 j bits up in the two bytes of
+# n, the lower byte first.
+_EVEN = np.array([sum((((b >> 2 * j & 3) ^ 2) & (2 + j % 2)) << 4 * j for j in range(4)) for b in range(256)], "<u2")
+
+
 @dataclass(frozen=True)
 class WeightTable:
-    """Tabulated mu or lambda on 1..limit; values[0] is 0 and unused."""
+    """mu or lambda on 1..limit, read from the packed weight states of one sweep (weight_tables)."""
 
     kind: str
     limit: int
-    values: np.ndarray  # int8, length limit + 1, read-only
+    states: np.ndarray  # uint8, the states of n = 0..limit four a byte (_UNPACK), read-only, shared by the sweep
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The read-only int8 table of 0..limit, values[0] = 0 and unused, unpacked on first use."""
+        values = self.state_reader(_STATE_WEIGHTS[self.kind])(0, self.limit + 1)
+        values[0] = 0
+        values.flags.writeable = False
+        return values
+
+    def state_reader(self, codes: np.ndarray):
+        """read(lo, hi): a fresh array of codes[state of n] (one byte each) for n in lo..hi-1, 0 past the states."""
+        table = codes[_UNPACK].view(np.uint32).reshape(-1)  # the four codes of each byte value as one entry
+
+        def read(lo, hi):
+            first = lo >> 2
+            s = np.take(table, self.states[first : (hi + 3) >> 2]).view(codes.dtype)[lo - 4 * first :][: hi - lo]
+            return s if len(s) == hi - lo else np.pad(s, (0, hi - lo - len(s)))
+
+        return read
 
     def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.limit:
             raise ValueError("n=%d outside table range 1..%d" % (n, self.limit))
-        return int(self.values[n])
+        return int(_STATE_WEIGHTS[self.kind][_UNPACK[self.states[n >> 2], n & 3]])
 
 
 # Positions per sieve block, within one octave [2^k, 2^(k+1)): the int32
-# signed smooth parts of its 2^19 odd n (2 MiB) stay small next to the
-# tables.  Blocks of 2^19 positions ran no faster.
-_BLOCK = 1 << 20
+# signed smooth parts of its 2^18 odd n take 1 MiB, as the packed states
+# of 2^22 do.  Sweeps to 2^22 took 19-20 ms in blocks of 2^19 and 2^20 and
+# 25 ms in blocks of 2^18; to 2^24, 79 ms in blocks of 2^19 and 70 ms in
+# blocks of 2^20 (medians of 9 to 21, 2 cores, shared).
+_BLOCK = 1 << 19
 
 
-def _block_weights(lo: int, hi: int, primes: np.ndarray, wheel: np.ndarray) -> np.ndarray:
-    """lambda at the odd n in lo..hi-1 for 1 <= lo < hi <= 2^31 (v is int32 and |v| <= n).
+def _block_states(lo: int, hi: int, primes: np.ndarray, wheel: np.ndarray) -> np.ndarray:
+    """The uint8 weight states of the odd n in lo..hi-1, for hi - 1 <= lo^2 and hi <= 2^31 (v is int32, |v| <= n).
 
     primes must hold every prime <= isqrt(hi - 1), and wheel[i] the product
     of -p over the prime powers q = p^k dividing both len(wheel) and 2 i + 1.
 
     Each odd prime power q = p^k multiplies v at its odd multiples, q apart
     in v, by -p (the wheel's, tiled from it), leaving (-1)^k s for the
-    product s of the k prime factors <= sqrt, with multiplicity.  Where s
-    falls short of n, the rest is a single prime above isqrt(hi - 1), which
-    flips the sign once more: lambda(n) = -1 exactly where v is in (0, n) or
-    v = -n, where [v > 0] != [|v| = n].
+    product s of the k prime factors <= sqrt, with multiplicity, and q = p^2
+    marks its odd multiples squareful.  Where s falls short of n, the rest is a
+    single prime above isqrt(hi - 1), which flips the sign once more, and
+    s = n / that prime < sqrt(hi - 1) <= lo, while s = n >= lo otherwise:
+    lambda(n) = -1 exactly where [v > 0] != [|v| >= lo].
     """
     first = lo | 1
     v = np.resize(np.roll(wheel, -(first // 2)), (hi - first + 1) // 2)
+    squareful = np.zeros(len(v), dtype=bool)
     for p in primes.tolist()[1:]:
         if p * p >= hi:
             break
         q = p
         while q < hi:
+            j = -first * ((q + 1) // 2) % q  # n = first + 2 j with q | n: j = -first / 2 mod q
             if len(wheel) % q:
-                v[-first * ((q + 1) // 2) % q :: q] *= -p  # n = first + 2 j with q | n: j = -first / 2 mod q
+                v[j::q] *= -p
+            if q == p * p:
+                squareful[j::q] = True
             q *= p
-    neg = v > 0
-    neg ^= np.abs(v, out=v) == np.arange(first, hi, 2, dtype=np.int32)
-    return 1 - 2 * neg.view(np.int8)
+    state = (v > 0).view(np.uint8)
+    state ^= np.abs(v, out=v) >= lo  # [lambda(n) = -1]
+    state <<= 1
+    state |= squareful
+    state ^= 3  # 2 [lambda(n) = 1] + [mu(n) != 0]
+    return state
 
 
 def weight_tables(reaches: dict) -> dict:
-    """The WeightTable of each kind in reaches (kind -> limit), from one segmented sqrt sieve.
+    """The WeightTable of each kind in reaches (kind -> limit), all reading one array of packed weight states.
 
-    The primes up to the isqrt of the widest limit are found once; one sweep
-    fills lambda to that limit in blocks of at most _BLOCK positions, each
-    inside one octave [2^k, 2^(k+1)).  A block copies lambda(n) = -lambda(n/2)
-    at its even n from the octave below and sieves only its odd n
-    (_block_weights), tiling the prime powers of 45045 = 9 5 7 11 13.  mu is
-    lambda with the multiples of each p^2 set to 0.  The widest kind keeps
-    the sweep's array and the other copies its prefix first, so a mu-only
-    request derives mu in place and two kinds hold two tables.
+    One segmented sqrt sieve writes the state 2 [lambda(n) = 1] + [mu(n) != 0]
+    of each n up to the widest limit, four a byte, so N/4 bytes serve both
+    kinds.  The primes up to its isqrt are found once, and the sweep fills
+    blocks of at most _BLOCK positions, each inside one octave
+    [2^k, 2^(k+1)).  A block takes the states of its even n from the octave
+    below (_EVEN) and sieves only its odd n (_block_states), tiling the prime
+    powers of 45045 = 9 5 7 11 13.  Each table reads a view of the states up
+    to its limit, and unpacks its int8 values only when they are asked for.
     """
     for kind, limit in reaches.items():
         if kind not in WEIGHT_KINDS:
             raise ValueError("unknown weight kind %r (expected one of %s)" % (kind, ", ".join(WEIGHT_KINDS)))
         if not 1 <= limit <= LIMIT_CAP:
             raise ValueError("limit must be in 1..%d, got %d" % (LIMIT_CAP, limit))
-    widest = max(reaches, key=reaches.get)
-    primes = primes_up_to(math.isqrt(reaches[widest]))
-    lam = np.empty(reaches[widest] + 1, dtype=np.int8)
-    lam[0] = 0
+    packed = np.empty(max(2, max(reaches.values()) // 4 + 1), dtype=np.uint8)
+    packed[:2] = 0b01_01_11_00, 0b01_11_01_10  # n = 3, 2, 1, 0 and 7, 6, 5, 4; the state of 0 is unused
+    end = 4 * len(packed)  # the states of every n below end are right
+    primes = primes_up_to(math.isqrt(end - 1))
     wheel = np.ones(9 * 5 * 7 * 11 * 13, dtype=np.int32)  # their strides were most of the sieve's work
     for p, q in ((3, 3), (3, 9), (5, 5), (7, 7), (11, 11), (13, 13)):
         wheel[(q - 1) // 2 :: q] *= -p
-    for k in range(reaches[widest].bit_length()):
-        for lo in range(1 << k, min(2 << k, len(lam)), _BLOCK):
-            hi = min(lo + _BLOCK, 2 << k, len(lam))
-            np.negative(lam[(lo + 1) // 2 : (hi + 1) // 2], out=lam[lo + (lo & 1) : hi : 2])
-            lam[lo | 1 : hi : 2] = _block_weights(lo, hi, primes, wheel)
-    values = {kind: lam if kind == widest else lam[: limit + 1].copy() for kind, limit in reaches.items()}
-    if "moebius" in values:
-        for p in primes.tolist():
-            values["moebius"][p * p :: p * p] = 0
-    for kind, table in values.items():
-        table.flags.writeable = False
-    return {kind: WeightTable(kind, reaches[kind], table) for kind, table in values.items()}
+    for k in range(3, end.bit_length()):
+        for lo in range(1 << k, min(2 << k, end), _BLOCK):
+            hi = min(lo + _BLOCK, 2 << k, end)
+            out = packed[lo >> 2 : hi >> 2]
+            out[:] = np.take(_EVEN, packed[lo >> 3 : (hi + 4) >> 3]).view(np.uint8)[: len(out)]
+            odd = _block_states(lo, hi, primes, wheel)
+            out |= odd[::2] << 2 | odd[1::2] << 6
+    packed.flags.writeable = False
+    return {kind: WeightTable(kind, limit, packed[: limit // 4 + 1]) for kind, limit in reaches.items()}
 
 
 def weight_table(kind: str, limit: int) -> WeightTable:

@@ -218,8 +218,8 @@ def _experiment_config(decl, bound: BoundSystem, obs, experiments, tables, out=N
     """decl's config: built (checking every run rule), then out checked, then weighted from tables.
 
     On the first weighted use, one sweep sieves every kind the Sarnak sums in experiments weight by, each to
-    its widest reach (N under pow2, else the last checkpoint); each sum slices its kind's table, as mu(n) and
-    lambda(n) ignore its length.
+    its widest reach (N under pow2, else the last checkpoint), into one packed array of weight states that
+    every kind's table reads; each sum reads its own first N, as mu(n) and lambda(n) ignore the reach.
     """
     config = _experiment.ExperimentConfig(decl.name, bound.stream, obs, decl.sample_size, kbsz=decl.kbsz,
                                           checkpoints=None if decl.checkpoints == "pow2" else decl.checkpoints)

@@ -35,8 +35,9 @@ The CLI's run sums each run of consecutive Sarnak experiments over one
 per piece, the state w(n) + 1 under one kind and 2 [lambda(n) = 1] +
 [mu(n) != 0] under both.  Each member reads its own checkpoints, so its
 bytes are those it has alone.  block_sweep is one count over the window
-0..k - 1 and the weight state.  A weighted sum reads its kind's one weight
-table (one byte per n).
+0..k - 1 and the weight state.  Every weighted sum reads its states from
+the packed array of its table's sweep (two bits per n), one lookup per
+piece.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import WeightTable, is_prime
+from .arith import _STATE_WEIGHTS, WeightTable, is_prime
 from .spectral import (Observable, _check_reach, _class_counts, _class_sums, _class_table, _classes, _count_sum,
                        _exact_parts, make_block_indicator)
 from .streams import SymbolStream
@@ -104,32 +105,25 @@ def _report(partials, checkpoints, stream: SymbolStream, obs: Observable, **tags
 
 
 _SIGNS = np.array([-1, 0, 1], dtype=np.int8)  # the weights, a weight w at column w + 1
-# The column of _SIGNS at each state 2 [lambda(n) = 1] + [mu(n) != 0] of n under both kinds; mu(n) = lambda(n)
-# wherever mu(n) != 0.
-_BOTH = {"moebius": [1, 0, 1, 2], "liouville": [0, 0, 2, 2]}
 
 
 def _weight_states(tables: dict):
-    """(states, factors): states(lo, hi) gives the weight state of n = 1 + lo .. hi under the tables (kind -> table),
-    and factors[kind] the kind's weight at each state.
+    """(states, factors): states(lo, hi) gives the class of the weight state of n = 1 + lo .. hi under the tables
+    (kind -> table), and factors[kind] the kind's weight at each class.
 
-    The state is w(n) + 1 under one kind and 2 [lambda(n) = 1] + [mu(n) != 0]
-    under both; it is 0 past every table's reach.  Past lambda's reach its bit
-    is [mu(n) = 1], lambda's wherever mu(n) != 0; no sum reads past mu's.
+    The class is w(n) + 1 under one kind and the state 2 [lambda(n) = 1] +
+    [mu(n) != 0] itself under both, read from the widest table's packed
+    states; it is 0 past them, which no weighted sum reads.  states is None
+    without a table, as no sum reads it then.
     """
-    both = len(tables) == 2
-
-    def states(lo, hi):
-        s = np.zeros(hi - lo, dtype=np.int8)
-        for kind, table in tables.items():
-            w = table.values[1 + lo : 1 + hi]
-            s[: len(w)] += w + 1 if not both or kind == "liouville" else w != 0
-            if both and kind == "moebius":
-                end = max(0, tables["liouville"].limit - lo)
-                s[end : len(w)] += 2 * (w[end:] == 1)
-        return s
-
-    return states, {kind: _SIGNS[_BOTH[kind]] if both else _SIGNS for kind in tables}
+    if not tables:
+        return None, {}
+    if len(tables) == 1:
+        codes, factors = _STATE_WEIGHTS[next(iter(tables))] + 1, dict.fromkeys(tables, _SIGNS)
+    else:
+        codes, factors = np.arange(4, dtype=np.uint8), _STATE_WEIGHTS
+    read = max(tables.values(), key=lambda t: t.limit).state_reader(codes)
+    return (lambda lo, hi: read(1 + lo, 1 + hi)), factors
 
 
 def _sarnak_reports(stream: SymbolStream, obs: Observable, members) -> list:

@@ -342,8 +342,9 @@ def rs_extension_stages(choices, max_level: int, tail_choice: int = 0):
 
     bits = np.array([choice(s) for s in range(1, 65)], dtype=np.int64)
 
-    def read(key):
-        n = key.start + np.arange(0, key.stop - key.start, key.step or 1, dtype=np.int64) if isinstance(key, slice) else key
+    def read(n):
+        if isinstance(n, slice):
+            n = n.start + (n.step or 1) * np.arange(len(range(n.start, n.stop, n.step or 1)), dtype=np.int64)
         low = ~n & (n + 1)  # 2^k for k trailing ones; at n = 2^63 - 1 it wraps to -2^63, k still 63
         k = np.frexp(low)[1] - 1  # exact: low is a power of two
         return bits[k] ^ ((n & (low << 1)) != 0)

@@ -209,7 +209,8 @@ def periodic_stream(word, name: str = "periodic", alphabet_size: int | None = No
 
     def read(key):
         if isinstance(key, slice):
-            key = np.arange(0, key.stop - key.start, key.step or 1, dtype=np.int64) + key.start % len(base)
+            step = key.step or 1
+            key = key.start % len(base) + step * np.arange(len(range(key.start, key.stop, step)), dtype=np.int64)
         return base[key % len(base)]
 
     return SymbolStream(read, name=name, alphabet_size=alphabet_size)

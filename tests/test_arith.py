@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -155,6 +156,52 @@ def test_sweep_matches_all_primes_sieve_at_octave_edges():
         for limit in ((1 << k) - 1, 1 << k, (1 << k) + 1):
             for kind in arith.WEIGHT_KINDS:
                 assert weight_table(kind, limit).values.tobytes() == oracle[kind][: limit + 1], (kind, limit)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_states(limit):
+    """2 [lambda(n) = 1] + [mu(n) != 0] for n = 0..limit, from the all-primes sieve."""
+    return 2 * (all_primes_sieve("liouville", limit) == 1) + (all_primes_sieve("moebius", limit) != 0)
+
+
+def check_packed_states(reaches, reference):
+    """Every table of weight_tables(reaches) reads one read-only array of limit // 4 + 1 bytes whose states of n =
+    1..limit, n = 4 i + j in bits 2 j and 2 j + 1 of byte i, are the reference's."""
+    tables = arith.weight_tables(reaches)
+    widest = max(reaches, key=reaches.get)
+    for kind, limit in reaches.items():
+        states = tables[kind].states
+        assert (states.dtype, len(states), states.flags.writeable) == (np.uint8, limit // 4 + 1, False), reaches
+        assert np.shares_memory(states, tables[widest].states)
+        unpacked = np.repeat(states, 4) >> np.tile(np.arange(0, 8, 2, dtype=np.uint8), len(states)) & 3
+        assert np.array_equal(unpacked[1 : limit + 1], reference[1 : limit + 1]), (reaches, kind)
+
+
+def weight_reaches(limit):
+    """mu alone, lambda alone, both to limit, and mu reaching 1, 2 and 3 past lambda."""
+    yield {"moebius": limit}
+    yield {"liouville": limit}
+    yield {"liouville": limit, "moebius": limit}
+    for below in (1, 2, 3):
+        if limit > below:
+            yield {"liouville": limit - below, "moebius": limit}
+
+
+def test_packed_states_match_the_reference_at_every_small_limit():
+    reference = reference_states(300)
+    for limit in range(1, 301):
+        for reaches in weight_reaches(limit):
+            check_packed_states(reaches, reference)
+
+
+@pytest.mark.parametrize("edge", [1 << 19, 1 << 20, (1 << 20) + arith._BLOCK, 1 << 21])
+def test_packed_states_match_the_reference_at_block_and_octave_edges(edge):
+    # an octave starts, and a block ends, at each power of two, and another block ends inside [2^20, 2^21); the
+    # four limits end the packing at each n % 4
+    reference = reference_states((1 << 21) + 2)
+    for limit in (edge - 1, edge, edge + 1, edge + 2):
+        for reaches in weight_reaches(limit):
+            check_packed_states(reaches, reference)
 
 
 def test_multiplicative_across_block_boundaries():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mobiuslab import cli, morse, subst
+from mobiuslab import arith, cli, morse, subst
 from mobiuslab.arith import LIMIT_CAP, pattern_parity, weight_table
 from mobiuslab.binding import BindingError
 from mobiuslab.cli import main
@@ -906,45 +906,47 @@ def test_run_binds_a_repeated_observable_once(capsys, tmp_path, monkeypatch):
         assert built == builds, label
 
 
+# What a weighted run may hold above the same run unweighted: the packed weight states, N/4 bytes, and one sieve
+# block, whose int32 smooth parts and four byte arrays take 4 bytes a position, with 512 KiB of slack.
+def weight_cost_bound_kib(n):
+    return (n // 4 + 4 * arith._BLOCK) // 1024 + 512
+
+
+def peak_of_run(tmp_path, experiments):
+    """The VmHWM (KiB) of run over REUSE_SYSTEMS and the (name, weight, N) experiments."""
+    (tmp_path / "wide.spec").write_text(REUSE_SYSTEMS + "".join(
+        "experiment %s { system: tm; observable: w0; weight: %s; N: %d; }\n" % e for e in experiments))
+    proc = run_limited(*RUN_WIDE, python=("-c", PEAK_OF_CALL), cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    return peak_kib
+
+
 @needs_vmhwm
 def test_run_keeps_one_weight_table_per_kind_alive(tmp_path):
-    """Six Moebius sums reaching up from 2^22 - 5 hold one 4 MiB table at a time, as one sum does."""
-    peaks = []
-    for reaches in ([1 << 22], range((1 << 22) - 5, (1 << 22) + 1)):
-        (tmp_path / "wide.spec").write_text(REUSE_SYSTEMS + "".join(
-            "experiment e%d { system: tm; observable: w0; weight: moebius; N: %d; }\n" % (i, n)
-            for i, n in enumerate(reaches)))
-        proc = run_limited(*RUN_WIDE, python=("-c", PEAK_OF_CALL), cwd=str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
-        code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
-        assert code == 0
-        peaks.append(peak_kib)
-    assert peaks[1] - peaks[0] <= 3 << 10, peaks  # each table held beside another adds 4 MiB
+    """Six Moebius sums reaching up from 2^22 - 5 read one 1 MiB array of packed states, as one sum does."""
+    reaches = range((1 << 22) - 5, (1 << 22) + 1)
+    peaks = [peak_of_run(tmp_path, [("e%d" % i, weight, n) for i, n in enumerate(reaches)])
+             for weight in ("none", "moebius")]
+    assert peaks[1] - peaks[0] <= weight_cost_bound_kib(1 << 22), peaks  # a copy per sum adds 5 MiB
 
 
 @needs_vmhwm
-def test_one_sweep_holds_one_table_per_kind_and_derives_a_lone_mu_in_place(tmp_path):
-    """mu and lambda sums at 2^22 hold two 4 MiB tables, no third; sarnak's mu at 2^24 holds one 16 MiB table."""
-    peaks = []
-    for kinds in (["moebius"], ["moebius", "liouville"]):
-        (tmp_path / "wide.spec").write_text(REUSE_SYSTEMS + "".join(
-            "experiment %s { system: tm; observable: w0; weight: %s; N: 4194304; }\n" % (kind[:3], kind)
-            for kind in kinds))
-        proc = run_limited(*RUN_WIDE, python=("-c", PEAK_OF_CALL), cwd=str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
-        peaks.append(int(proc.stdout.splitlines()[-1].split()[1]))
-    # lambda's sieve block is freed before mu is copied out of it, so the second table costs about 1 MiB
-    # more at the peak; a third table (both kinds copied out of the sweep) costs 4 MiB
-    assert peaks[1] - peaks[0] <= 3 << 10, peaks
+def test_one_sweep_holds_one_packed_array_for_both_kinds(tmp_path):
+    """mu and lambda sums at 2^22 hold one 1 MiB array, and sarnak's mu at 2^26 one 16 MiB array, under 1.2 GB."""
+    peaks = [peak_of_run(tmp_path, [(kind[:3], kind if weighted else "none", 1 << 22)
+                                    for kind in ("moebius", "liouville")]) for weighted in (False, True)]
+    assert peaks[1] - peaks[0] <= weight_cost_bound_kib(1 << 22), peaks  # an int8 table of a kind adds 4 MiB
     peaks = []
     for weight in ("none", "moebius"):
-        proc = run_limited("sarnak", TM_SPEC, "--observable", "w0", "--n", str(1 << 24), "--weight", weight,
+        proc = run_limited("sarnak", TM_SPEC, "--observable", "w0", "--n", str(LIMIT_CAP), "--weight", weight,
                            "--out", str(tmp_path / "out.csv"), python=("-c", PEAK_OF_CALL))
         assert proc.returncode == 0, proc.stderr
         code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
         assert code == 0
         peaks.append(peak_kib)
-    assert peaks[1] - peaks[0] <= 22 << 10, peaks  # the table and one sieve block; a copy adds 16 MiB
+    assert peaks[1] - peaks[0] <= weight_cost_bound_kib(LIMIT_CAP), peaks  # a second array adds 16 MiB
 
 
 def test_run_refuses_an_unknown_format_before_it_sieves_or_writes(capsys, tmp_path, monkeypatch):

@@ -414,6 +414,36 @@ def test_a_stepped_digit_read_holds_only_the_symbols_it_keeps():
     assert peak < step * count * 4 // 8, peak
 
 
+@pytest.mark.parametrize("name", ["thue_morse", "abc", "abc_cover"])
+@pytest.mark.parametrize("step", [1, 3])
+def test_a_run_allocates_its_output_and_little_more(name, step):
+    """block(10^6 step + step, 2^15, step) on built digit levels allocates its int32 output plus under 8 KiB."""
+    make, _, symbol = next(s[1:] for s in SYSTEMS if s[0] == name)
+    stream, start, count = make(), 1000001 * step, 1 << 15
+    stream.block(start, count, step)  # builds the digit levels it reads
+    tracemalloc.start()
+    try:
+        got = stream.block(start, count, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[:: 1 << 11].tolist() == [symbol(start + step * i) for i in range(0, count, 1 << 11)]
+    assert peak < got.nbytes + (8 << 10), peak
+
+
+@pytest.mark.parametrize("make", [lambda: periodic_stream([0, 1, 1]), lambda: rs_extension_stages([1, 0, 1], 4)[1]],
+                         ids=["periodic", "rs_extension"])
+def test_steps_past_a_float_mantissa_keep_every_symbol(make):
+    """A stepped slice at steps 2^61 and 2^62 reads every position it names, as at() does."""
+    stream = make()
+    for step in (1 << 61, 1 << 62):
+        for start in (0, 1, 5):
+            for count in range(1, 5):
+                if start + step * (count - 1) < 1 << 63:
+                    got = stream.block(start, count, step)
+                    assert got.tolist() == stream.at([start + step * i for i in range(count)]).tolist(), (step, start)
+
+
 @pytest.mark.parametrize("name,make,L,symbol", SYSTEMS + COMPOSED, ids=IDS + [c[0] for c in COMPOSED])
 def test_writing_into_a_read_changes_no_later_read(name, make, L, symbol):
     """Every read is a fresh writable array, so writing into it touches no table or source."""
